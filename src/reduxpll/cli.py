@@ -21,18 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, theory, training
-from .errors import (
-    AssumptionError,
-    ConfigError,
-    ContractViolation,
-    DataError,
-    DimensionError,
-    NumericError,
-    ParseError,
-    ReduxPllError,
-    ScenarioError,
-    UsageError,
-)
+from .errors import DataError, NumericError, ParseError, ReduxPllError, UsageError
 
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -126,7 +115,11 @@ def _run_seeds(ds_parts, config, seeds, out_dir: Path) -> list[dict]:
         )
         for seed in seeds
     ]
-    threads = int(os.environ.get("REDUXPLL_THREADS", "1"))
+    raw = os.environ.get("REDUXPLL_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise UsageError(f"REDUXPLL_THREADS must be an integer, got {raw!r}") from None
     if threads > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(payloads))) as pool:
             return list(pool.map(_fit_one_seed, payloads))
@@ -172,6 +165,8 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--n must be positive, got {args.n}")
     if args.c < 3:
         raise UsageError(f"--c must be at least 3, got {args.c}")
+    if args.q < 2:
+        raise UsageError(f"--q must be at least 2, got {args.q}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = data.gen_gaussian_mixture(args.c, args.q, args.n, args.separation, args.seed)
@@ -433,17 +428,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (
-        DataError,
-        ParseError,
-        ConfigError,
-        ContractViolation,
-        DimensionError,
-        ScenarioError,
-        AssumptionError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ReduxPllError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,10 @@
 Fixed architecture family: affine layers, tanh on hidden layers, softmax on
 the output. tanh keeps everything smooth, so analytic gradients and the
 hypergradient can be checked against central finite differences to tight
-tolerances. All functions are pure: parameters are never mutated in place,
-which is what makes the training loop's save/rollback exact rather than
-approximate.
+tolerances. All functions are pure: parameters and tapes are never mutated
+in place, so one forward's tape can serve any number of backward passes, and
+the training loop can check bitwise that a hypergradient left its predictor
+untouched.
 """
 
 from __future__ import annotations
@@ -52,19 +53,13 @@ class MlpParams:
 Gradient = MlpParams
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradTape:
-    """Cached forward activations for one batch; valid for a single backward pass."""
+    """Cached forward activations for one batch; reusable by any number of backwards."""
 
     params: "MlpParams"
     inputs: list[np.ndarray]  # inputs[i] is what layer i consumed
     probs: np.ndarray
-    used: bool = False
-
-    def consume(self) -> None:
-        if self.used:
-            raise ContractViolation("GradTape is single-use and was already consumed")
-        self.used = True
 
 
 def init_mlp(sizes: Sequence[int], rng: np.random.Generator) -> MlpParams:
@@ -132,7 +127,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, GradTape]:
-    """Run the net on a (m, in_dim) batch; returns simplex rows and a one-shot tape."""
+    """Run the net on a (m, in_dim) batch; returns simplex rows and their tape."""
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if x.shape[1] != params.in_dim:
         raise DimensionError(
@@ -149,12 +144,6 @@ def forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, GradTape]
     if not np.all(np.isfinite(probs)):
         raise NumericError("forward pass produced non-finite probabilities")
     return probs, GradTape(params=params, inputs=inputs, probs=probs)
-
-
-def hidden_features(params: MlpParams, batch: np.ndarray) -> np.ndarray:
-    """Activation feeding the output layer (the net's feature representation)."""
-    probs, tape = forward(params, batch)
-    return tape.inputs[-1]
 
 
 def check_simplex_rows(mat: np.ndarray, what: str, tol: float = SIMPLEX_TOL) -> None:
@@ -198,7 +187,6 @@ def backward_probs_vjp(tape: GradTape, d_probs: np.ndarray) -> Gradient:
 
 
 def _backward_layers(tape: GradTape, d_out: np.ndarray) -> Gradient:
-    tape.consume()
     n = len(tape.inputs)
     d_weights: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     d_biases: list[np.ndarray] = [None] * n  # type: ignore[list-item]
@@ -270,6 +258,8 @@ def hypergradient(
     outer_targets: np.ndarray,
     beta2: float,
     pseudo_label_fn: PseudoLabelFn,
+    *,
+    inner_forward: tuple[np.ndarray, GradTape] | None = None,
 ) -> Gradient:
     """Exact gradient of the post-step validation loss with respect to gamma.
 
@@ -283,12 +273,17 @@ def hypergradient(
     which is one reverse pass for u, one forward-mode pass for B, and one VJP
     through the pseudo-label map. No truncation: the second-order cross term
     is the whole computation.
+
+    `inner_forward` is the caller's `forward(theta, inner_batch)` result; when
+    given, the inner step reuses it instead of running theta again.
     """
     inner_batch = np.atleast_2d(np.asarray(inner_batch, dtype=np.float64))
     m = inner_batch.shape[0]
     targets, vjp = pseudo_label_fn(gamma, inner_batch)
 
-    probs_in, tape_in = forward(theta, inner_batch)
+    probs_in, tape_in = (
+        forward(theta, inner_batch) if inner_forward is None else inner_forward
+    )
     _, g_inner = backward_ce(tape_in, probs_in, targets)
     theta_plus = sgd_step(theta, g_inner, beta2)
 

@@ -39,7 +39,7 @@ def _masked_renormalize(probs: np.ndarray, mask: np.ndarray, what: str) -> np.nd
     """Zero outside mask, renormalize inside it; uniform fallback on zero mass."""
     masked = np.where(mask, probs, 0.0)
     denom = masked.sum(axis=-1, keepdims=True)
-    bad = denom[:, 0] <= 0.0
+    bad = denom[..., 0] <= 0.0
     if np.any(bad):
         # Unreachable with softmax outputs (strictly positive), kept as a guard.
         log.warning(
@@ -49,8 +49,8 @@ def _masked_renormalize(probs: np.ndarray, mask: np.ndarray, what: str) -> np.nd
         )
         counts = mask.sum(axis=-1, keepdims=True)
         uniform = np.where(mask, 1.0 / np.maximum(counts, 1), 0.0)
-        masked = np.where(bad[:, None], uniform, masked)
-        denom = np.where(bad[:, None], 1.0, denom)
+        masked = np.where(bad[..., None], uniform, masked)
+        denom = np.where(bad[..., None], 1.0, denom)
     return masked / denom
 
 
@@ -84,14 +84,18 @@ def reduction_matrix(branch_probs: np.ndarray, candidates: np.ndarray) -> np.nda
     """Stack all reduction rows: branch_probs is (c, m, c), result is (m, c, c).
 
     Row j of each instance's matrix is branch j's output renormalized over the
-    candidates minus label j.
+    candidates minus label j, i.e. `reduction_row(branch_probs[j], S, j)`,
+    computed for every j at once.
     """
     c = branch_probs.shape[0]
-    m = branch_probs.shape[1]
-    out = np.empty((m, c, c))
-    for j in range(c):
-        out[:, j, :] = reduction_row(branch_probs[j], candidates, j)
-    return out
+    s = np.atleast_2d(np.asarray(candidates, dtype=bool))
+    mask = s[:, None, :] & ~np.eye(c, dtype=bool)
+    empty = np.argwhere(~mask.any(axis=-1))
+    if empty.size:
+        raise ContractViolation(
+            f"candidate set reduces to nothing when excluding label {empty[0, 1]}"
+        )
+    return _masked_renormalize(branch_probs.transpose(1, 0, 2), mask, "reduction_matrix")
 
 
 def reduction_pseudo(w, U) -> np.ndarray:
@@ -187,7 +191,10 @@ class PseudoLabelState:
     ) -> None:
         """Cheap invariant sweep over every instance; raises on violation."""
         s = np.asarray(candidates, dtype=bool)
-        for name, arr in (("mu", self.mu), ("q", self.q)):
+        targets = [("mu", self.mu), ("q", self.q)]
+        if check_reduction:
+            targets.append(("v", self.v))
+        for name, arr in targets:
             if np.any(np.abs(arr.sum(axis=-1) - 1.0) > tol):
                 raise ContractViolation(f"{name} rows do not sum to 1 within {tol}")
             if np.any(arr < -tol):
@@ -196,13 +203,6 @@ class PseudoLabelState:
                 raise ContractViolation(f"{name} puts mass outside the candidate sets")
         if not check_reduction:
             return
-        for name, arr in (("v", self.v),):
-            if np.any(np.abs(arr.sum(axis=-1) - 1.0) > tol):
-                raise ContractViolation(f"{name} rows do not sum to 1 within {tol}")
-            if np.any(arr < -tol):
-                raise ContractViolation(f"{name} has negative entries beyond {tol}")
-            if np.any(np.abs(arr[~s]) > tol):
-                raise ContractViolation(f"{name} puts mass outside the candidate sets")
         if np.any(np.abs(self.w.sum(axis=-1) - 1.0) > tol) or np.any(self.w < -tol):
             raise ContractViolation("w rows are off the simplex")
         n, c = s.shape

@@ -1,19 +1,22 @@
-"""Training loop: branch updates, meta-learned weighting, and rollback.
+"""Training loop: one-pass batch step, meta-learned weighting, checkpoints.
 
-Each mini-batch runs the full schedule:
+Each mini-batch makes one pass:
 
-1. extract features for the batch from the predictor's penultimate layer,
-2. update every auxiliary branch toward its stored reduction row (momentum
-   SGD), then refresh the rows from the updated branches,
-3. compute branch weights and aggregated reduction targets,
-4. save the predictor, take a plain trial step toward the reduction targets,
-5. update the meta net by the exact hypergradient of a validation mini-batch
-   loss through that single trial step,
-6. recompute weights/targets with the updated meta net and combine with the
-   stored basic targets,
-7. roll the predictor back (verified bit-identical) and commit a momentum
-   step toward the combined targets; finally refresh the stored basic
-   targets from the updated predictor.
+1. run the predictor forward on the batch once; its tape supplies the
+   features (the penultimate activation), the inner step of the
+   hypergradient and the committed step below,
+2. update the stacked branch head (the `c` one-layer branches as one
+   `(c, d, c)` weight stack) toward the stored reduction rows with momentum
+   SGD, then refresh all rows at once from the updated head,
+3. update the meta net by the exact hypergradient of a validation
+   mini-batch loss through one plain trial step of the predictor toward the
+   meta-weighted reduction targets; the trial step exists only inside
+   `nets.hypergradient`, and the predictor is verified bit-identical after
+   this phase,
+4. recompute weights/targets with the updated meta net and combine them
+   with the stored basic targets,
+5. commit a momentum step toward the combined targets; finally refresh the
+   stored basic targets from the updated predictor.
 
 The two baselines reuse the same plumbing: `reduxpll-uniform-w` replaces the
 meta weights with a uniform vector and skips the bi-level machinery;
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import nets, pseudo
 from .data import PllDataset, validate_dataset
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import ConfigError, ContractViolation, DimensionError, NumericError
 
 METHODS = ("reduxpll", "reduxpll-uniform-w", "proden")
 
@@ -118,21 +121,13 @@ class EpochMetrics:
     bayes_consistency: float | None
     pseudo_label_drift: float
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_accuracy": self.val_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "bayes_consistency": self.bayes_consistency,
-            "pseudo_label_drift": self.pseudo_label_drift,
-        }
-
 
 @dataclass
 class ModelBundle:
     theta: nets.MlpParams
-    omegas: tuple[nets.MlpParams, ...]
+    # the c branches as one stacked head: weights[0] is (c, d, c), biases[0]
+    # is (c, c), and slice j is branch j, the one that excludes label j
+    omegas: nets.MlpParams
     gamma: nets.MlpParams
 
 
@@ -140,7 +135,7 @@ class ModelBundle:
 class TrainerState:
     bundle: ModelBundle
     theta_buf: nets.MlpParams
-    omega_bufs: list[nets.MlpParams]
+    omega_buf: nets.MlpParams
     pls: pseudo.PseudoLabelState
     prev_q: np.ndarray
     rngs: dict[str, np.random.Generator]
@@ -164,7 +159,7 @@ class RunResult:
     config: TrainConfig
 
     def trajectory_hash(self) -> str:
-        blob = json.dumps([m.to_dict() for m in self.history], sort_keys=True)
+        blob = json.dumps([asdict(m) for m in self.history], sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -199,7 +194,11 @@ def init_state(
     if init_bundle is None:
         theta = nets.init_mlp([q, *config.hidden_sizes, c], _stream(config.seed, "theta_init"))
         omega_rng = _stream(config.seed, "omega_init")
-        omegas = tuple(nets.init_mlp([d, c], omega_rng) for _ in range(c))
+        branches = [nets.init_mlp([d, c], omega_rng) for _ in range(c)]
+        omegas = nets.MlpParams(
+            (np.stack([br.weights[0] for br in branches]),),
+            (np.stack([br.biases[0] for br in branches]),),
+        )
         gamma = nets.init_mlp([q, *config.meta_hidden_sizes, c], _stream(config.seed, "gamma_init"))
         bundle = ModelBundle(theta=theta, omegas=omegas, gamma=gamma)
     else:
@@ -210,7 +209,7 @@ def init_state(
     return TrainerState(
         bundle=bundle,
         theta_buf=nets.zeros_like_params(bundle.theta),
-        omega_bufs=[nets.zeros_like_params(om) for om in bundle.omegas],
+        omega_buf=nets.zeros_like_params(bundle.omegas),
         pls=pls,
         prev_q=pls.q.copy(),
         rngs={
@@ -220,8 +219,27 @@ def init_state(
     )
 
 
-def _branch_outputs(omegas, z) -> np.ndarray:
-    return np.stack([nets.forward(om, z)[0] for om in omegas])
+def _branch_probs(head: nets.MlpParams, z: np.ndarray) -> np.ndarray:
+    """All branch outputs on features z (m, d) as one (c, m, c) stack."""
+    probs = nets.softmax(np.matmul(z, head.weights[0]) + head.biases[0][:, None, :])
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("branch head produced non-finite probabilities")
+    return probs
+
+
+def _branch_grad(z: np.ndarray, probs: np.ndarray, targets: np.ndarray) -> nets.Gradient:
+    """Per-branch mean cross-entropy gradient, stacked like the head.
+
+    Runs the checks of `nets.backward_ce` on every branch: simplex targets and
+    a finite loss.
+    """
+    nets.check_simplex_rows(targets, "branch target")
+    m = z.shape[0]
+    loss = -float((targets * np.log(np.maximum(probs, nets.CE_CLAMP))).sum()) / m
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite branch cross-entropy loss ({loss!r})")
+    d_a = (probs - targets) / m
+    return nets.MlpParams((np.matmul(z.T, d_a),), (d_a.sum(axis=1),))
 
 
 def _batch_step(
@@ -237,10 +255,12 @@ def _batch_step(
     S = train_ds.candidates[idx]
     c = train_ds.c
     theta = state.bundle.theta
+    # the batch's only forward of theta on x: its tape serves the features,
+    # the hypergradient's inner step and the committed step
+    probs, tape = nets.forward(theta, x)
 
     if config.method == "proden":
         q = state.pls.mu[idx]  # stored basic targets from the previous refresh
-        probs, tape = nets.forward(theta, x)
         loss, grad = nets.backward_ce(tape, probs, q)
         theta_new, state.theta_buf = _momentum_step(
             theta, grad, state.theta_buf, config.beta2, config.momentum
@@ -252,33 +272,23 @@ def _batch_step(
         state.pls.q[idx] = q
         return loss
 
-    z = nets.hidden_features(theta, x)
+    z = tape.inputs[-1]
 
-    # branch updates toward the stored (previous-refresh) reduction rows
-    new_omegas = []
-    for j in range(c):
-        probs_j, tape_j = nets.forward(state.bundle.omegas[j], z)
-        _, grad_j = nets.backward_ce(tape_j, probs_j, state.pls.U[idx, j, :])
-        om_new, state.omega_bufs[j] = _momentum_step(
-            state.bundle.omegas[j], grad_j, state.omega_bufs[j], config.beta1, config.momentum
-        )
-        new_omegas.append(om_new)
-    state.bundle = replace(state.bundle, omegas=tuple(new_omegas))
+    # branch updates toward the stored (previous-refresh) reduction rows;
+    # branch j's targets are row j of each instance's matrix
+    head = state.bundle.omegas
+    grad_head = _branch_grad(z, _branch_probs(head, z), state.pls.U[idx].transpose(1, 0, 2))
+    head, state.omega_buf = _momentum_step(
+        head, grad_head, state.omega_buf, config.beta1, config.momentum
+    )
+    state.bundle = replace(state.bundle, omegas=head)
 
-    U_new = pseudo.reduction_matrix(_branch_outputs(state.bundle.omegas, z), S)
+    U_new = pseudo.reduction_matrix(_branch_probs(head, z), S)
 
     if config.method == "reduxpll":
         theta_snapshot = nets.to_flat(theta)
 
-        # trial step toward the aggregated reduction targets
-        w = pseudo.meta_weights(state.bundle.gamma, x)
-        v = pseudo.reduction_pseudo(w, U_new)
-        probs, tape = nets.forward(theta, x)
-        _, grad_trial = nets.backward_ce(tape, probs, v)
-        theta_trial = nets.sgd_step(theta, grad_trial, config.beta2)
-        state.bundle = replace(state.bundle, theta=theta_trial)
-
-        # meta update through the trial step on a sampled validation batch
+        # meta update through a trial step on a sampled validation batch
         val_idx = state.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
         val_x = val_ds.features[val_idx]
         val_targets = one_hot(np.asarray(val_ds.true_labels)[val_idx], c)
@@ -295,7 +305,7 @@ def _batch_step(
 
         hyper = nets.hypergradient(
             theta, state.bundle.gamma, x, val_x, val_targets, config.beta2,
-            pseudo_label_fn,
+            pseudo_label_fn, inner_forward=(probs, tape),
         )
         gamma_new = nets.sgd_step(state.bundle.gamma, hyper, config.beta3)
         state.bundle = replace(state.bundle, gamma=gamma_new)
@@ -304,8 +314,7 @@ def _batch_step(
         w2 = pseudo.meta_weights(gamma_new, x)
         v2 = pseudo.reduction_pseudo(w2, U_new)
 
-        # rollback must restore the exact pre-trial parameters
-        state.bundle = replace(state.bundle, theta=theta)
+        # the trial step must leave no trace: theta is bit-identical to before
         if not np.array_equal(nets.to_flat(state.bundle.theta), theta_snapshot):
             raise ContractViolation(
                 f"rollback drifted at epoch {epoch}, batch {batch_idx}"
@@ -317,10 +326,9 @@ def _batch_step(
 
     q = pseudo.combine(state.pls.mu[idx], v2, config.alpha)
 
-    probs, tape = nets.forward(state.bundle.theta, x)
     loss, grad = nets.backward_ce(tape, probs, q)
     theta_new, state.theta_buf = _momentum_step(
-        state.bundle.theta, grad, state.theta_buf, config.beta2, config.momentum
+        theta, grad, state.theta_buf, config.beta2, config.momentum
     )
     state.bundle = replace(state.bundle, theta=theta_new)
 
@@ -420,7 +428,7 @@ def fit(
             state, metrics = train_epoch(state, datasets, config)
             history.append(metrics)
             if metrics_fh is not None:
-                metrics_fh.write(json.dumps(metrics.to_dict(), sort_keys=True) + "\n")
+                metrics_fh.write(json.dumps(asdict(metrics), sort_keys=True) + "\n")
                 metrics_fh.flush()
             if metrics.val_accuracy > state.best_val_accuracy:
                 state.best_val_accuracy = metrics.val_accuracy
@@ -469,25 +477,40 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
     from numpy.lib import format as npformat
 
-    with zipfile.ZipFile(Path(path), "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    # stored, not deflated: deflating every epoch cost a quarter of a fit
+    with zipfile.ZipFile(Path(path), "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
             buf = io.BytesIO()
             npformat.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
-            info.compress_type = zipfile.ZIP_DEFLATED
-            zf.writestr(info, buf.getvalue())
-        info = zipfile.ZipInfo("meta.json", date_time=_ZIP_EPOCH)
-        info.compress_type = zipfile.ZIP_DEFLATED
-        zf.writestr(info, json.dumps(meta, sort_keys=True))
+            zf.writestr(zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH), buf.getvalue())
+        meta_json = json.dumps(meta, sort_keys=True)
+        zf.writestr(zipfile.ZipInfo("meta.json", date_time=_ZIP_EPOCH), meta_json)
+
+
+def _head_rows(head: nets.MlpParams) -> np.ndarray:
+    """One row per branch, laid out as `nets.to_flat` of that branch alone."""
+    w, b = head.weights[0], head.biases[0]
+    return np.concatenate([w.reshape(len(w), -1), b], axis=1)
+
+
+def _head_from_rows(template: nets.MlpParams, rows: np.ndarray) -> nets.MlpParams:
+    """Inverse of `_head_rows`, using `template` for the stacked shapes."""
+    shape = template.weights[0].shape
+    if rows.shape != (shape[0], shape[1] * shape[2] + shape[2]):
+        raise DimensionError(f"branch rows have shape {rows.shape}, head needs {shape}")
+    split = shape[1] * shape[2]
+    return nets.MlpParams(
+        (rows[:, :split].reshape(shape).copy(),), (rows[:, split:].copy(),)
+    )
 
 
 def save_checkpoint(path, state: TrainerState, config: TrainConfig, history) -> None:
     arrays = {
         "theta": nets.to_flat(state.bundle.theta),
         "gamma": nets.to_flat(state.bundle.gamma),
-        "omegas": np.stack([nets.to_flat(om) for om in state.bundle.omegas]),
+        "omegas": _head_rows(state.bundle.omegas),
         "theta_buf": nets.to_flat(state.theta_buf),
-        "omega_bufs": np.stack([nets.to_flat(b) for b in state.omega_bufs]),
+        "omega_bufs": _head_rows(state.omega_buf),
         "mu": state.pls.mu,
         "U": state.pls.U,
         "w": state.pls.w,
@@ -511,7 +534,7 @@ def save_checkpoint(path, state: TrainerState, config: TrainConfig, history) -> 
         "best_test_accuracy": state.best_test_accuracy,
         "rollback_checks": state.rollback_checks,
         "rng_states": {k: g.bit_generator.state for k, g in state.rngs.items()},
-        "history": [h.to_dict() for h in history],
+        "history": [asdict(h) for h in history],
     }
     _write_deterministic_npz(path, arrays, meta)
 
@@ -530,19 +553,13 @@ def load_checkpoint(
     template = init_state(train_ds, config)
     bundle = ModelBundle(
         theta=nets.from_flat(template.bundle.theta, data["theta"]),
-        omegas=tuple(
-            nets.from_flat(om, row)
-            for om, row in zip(template.bundle.omegas, data["omegas"])
-        ),
+        omegas=_head_from_rows(template.bundle.omegas, data["omegas"]),
         gamma=nets.from_flat(template.bundle.gamma, data["gamma"]),
     )
     state = TrainerState(
         bundle=bundle,
         theta_buf=nets.from_flat(template.bundle.theta, data["theta_buf"]),
-        omega_bufs=[
-            nets.from_flat(om, row)
-            for om, row in zip(template.bundle.omegas, data["omega_bufs"])
-        ],
+        omega_buf=_head_from_rows(template.bundle.omegas, data["omega_bufs"]),
         pls=pseudo.PseudoLabelState(
             mu=data["mu"].copy(),
             U=data["U"].copy(),

@@ -196,3 +196,18 @@ def test_report_aggregates_runs_and_flags_missing_metrics(dataset_dir, tmp_path)
     empty.mkdir()
     code = main(["report", "--runs", str(empty), "--out", str(report_dir)])
     assert code == 2
+
+
+def test_non_integer_thread_count_is_usage_error(dataset_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REDUXPLL_THREADS", "two")
+    code = main(
+        ["train", "--dataset", str(dataset_dir), "--method", "proden",
+         "--seeds", "2", "--out", str(tmp_path / "run"), *FAST_TRAIN]
+    )
+    assert code == 1
+    assert "REDUXPLL_THREADS" in capsys.readouterr().err
+
+
+def test_generate_one_feature_dimension_is_usage_error(tmp_path):
+    assert main(["generate", "--q", "1", "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()

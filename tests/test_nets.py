@@ -4,7 +4,7 @@ import pytest
 from reduxpll import nets
 from reduxpll.errors import ContractViolation, DimensionError, NumericError
 
-from conftest import ce_value, fd_gradient, rel_error
+from conftest import ce_value, fd_gradient, random_simplex_rows, rel_error
 
 
 def test_zero_net_outputs_uniform_rows():
@@ -34,14 +34,18 @@ def test_forward_shape_mismatch_raises():
         nets.forward(params, np.zeros((2, 5)))
 
 
-def test_tape_is_single_use():
+def test_tape_serves_repeated_backwards_bit_for_bit():
     rng = np.random.default_rng(0)
-    params = nets.init_mlp([3, 4], rng)
-    probs, tape = nets.forward(params, rng.random((2, 3)))
-    targets = np.full((2, 4), 0.25)
-    nets.backward_ce(tape, probs, targets)
-    with pytest.raises(ContractViolation):
-        nets.backward_ce(tape, probs, targets)
+    params = nets.init_mlp([3, 6, 4], rng)
+    x = rng.random((5, 3))
+    probs, tape = nets.forward(params, x)
+    nets.backward_probs_vjp(tape, rng.standard_normal((5, 4)))
+    for targets in (random_simplex_rows(rng, 5, 4), np.full((5, 4), 0.25)):
+        loss, grad = nets.backward_ce(tape, probs, targets)
+        fresh_probs, fresh_tape = nets.forward(params, x)
+        fresh_loss, fresh_grad = nets.backward_ce(fresh_tape, fresh_probs, targets)
+        assert loss == fresh_loss
+        assert np.array_equal(nets.to_flat(grad), nets.to_flat(fresh_grad))
 
 
 def test_flat_round_trip_is_bit_exact():
@@ -255,6 +259,25 @@ def test_hypergradient_matches_finite_differences(seed):
 
     numeric = fd_gradient(outer_loss, nets.to_flat(gamma))
     assert rel_error(nets.to_flat(grad), numeric) < 1e-4
+
+
+def test_hypergradient_reuses_caller_forward_bit_for_bit():
+    rng = np.random.default_rng(8)
+    theta = nets.init_mlp([3, 4, 3], rng)
+    gamma = nets.init_mlp([3, 4, 3], rng)
+    x_in = rng.standard_normal((5, 3))
+    x_out = rng.standard_normal((6, 3))
+    y_out = np.eye(3)[rng.integers(0, 3, 6)]
+    fn = _meta_pseudo_label_fn(_random_reduction_stack(rng, 5, 3))
+    own = nets.hypergradient(theta, gamma, x_in, x_out, y_out, 0.2, fn)
+    probs, tape = nets.forward(theta, x_in)
+    shared = nets.hypergradient(
+        theta, gamma, x_in, x_out, y_out, 0.2, fn, inner_forward=(probs, tape)
+    )
+    assert np.array_equal(nets.to_flat(own), nets.to_flat(shared))
+    # the tape is still good for the caller's own backward afterwards
+    _, grad = nets.backward_ce(tape, probs, np.full((5, 3), 1.0 / 3.0))
+    assert np.all(np.isfinite(nets.to_flat(grad)))
 
 
 def test_hypergradient_raises_on_nonfinite():

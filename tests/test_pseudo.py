@@ -185,3 +185,20 @@ def test_simplex_invariants_over_many_random_draws():
             assert abs(vec.sum() - 1.0) < 1e-9
             assert np.all(vec >= -1e-12)
             assert np.all(vec[~mask] == 0.0)
+
+
+def test_reduction_matrix_empty_support_names_the_label():
+    probs = np.full((3, 2, 3), 1.0 / 3.0)
+    S = np.array([[True, True, False], [False, True, False]])
+    with pytest.raises(ContractViolation, match="excluding label 1"):
+        pseudo.reduction_matrix(probs, S)
+
+
+def test_reduction_matrix_zero_mass_rows_fall_back_to_uniform(caplog):
+    probs = np.full((3, 2, 3), 1.0 / 3.0)
+    probs[0, 1] = [0.0, 0.0, 1.0]  # branch 0 puts no mass on instance 1's row support
+    S = np.array([[True, True, True], [True, True, False]])
+    U = pseudo.reduction_matrix(probs, S)
+    assert np.array_equal(U[1, 0], [0.0, 1.0, 0.0])
+    assert np.array_equal(U[0, 0], [0.0, 0.5, 0.5])
+    assert "zero candidate mass on 1 row(s)" in caplog.text

@@ -1,17 +1,17 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from reduxpll import data, nets, training
-from reduxpll.errors import ConfigError, NumericError
+from reduxpll.errors import ConfigError, ContractViolation, NumericError
 
 FAST = dict(epochs=5, batch_size=64)
 
 
 def _histories_equal(a, b):
-    return [m.to_dict() for m in a] == [m.to_dict() for m in b]
+    return [asdict(m) for m in a] == [asdict(m) for m in b]
 
 
 def test_config_validation_rejects_bad_values():
@@ -157,7 +157,7 @@ def test_metrics_jsonl_is_written_per_epoch(small_dataset, tmp_path):
     result = training.fit(small_dataset, cfg, metrics_path=path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [m["epoch"] for m in lines] == [1, 2, 3]
-    assert lines[-1] == result.history[-1].to_dict()
+    assert lines[-1] == asdict(result.history[-1])
 
 
 def test_checkpoint_resume_reproduces_straight_run(small_dataset, tmp_path):
@@ -218,3 +218,20 @@ def test_train_proden_wrapper_forces_method(small_dataset):
         small_dataset, training.TrainConfig(method="reduxpll", epochs=2)
     )
     assert result.config.method == "proden"
+
+
+def test_rollback_check_fails_when_the_hypergradient_mutates_theta(
+    small_dataset, monkeypatch
+):
+    original = nets.forward_jvp
+
+    def mutating_forward_jvp(params, tangent, batch):
+        params.weights[0][0, 0] += 1e-3  # an in-place write to theta
+        return original(params, tangent, batch)
+
+    monkeypatch.setattr(nets, "forward_jvp", mutating_forward_jvp)
+    cfg = training.TrainConfig(method="reduxpll", epochs=1)
+    state = training.init_state(small_dataset[0], cfg)
+    with pytest.raises(ContractViolation, match="rollback drifted at epoch 1, batch 0"):
+        training.train_epoch(state, small_dataset, cfg)
+    assert state.rollback_checks == 0
