@@ -161,12 +161,14 @@ def _write_run_manifest(out_dir: Path, *, config, dataset_csv, seeds, method) ->
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    if args.n <= 0:
-        raise UsageError(f"--n must be positive, got {args.n}")
     if args.c < 3:
         raise UsageError(f"--c must be at least 3, got {args.c}")
+    if args.n < args.c:
+        raise UsageError(f"--n must be at least --c ({args.c}), got {args.n}")
     if args.q < 2:
         raise UsageError(f"--q must be at least 2, got {args.q}")
+    if not 0.0 < args.ambiguity <= 1.0:
+        raise UsageError(f"--ambiguity must be in (0, 1], got {args.ambiguity}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = data.gen_gaussian_mixture(args.c, args.q, args.n, args.separation, args.seed)

@@ -130,22 +130,6 @@ class GaussianMixture:
     scales: np.ndarray  # (c,)
 
     @classmethod
-    def ring(cls, c: int, q: int, separation: float) -> "GaussianMixture":
-        """Unit-scale components spaced on a circle of radius `separation`."""
-        if c < 3:
-            raise ConfigError(f"need at least 3 classes, got {c}")
-        if q < 1:
-            raise ConfigError(f"need at least 1 feature dimension, got {q}")
-        means = np.zeros((c, q))
-        angles = 2.0 * np.pi * np.arange(c) / c
-        if q == 1:
-            means[:, 0] = separation * (np.arange(c) - (c - 1) / 2.0)
-        else:
-            means[:, 0] = separation * np.cos(angles)
-            means[:, 1] = separation * np.sin(angles)
-        return cls(means=means, scales=np.ones(c))
-
-    @classmethod
     def ring_with_hub(
         cls, c: int, q: int, separation: float, hub_scale: float = 2.0
     ) -> "GaussianMixture":

@@ -41,13 +41,6 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    def sizes(self) -> tuple[int, ...]:
-        return (self.in_dim,) + tuple(w.shape[1] for w in self.weights)
-
 
 # Gradients share the container: same shapes, layer for layer.
 Gradient = MlpParams
@@ -212,35 +205,25 @@ def sgd_step(params: MlpParams, grad: Gradient, step_size: float) -> MlpParams:
     )
 
 
-def forward_jvp(
-    params: MlpParams, tangent: Gradient, batch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward pass plus the directional derivative of log-probs along `tangent`.
+def forward_jvp(tape: GradTape, tangent: Gradient) -> np.ndarray:
+    """Directional derivative of log-probs along `tangent` at the tape's forward.
 
-    Returns (probs, d_logprobs) where d_logprobs[i, j] is the derivative of
-    log p_ij with respect to a unit move of the parameters along `tangent`.
+    Returns d_logprobs where d_logprobs[i, j] is the derivative of log p_ij
+    with respect to a unit move of the parameters along `tangent`. The primal
+    activations come from the tape, so no layer of the net runs again.
     """
-    x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if x.shape[1] != params.in_dim:
-        raise DimensionError(
-            f"batch has {x.shape[1]} features, net expects {params.in_dim}"
-        )
-    h, dh = x, np.zeros_like(x)
+    params, inputs = tape.params, tape.inputs
+    dh = np.zeros_like(inputs[0])
     last = params.n_layers - 1
     for i in range(params.n_layers):
-        w, b = params.weights[i], params.biases[i]
-        dw, db = tangent.weights[i], tangent.biases[i]
-        a = h @ w + b
-        da = h @ dw + dh @ w + db
+        da = inputs[i] @ tangent.weights[i] + dh @ params.weights[i] + tangent.biases[i]
         if i == last:
-            h, dh = a, da
+            dh = da
         else:
-            h = np.tanh(a)
+            h = inputs[i + 1]  # post-tanh activation of layer i
             dh = (1.0 - h * h) * da
-    probs = softmax(h)
     # d log p_j = da_j - sum_k p_k da_k
-    d_logprobs = dh - (probs * dh).sum(axis=-1, keepdims=True)
-    return probs, d_logprobs
+    return dh - (tape.probs * dh).sum(axis=-1, keepdims=True)
 
 
 # Maps (gamma, inner features) to a batch of inner targets plus a VJP pulling
@@ -274,8 +257,9 @@ def hypergradient(
     through the pseudo-label map. No truncation: the second-order cross term
     is the whole computation.
 
-    `inner_forward` is the caller's `forward(theta, inner_batch)` result; when
-    given, the inner step reuses it instead of running theta again.
+    Theta runs forward on the inner batch once: that tape serves both the
+    inner step and the forward-mode pass. `inner_forward` is the caller's
+    `forward(theta, inner_batch)` result; when given, it is that tape.
     """
     inner_batch = np.atleast_2d(np.asarray(inner_batch, dtype=np.float64))
     m = inner_batch.shape[0]
@@ -290,7 +274,7 @@ def hypergradient(
     probs_out, tape_out = forward(theta_plus, outer_batch)
     _, u = backward_ce(tape_out, probs_out, outer_targets)
 
-    _, d_logprobs = forward_jvp(theta, u, inner_batch)
+    d_logprobs = forward_jvp(tape_in, u)
     sensitivity = -d_logprobs / m
     grad_gamma = param_scale(-beta2, vjp(sensitivity))
 

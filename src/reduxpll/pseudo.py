@@ -15,10 +15,8 @@ All operations accept a single vector or a batch of row vectors.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -215,25 +213,3 @@ class PseudoLabelState:
         outside = self.U * ~s[:, None, :]
         if np.any(np.abs(outside) > tol):
             raise ContractViolation("U rows put mass outside the candidate sets")
-
-    def save(self, path) -> None:
-        """Snapshot to .npz alongside a small JSON sidecar with alpha."""
-        path = Path(path)
-        np.savez(path, mu=self.mu, U=self.U, w=self.w, v=self.v, q=self.q)
-        path.with_suffix(".json").write_text(
-            json.dumps({"alpha": self.alpha}, sort_keys=True)
-        )
-
-    @classmethod
-    def load(cls, path):
-        path = Path(path)
-        data = np.load(path)
-        meta = json.loads(path.with_suffix(".json").read_text())
-        return cls(
-            mu=data["mu"],
-            U=data["U"],
-            w=data["w"],
-            v=data["v"],
-            q=data["q"],
-            alpha=float(meta["alpha"]),
-        )

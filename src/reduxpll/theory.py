@@ -12,7 +12,7 @@ argmax ties break toward the lowest label index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -370,18 +370,7 @@ class Theorem1Report:
     epsilon_prime_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "lhs_se": self.lhs_se,
-            "rhs_se": self.rhs_se,
-            "combined_se": self.combined_se,
-            "gap": self.gap,
-            "holds": self.holds,
-            "trials": self.trials,
-            "troubled_points": self.troubled_points,
-            "epsilon_prime_bound": self.epsilon_prime_bound,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -396,16 +385,7 @@ class Theorem2Report:
     tsybakov: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "empirical_consistency": self.empirical_consistency,
-            "empirical_se": self.empirical_se,
-            "bound": self.bound,
-            "worst_case_t": self.worst_case_t,
-            "holds": self.holds,
-            "trials": self.trials,
-            "troubled_points": self.troubled_points,
-            "tsybakov": self.tsybakov,
-        }
+        return asdict(self)
 
 
 def _binomial_se(p_hat: float, n: int) -> float:

@@ -18,9 +18,10 @@ Each mini-batch makes one pass:
 5. commit a momentum step toward the combined targets; finally refresh the
    stored basic targets from the updated predictor.
 
-The two baselines reuse the same plumbing: `reduxpll-uniform-w` replaces the
-meta weights with a uniform vector and skips the bi-level machinery;
-`proden` trains on the stored basic targets alone.
+The two baselines are special cases of the same step, not separate paths:
+`reduxpll-uniform-w` replaces the meta weights with a uniform vector and
+skips step 3; `proden` skips steps 2-4 and trains on the stored basic
+targets alone. Steps 1 and 5 are written once for all three methods.
 
 Determinism: every random choice draws from a purpose-keyed stream derived
 from the run seed, so method variants that skip a stream (e.g. the baselines
@@ -32,8 +33,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import zipfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,8 @@ class TrainerState:
     best_test_accuracy: float = 0.0
     best_theta_flat: np.ndarray | None = None
     rollback_checks: int = 0
+    # the run's only history record: checkpoints persist it, metrics files copy it
+    history: list[EpochMetrics] = field(default_factory=list)
 
 
 @dataclass
@@ -258,73 +262,63 @@ def _batch_step(
     # the batch's only forward of theta on x: its tape serves the features,
     # the hypergradient's inner step and the committed step
     probs, tape = nets.forward(theta, x)
+    q = state.pls.mu[idx]  # stored basic targets from the previous refresh
 
-    if config.method == "proden":
-        q = state.pls.mu[idx]  # stored basic targets from the previous refresh
-        loss, grad = nets.backward_ce(tape, probs, q)
-        theta_new, state.theta_buf = _momentum_step(
-            theta, grad, state.theta_buf, config.beta2, config.momentum
+    if config.method != "proden":
+        z = tape.inputs[-1]
+
+        # branch updates toward the stored (previous-refresh) reduction rows;
+        # branch j's targets are row j of each instance's matrix
+        head = state.bundle.omegas
+        U_old = state.pls.U[idx].transpose(1, 0, 2)
+        grad_head = _branch_grad(z, _branch_probs(head, z), U_old)
+        head, state.omega_buf = _momentum_step(
+            head, grad_head, state.omega_buf, config.beta1, config.momentum
         )
-        state.bundle = replace(state.bundle, theta=theta_new)
-        refreshed, _ = nets.forward(theta_new, x)
-        mu = pseudo.basic_pseudo(refreshed, S)
-        state.pls.mu[idx] = mu
-        state.pls.q[idx] = q
-        return loss
+        state.bundle = replace(state.bundle, omegas=head)
 
-    z = tape.inputs[-1]
+        U_new = pseudo.reduction_matrix(_branch_probs(head, z), S)
 
-    # branch updates toward the stored (previous-refresh) reduction rows;
-    # branch j's targets are row j of each instance's matrix
-    head = state.bundle.omegas
-    grad_head = _branch_grad(z, _branch_probs(head, z), state.pls.U[idx].transpose(1, 0, 2))
-    head, state.omega_buf = _momentum_step(
-        head, grad_head, state.omega_buf, config.beta1, config.momentum
-    )
-    state.bundle = replace(state.bundle, omegas=head)
+        if config.method == "reduxpll":
+            theta_snapshot = nets.to_flat(theta)
 
-    U_new = pseudo.reduction_matrix(_branch_probs(head, z), S)
+            # meta update through a trial step on a sampled validation batch
+            val_idx = state.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
+            val_x = val_ds.features[val_idx]
+            val_targets = one_hot(np.asarray(val_ds.true_labels)[val_idx], c)
 
-    if config.method == "reduxpll":
-        theta_snapshot = nets.to_flat(theta)
+            def pseudo_label_fn(gamma_params, feats):
+                w_probs, w_tape = nets.forward(gamma_params, feats)
+                targets = pseudo.reduction_pseudo(w_probs, U_new)
 
-        # meta update through a trial step on a sampled validation batch
-        val_idx = state.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
-        val_x = val_ds.features[val_idx]
-        val_targets = one_hot(np.asarray(val_ds.true_labels)[val_idx], c)
+                def vjp(d_targets):
+                    d_w = np.einsum("ir,ijr->ij", d_targets, U_new)
+                    return nets.backward_probs_vjp(w_tape, d_w)
 
-        def pseudo_label_fn(gamma_params, feats):
-            w_probs, w_tape = nets.forward(gamma_params, feats)
-            targets = pseudo.reduction_pseudo(w_probs, U_new)
+                return targets, vjp
 
-            def vjp(d_targets):
-                d_w = np.einsum("ir,ijr->ij", d_targets, U_new)
-                return nets.backward_probs_vjp(w_tape, d_w)
-
-            return targets, vjp
-
-        hyper = nets.hypergradient(
-            theta, state.bundle.gamma, x, val_x, val_targets, config.beta2,
-            pseudo_label_fn, inner_forward=(probs, tape),
-        )
-        gamma_new = nets.sgd_step(state.bundle.gamma, hyper, config.beta3)
-        state.bundle = replace(state.bundle, gamma=gamma_new)
-
-        # recompute targets with the updated meta net
-        w2 = pseudo.meta_weights(gamma_new, x)
-        v2 = pseudo.reduction_pseudo(w2, U_new)
-
-        # the trial step must leave no trace: theta is bit-identical to before
-        if not np.array_equal(nets.to_flat(state.bundle.theta), theta_snapshot):
-            raise ContractViolation(
-                f"rollback drifted at epoch {epoch}, batch {batch_idx}"
+            hyper = nets.hypergradient(
+                theta, state.bundle.gamma, x, val_x, val_targets, config.beta2,
+                pseudo_label_fn, inner_forward=(probs, tape),
             )
-        state.rollback_checks += 1
-    else:  # reduxpll-uniform-w
-        w2 = np.full((len(idx), c), 1.0 / c)
-        v2 = pseudo.reduction_pseudo(w2, U_new)
+            gamma_new = nets.sgd_step(state.bundle.gamma, hyper, config.beta3)
+            state.bundle = replace(state.bundle, gamma=gamma_new)
 
-    q = pseudo.combine(state.pls.mu[idx], v2, config.alpha)
+            # the trial step must leave no trace: theta is bit-identical to before
+            if not np.array_equal(nets.to_flat(state.bundle.theta), theta_snapshot):
+                raise ContractViolation(
+                    f"rollback drifted at epoch {epoch}, batch {batch_idx}"
+                )
+            state.rollback_checks += 1
+            # recompute weights with the updated meta net
+            w2 = pseudo.meta_weights(gamma_new, x)
+        else:  # reduxpll-uniform-w
+            w2 = np.full((len(idx), c), 1.0 / c)
+        v2 = pseudo.reduction_pseudo(w2, U_new)
+        q = pseudo.combine(q, v2, config.alpha)
+        state.pls.U[idx] = U_new
+        state.pls.w[idx] = w2
+        state.pls.v[idx] = v2
 
     loss, grad = nets.backward_ce(tape, probs, q)
     theta_new, state.theta_buf = _momentum_step(
@@ -335,9 +329,6 @@ def _batch_step(
     # refresh stored pseudo-label state for the batch
     refreshed, _ = nets.forward(theta_new, x)
     state.pls.mu[idx] = pseudo.basic_pseudo(refreshed, S)
-    state.pls.U[idx] = U_new
-    state.pls.w[idx] = w2
-    state.pls.v[idx] = v2
     state.pls.q[idx] = q
     return loss
 
@@ -347,7 +338,7 @@ def train_epoch(
     datasets: tuple[PllDataset, PllDataset, PllDataset],
     config: TrainConfig,
 ) -> tuple[TrainerState, EpochMetrics]:
-    """Run one full pass over the shuffled training set and report metrics."""
+    """Run one full pass over the shuffled training set; report and record metrics."""
     train_ds, val_ds, test_ds = datasets
     epoch = state.epoch + 1
     n = train_ds.n
@@ -382,6 +373,7 @@ def train_epoch(
         pseudo_label_drift=drift,
     )
     state.epoch = epoch
+    state.history.append(metrics)
     return state, metrics
 
 
@@ -398,9 +390,11 @@ def fit(
     """Train to completion or early stop; returns the best-validation model.
 
     Validation accuracy must strictly improve at least once every `patience`
-    epochs or training halts. Metrics are appended to `metrics_path` as one
-    JSON object per epoch. With `checkpoint_path` the full trainer state is
-    persisted every epoch; `resume_from` continues such a run exactly.
+    epochs or training halts. `metrics_path` receives the run history as one
+    JSON object per epoch. With `checkpoint_path` the full trainer state,
+    history included, is persisted every epoch; `resume_from` continues such
+    a run exactly and rewrites `metrics_path` from the checkpoint's history,
+    so epochs logged after the last checkpoint are not repeated.
     """
     config.validate()
     train_ds, val_ds, test_ds = datasets
@@ -413,22 +407,20 @@ def fit(
             f"batch_size {config.batch_size} exceeds training set size {train_ds.n}"
         )
 
-    history: list[EpochMetrics] = []
     if resume_from is not None:
-        state, history = load_checkpoint(resume_from, train_ds, config)
+        state = load_checkpoint(resume_from, train_ds, config)
     else:
         state = init_state(train_ds, config, init_bundle)
 
     metrics_fh = None
     if metrics_path is not None:
-        mode = "a" if resume_from is not None else "w"
-        metrics_fh = Path(metrics_path).open(mode)
+        metrics_fh = Path(metrics_path).open("w")
+        metrics_fh.writelines(_metrics_line(m) for m in state.history)
     try:
         while state.epoch < config.epochs:
             state, metrics = train_epoch(state, datasets, config)
-            history.append(metrics)
             if metrics_fh is not None:
-                metrics_fh.write(json.dumps(asdict(metrics), sort_keys=True) + "\n")
+                metrics_fh.write(_metrics_line(metrics))
                 metrics_fh.flush()
             if metrics.val_accuracy > state.best_val_accuracy:
                 state.best_val_accuracy = metrics.val_accuracy
@@ -439,7 +431,7 @@ def fit(
             else:
                 state.stagnant += 1
             if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, state, config, history)
+                save_checkpoint(checkpoint_path, state, config)
             if state.stagnant >= config.patience:
                 break
     finally:
@@ -452,10 +444,14 @@ def fit(
         best_epoch=state.best_epoch,
         best_val_accuracy=state.best_val_accuracy,
         test_accuracy=state.best_test_accuracy,
-        history=history,
+        history=state.history,
         final_bundle=state.bundle,
         config=config,
     )
+
+
+def _metrics_line(metrics: EpochMetrics) -> str:
+    return json.dumps(asdict(metrics), sort_keys=True) + "\n"
 
 
 def train_proden(
@@ -475,16 +471,28 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
+    """Write the archive to a temp file beside `path`, then rename it onto `path`.
+
+    The rename is atomic, so a crash mid-write leaves the previous checkpoint
+    intact, and a failed write removes its temp file.
+    """
     from numpy.lib import format as npformat
 
-    # stored, not deflated: deflating every epoch cost a quarter of a fit
-    with zipfile.ZipFile(Path(path), "w", compression=zipfile.ZIP_STORED) as zf:
-        for name in sorted(arrays):
-            buf = io.BytesIO()
-            npformat.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
-            zf.writestr(zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH), buf.getvalue())
-        meta_json = json.dumps(meta, sort_keys=True)
-        zf.writestr(zipfile.ZipInfo("meta.json", date_time=_ZIP_EPOCH), meta_json)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        # stored, not deflated: deflating every epoch cost a quarter of a fit
+        with zipfile.ZipFile(tmp, "w", compression=zipfile.ZIP_STORED) as zf:
+            for name in sorted(arrays):
+                buf = io.BytesIO()
+                npformat.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
+                info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_EPOCH)
+                zf.writestr(info, buf.getvalue())
+            meta_json = json.dumps(meta, sort_keys=True)
+            zf.writestr(zipfile.ZipInfo("meta.json", date_time=_ZIP_EPOCH), meta_json)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _head_rows(head: nets.MlpParams) -> np.ndarray:
@@ -504,7 +512,7 @@ def _head_from_rows(template: nets.MlpParams, rows: np.ndarray) -> nets.MlpParam
     )
 
 
-def save_checkpoint(path, state: TrainerState, config: TrainConfig, history) -> None:
+def save_checkpoint(path, state: TrainerState, config: TrainConfig) -> None:
     arrays = {
         "theta": nets.to_flat(state.bundle.theta),
         "gamma": nets.to_flat(state.bundle.gamma),
@@ -534,14 +542,12 @@ def save_checkpoint(path, state: TrainerState, config: TrainConfig, history) -> 
         "best_test_accuracy": state.best_test_accuracy,
         "rollback_checks": state.rollback_checks,
         "rng_states": {k: g.bit_generator.state for k, g in state.rngs.items()},
-        "history": [asdict(h) for h in history],
+        "history": [asdict(h) for h in state.history],
     }
     _write_deterministic_npz(path, arrays, meta)
 
 
-def load_checkpoint(
-    path, train_ds: PllDataset, config: TrainConfig
-) -> tuple[TrainerState, list[EpochMetrics]]:
+def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerState:
     path = Path(path)
     with zipfile.ZipFile(path) as zf:
         meta = json.loads(zf.read("meta.json"))
@@ -579,8 +585,8 @@ def load_checkpoint(
         best_theta_flat=(
             data["best_theta"].copy() if data["best_theta"].size else None
         ),
+        history=[EpochMetrics(**h) for h in meta["history"]],
     )
     for key, rng_state in meta["rng_states"].items():
         state.rngs[key].bit_generator.state = rng_state
-    history = [EpochMetrics(**h) for h in meta["history"]]
-    return state, history
+    return state

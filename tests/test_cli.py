@@ -211,3 +211,9 @@ def test_non_integer_thread_count_is_usage_error(dataset_dir, tmp_path, monkeypa
 def test_generate_one_feature_dimension_is_usage_error(tmp_path):
     assert main(["generate", "--q", "1", "--out", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flags", [["--n", "3"], ["--ambiguity", "1.5"]])
+def test_generate_values_the_data_layer_rejects_are_usage_errors(tmp_path, flags):
+    assert main(["generate", *flags, "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()

@@ -174,7 +174,8 @@ def test_forward_jvp_matches_directional_finite_difference(seed):
     direction = nets.init_mlp([3, 4, 3], rng)
     x = rng.standard_normal((4, 3))
 
-    _, d_logprobs = nets.forward_jvp(params, direction, x)
+    _, tape = nets.forward(params, x)
+    d_logprobs = nets.forward_jvp(tape, direction)
 
     step = 1e-6
     flat = nets.to_flat(params)

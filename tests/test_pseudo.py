@@ -155,18 +155,6 @@ def test_state_validate_catches_off_support_mass():
         state.validate(cands)
 
 
-def test_state_snapshot_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    cands = random_candidates(rng, 20, 5)
-    state = pseudo.PseudoLabelState.initial(cands, alpha=0.4)
-    path = tmp_path / "state.npz"
-    state.save(path)
-    loaded = pseudo.PseudoLabelState.load(path)
-    assert loaded.alpha == state.alpha
-    for name in ("mu", "U", "w", "v", "q"):
-        assert np.array_equal(getattr(loaded, name), getattr(state, name))
-
-
 def test_simplex_invariants_over_many_random_draws():
     rng = np.random.default_rng(5)
     for _ in range(2000):

@@ -1,4 +1,5 @@
 import json
+import zipfile
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -132,7 +133,9 @@ def test_basic_targets_stay_candidate_supported_every_epoch(small_dataset):
 
 
 def test_supervised_sanity_run_reaches_high_accuracy():
-    mixture = data.GaussianMixture.ring(3, 2, 5.0)
+    angles = 2.0 * np.pi * np.arange(3) / 3
+    means = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    mixture = data.GaussianMixture(means=means, scales=np.ones(3))
     ds = mixture.sample(600, np.random.default_rng(0))
     parts = data.split(ds, data.SplitSpec(seed=0))
     cfg = training.TrainConfig(method="proden", epochs=50, batch_size=64, seed=0)
@@ -173,6 +176,57 @@ def test_checkpoint_resume_reproduces_straight_run(small_dataset, tmp_path):
         nets.to_flat(straight.final_bundle.theta),
         nets.to_flat(resumed.final_bundle.theta),
     )
+
+
+def test_resume_after_a_crash_before_the_checkpoint_logs_each_epoch_once(
+    small_dataset, tmp_path, monkeypatch
+):
+    cfg = training.TrainConfig(method="proden", seed=2, epochs=6)
+    straight = tmp_path / "straight.jsonl"
+    training.fit(small_dataset, cfg, metrics_path=straight)
+
+    metrics, ckpt = tmp_path / "metrics.jsonl", tmp_path / "ck.npz"
+    save = training.save_checkpoint
+
+    def dying_save(path, state, *rest):
+        if state.epoch == 4:  # epoch 4 is logged, its checkpoint never lands
+            raise OSError("killed while checkpointing epoch 4")
+        save(path, state, *rest)
+
+    monkeypatch.setattr(training, "save_checkpoint", dying_save)
+    with pytest.raises(OSError, match="epoch 4"):
+        training.fit(small_dataset, cfg, metrics_path=metrics, checkpoint_path=ckpt)
+    monkeypatch.undo()
+    training.fit(
+        small_dataset, cfg, metrics_path=metrics, checkpoint_path=ckpt, resume_from=ckpt
+    )
+    epochs = [json.loads(line)["epoch"] for line in metrics.read_text().splitlines()]
+    assert epochs == [1, 2, 3, 4, 5, 6]
+    assert metrics.read_bytes() == straight.read_bytes()
+
+
+def test_failed_checkpoint_write_leaves_the_previous_one_resumable(
+    small_dataset, tmp_path, monkeypatch
+):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    ckpt = run_dir / "ck.npz"
+    cfg = training.TrainConfig(method="reduxpll", seed=2, epochs=3)
+    writestr = zipfile.ZipFile.writestr
+
+    def failing_writestr(self, info, payload, *args, **kwargs):
+        if info.filename == "meta.json" and json.loads(payload)["epoch"] == 2:
+            raise OSError("disk full")
+        return writestr(self, info, payload, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "writestr", failing_writestr)
+    with pytest.raises(OSError, match="disk full"):
+        training.fit(small_dataset, cfg, checkpoint_path=ckpt)
+    monkeypatch.undo()
+    assert [p.name for p in run_dir.iterdir()] == ["ck.npz"]  # no temp file left
+    assert training.load_checkpoint(ckpt, small_dataset[0], cfg).epoch == 1
+    resumed = training.fit(small_dataset, cfg, resume_from=ckpt)
+    assert _histories_equal(training.fit(small_dataset, cfg).history, resumed.history)
 
 
 def test_checkpoint_rejects_mismatched_config(small_dataset, tmp_path):
@@ -225,9 +279,9 @@ def test_rollback_check_fails_when_the_hypergradient_mutates_theta(
 ):
     original = nets.forward_jvp
 
-    def mutating_forward_jvp(params, tangent, batch):
-        params.weights[0][0, 0] += 1e-3  # an in-place write to theta
-        return original(params, tangent, batch)
+    def mutating_forward_jvp(tape, tangent):
+        tape.params.weights[0][0, 0] += 1e-3  # an in-place write to theta
+        return original(tape, tangent)
 
     monkeypatch.setattr(nets, "forward_jvp", mutating_forward_jvp)
     cfg = training.TrainConfig(method="reduxpll", epochs=1)
