@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _seed(text: str) -> int:
+    """argparse type for seeds: numpy's SeedSequence takes only non-negative ints."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {value}")
+    return value
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -368,8 +379,8 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--seeds", type=int, default=1, help="number of seeded runs")
-    p.add_argument("--seed-base", dest="seed_base", type=int, default=0)
-    p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
+    p.add_argument("--seed-base", dest="seed_base", type=_seed, default=0)
+    p.add_argument("--split-seed", dest="split_seed", type=_seed, default=0)
 
 
 def build_parser() -> _Parser:
@@ -382,7 +393,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=2000, help="number of instances")
     p.add_argument("--separation", type=float, default=2.5)
     p.add_argument("--ambiguity", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -407,7 +418,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-theory", help="run the consistency verifications")
     p.add_argument("--scenario", required=True, help="scenario JSON path or builtin name")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write the report JSON here as well")
     p.set_defaults(func=cmd_verify_theory)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -208,6 +209,100 @@ def gen_gaussian_mixture(
     return mixture.sample(n, rng)
 
 
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and the 128-bit
+# PCG64 multiplier, split into 64-bit limbs
+_M32 = 0xFFFFFFFF
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit product of uint64 `a` and the constant `b`."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One LCG step, state * multiplier + inc mod 2**128, on (hi, lo) limbs."""
+    new_hi = (
+        _mulhi64(lo, _PCG_MULT_LO)
+        + hi * np.uint64(_PCG_MULT_LO)
+        + lo * np.uint64(_PCG_MULT_HI)
+    )
+    new_lo = lo * np.uint64(_PCG_MULT_LO)
+    out_lo = new_lo + inc_lo
+    return new_hi + inc_hi + (out_lo < new_lo), out_lo
+
+
+def _row_uniforms(seed: int, n: int, c: int) -> np.ndarray:
+    """(n, c) doubles; row i is default_rng(SeedSequence(seed, spawn_key=(i,))).random(c).
+
+    The SeedSequence pool mixing, the PCG64 seeding and its XSL-RR output are
+    replayed in wrapping uint32/uint64 arithmetic for all rows at once. Only
+    the spawn key differs between rows, and it is the last entropy word, so
+    the words before it broadcast as length-1 arrays.
+    """
+    words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_SS_POOL - len(words))  # padded because a spawn key follows
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = _SS_MIX_L * x - _SS_MIX_R * y
+        return out ^ (out >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_SS_POOL]]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight uint32 words, paired low word first
+    hash_const = _SS_INIT_B
+    halves = []
+    for k in range(8):
+        value = pool[k % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _M32
+        value = value * np.uint32(hash_const)
+        halves.append(np.broadcast_to(value ^ (value >> 16), (n,)).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        halves[2 * k] | (halves[2 * k + 1] << 32) for k in range(4)
+    )
+    del halves
+
+    # PCG64 seeding: inc = (seq << 1) | 1, step from 0, add the seed, step
+    inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+    inc_lo = (seq_lo << 1) | 1
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+
+    out = np.empty((n, c))
+    for k in range(c):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> 58
+        bits = (xored >> rot) | (xored << ((64 - rot) & 63))
+        out[:, k] = (bits >> 11) * 2.0**-53
+    return out
+
+
 def corrupt_instance_dependent(
     ds: PllDataset, ambiguity: float, seed: int
 ) -> PllDataset:
@@ -218,7 +313,10 @@ def corrupt_instance_dependent(
     label joins with probability exactly `ambiguity`. Repairs keep the set
     legal: if nothing joined, the most likely incorrect label is force-added;
     if everything joined, the least likely incorrect label is removed.
-    Deterministic per (seed, instance index), independent of iteration order.
+    Deterministic per (seed, instance index), independent of iteration order:
+    instance i compares its flip probabilities with the first c doubles of
+    default_rng(SeedSequence(seed, spawn_key=(i,))), computed for all
+    instances at once by `_row_uniforms`.
     """
     if ds.posterior is None:
         raise ConfigError("instance-dependent corruption needs exact posteriors")
@@ -226,34 +324,29 @@ def corrupt_instance_dependent(
         raise ConfigError("instance-dependent corruption needs true labels")
     if not 0.0 < ambiguity <= 1.0:
         raise ConfigError(f"ambiguity must be in (0, 1], got {ambiguity}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     n, c = ds.n, ds.c
     post = np.asarray(ds.posterior)
     labels = np.asarray(ds.true_labels)
-    candidates = np.zeros((n, c), dtype=bool)
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        y = labels[i]
-        eta = post[i]
-        incorrect = np.arange(c) != y
-        top = eta[incorrect].max()
-        if top > 0.0:
-            flip_p = ambiguity * eta / top
-        else:
-            flip_p = np.zeros(c)
-        flips = (rng.random(c) < flip_p) & incorrect
-        if not flips.any():
-            # guarantee the set is larger than {y}
-            j = int(np.argmax(np.where(incorrect, eta, -np.inf)))
-            flips[j] = True
-        elif flips.sum() == c - 1:
-            # guarantee the set is not the whole label space
-            j = int(np.argmin(np.where(flips, eta, np.inf)))
-            flips[j] = False
-        candidates[i] = flips
-        candidates[i, y] = True
+    rows = np.arange(n)
+    incorrect = np.ones((n, c), dtype=bool)
+    incorrect[rows, labels] = False
+    wrong_eta = np.where(incorrect, post, -np.inf)
+    top = wrong_eta.max(axis=1, keepdims=True)
+    flip_p = np.zeros((n, c))
+    np.divide(ambiguity * post, top, out=flip_p, where=top > 0.0)
+    flips = (_row_uniforms(int(seed), n, c) < flip_p) & incorrect
+    none = ~flips.any(axis=1)
+    full = np.nonzero(~none & (flips.sum(axis=1) == c - 1))[0]
+    # guarantee the set is larger than {y}
+    flips[none, wrong_eta[none].argmax(axis=1)] = True
+    # guarantee the set is not the whole label space
+    flips[full, np.where(flips[full], post[full], np.inf).argmin(axis=1)] = False
+    flips[rows, labels] = True
     return PllDataset(
         features=np.asarray(ds.features).copy(),
-        candidates=candidates,
+        candidates=flips,
         true_labels=labels.copy(),
         posterior=post.copy(),
     )
@@ -263,25 +356,71 @@ def corrupt_instance_dependent(
 # CSV and manifest I/O
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK = 1024  # rows formatted or parsed per whole-column pass
+
+
+def _distinct_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D bool array and each row's index into them.
+
+    np.unique(mask, axis=0, return_inverse=True) without its slow sort of
+    rows as opaque records.
+    """
+    order = np.lexsort(mask.T[::-1])
+    ordered = mask[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(ordered), dtype=np.intp)
+    ids[order] = np.cumsum(first) - 1
+    return ordered[first], ids
+
+
 def save_csv(ds: PllDataset, path) -> None:
-    """Write the dataset as CSV: x0..x{q-1}, candidates, [label], [eta0..]."""
+    """Write the dataset as CSV: x0..x{q-1}, candidates, [label], [eta0..].
+
+    The bytes are those of csv.writer on one row at a time: floats as repr,
+    the candidate indices joined by commas and quoted when there is more than
+    one, and CRLF line ends. Rows are formatted a column at a time in blocks.
+    """
     path = Path(path)
     header = [f"x{j}" for j in range(ds.q)] + ["candidates"]
     if ds.true_labels is not None:
         header.append("label")
     if ds.posterior is not None:
         header += [f"eta{j}" for j in range(ds.c)]
+    features = np.asarray(ds.features, dtype=np.float64)
+    labels = (
+        None if ds.true_labels is None else np.asarray(ds.true_labels).astype(np.int64)
+    )
+    post = None if ds.posterior is None else np.asarray(ds.posterior, dtype=np.float64)
+    masks, mask_ids = _distinct_rows(np.asarray(ds.candidates, dtype=bool))
+    cand_fields = []
+    for mask in masks:
+        field = ",".join(map(str, np.flatnonzero(mask).tolist()))
+        # csv.writer quotes a field holding the delimiter, and a lone empty field
+        quoted = "," in field or (field == "" and len(header) == 1)
+        cand_fields.append(f'"{field}"' if quoted else field)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(",".join(str(j) for j in np.nonzero(ds.candidates[i])[0]))
-            if ds.true_labels is not None:
-                row.append(str(int(ds.true_labels[i])))
-            if ds.posterior is not None:
-                row += [repr(float(v)) for v in ds.posterior[i]]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, ds.n, _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            cols = [list(map(repr, col)) for col in features[block].T.tolist()]
+            cols.append([cand_fields[k] for k in mask_ids[block].tolist()])
+            if labels is not None:
+                cols.append(list(map(str, labels[block].tolist())))
+            if post is not None:
+                cols += [list(map(repr, col)) for col in post[block].T.tolist()]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+
+
+def _float_columns(cols, idx, m: int) -> np.ndarray:
+    out = np.empty((m, len(idx)))
+    for k, j in enumerate(idx):
+        out[:, k] = np.fromiter(map(float, cols[j]), dtype=np.float64, count=m)
+    return out
+
+
+def _candidate_list(field: str) -> list[int]:
+    return [int(tok) for tok in field.split(",") if tok != ""]
 
 
 def load_csv(path, c: int | None = None) -> PllDataset:
@@ -289,64 +428,100 @@ def load_csv(path, c: int | None = None) -> PllDataset:
 
     The label count is taken from posterior columns when present, from `c`
     otherwise, and as a last resort from the largest candidate index seen.
+    Rows are read and converted a column at a time in blocks; a malformed
+    row raises ParseError naming its line (the header is line 1).
     """
     path = Path(path)
+    cand_ids: dict[str, int] = {}  # distinct candidate field -> index
+    cand_lists: list[list[int]] = []
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            feat_cols = [i for i, name in enumerate(header) if name.startswith("x")]
+            eta_cols = [i for i, name in enumerate(header) if name.startswith("eta")]
+            if "candidates" not in header:
+                raise ParseError(f"{path}: no 'candidates' column in header {header}")
+            cand_col = header.index("candidates")
+            label_col = header.index("label") if "label" in header else None
+            feat_parts = [np.empty((0, len(feat_cols)))]
+            code_parts = [np.empty(0, dtype=np.intp)]
+            label_parts = [np.empty(0, dtype=np.int64)]
+            eta_parts = [np.empty((0, len(eta_cols)))]
+
+            def raise_first_bad_row(rows, start):
+                for lineno, row in enumerate(rows, start):
+                    if len(row) != len(header):
+                        raise ParseError(
+                            f"{path}:{lineno}: expected {len(header)} fields, "
+                            f"got {len(row)}"
+                        )
+                    try:
+                        for j in feat_cols:
+                            float(row[j])
+                        _candidate_list(row[cand_col])
+                        if label_col is not None:
+                            int(row[label_col])
+                        for j in eta_cols:
+                            float(row[j])
+                    except ValueError as exc:
+                        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+
+            first_line = 2  # of the block; the header is line 1
+            while rows := list(itertools.islice(reader, _CSV_BLOCK)):
+                m = len(rows)
+                if set(map(len, rows)) != {len(header)}:
+                    raise_first_bad_row(rows, first_line)
+                cols = list(zip(*rows))
+                try:
+                    feat_parts.append(_float_columns(cols, feat_cols, m))
+                    for field in dict.fromkeys(cols[cand_col]):
+                        if field not in cand_ids:
+                            cand_lists.append(_candidate_list(field))
+                            cand_ids[field] = len(cand_ids)
+                    code_parts.append(
+                        np.fromiter(map(cand_ids.__getitem__, cols[cand_col]), np.intp, m)
+                    )
+                    if label_col is not None:
+                        label_parts.append(
+                            np.fromiter(map(int, cols[label_col]), np.int64, m)
+                        )
+                    if eta_cols:
+                        eta_parts.append(_float_columns(cols, eta_cols, m))
+                except ValueError:
+                    raise_first_bad_row(rows, first_line)
+                    raise
+                first_line += m
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
-    feat_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-    eta_cols = [i for i, name in enumerate(header) if name.startswith("eta")]
-    try:
-        cand_col = header.index("candidates")
-    except ValueError:
-        raise ParseError(f"{path}: no 'candidates' column in header {header}") from None
-    label_col = header.index("label") if "label" in header else None
-
-    n, q = len(rows), len(feat_cols)
-    features = np.empty((n, q))
-    cand_lists: list[list[int]] = []
-    labels = np.empty(n, dtype=np.int64) if label_col is not None else None
-    eta = np.empty((n, len(eta_cols))) if eta_cols else None
-    for i, row in enumerate(rows):
-        lineno = i + 2  # header is line 1
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            features[i] = [float(row[j]) for j in feat_cols]
-            cand_lists.append(
-                [int(tok) for tok in row[cand_col].split(",") if tok != ""]
-            )
-            if labels is not None:
-                labels[i] = int(row[label_col])
-            if eta is not None:
-                eta[i] = [float(row[j]) for j in eta_cols]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-
+    features = np.concatenate(feat_parts)
+    codes = np.concatenate(code_parts)
+    labels = np.concatenate(label_parts) if label_col is not None else None
+    eta = np.concatenate(eta_parts) if eta_cols else None
     if eta is not None:
         n_labels = eta.shape[1]
     elif c is not None:
         n_labels = c
     else:
         n_labels = 1 + max((max(lst) for lst in cand_lists if lst), default=0)
-    candidates = np.zeros((n, n_labels), dtype=bool)
-    for i, lst in enumerate(cand_lists):
-        for j in lst:
-            if not 0 <= j < n_labels:
-                raise ParseError(f"{path}:{i + 2}: candidate index {j} out of range")
-            candidates[i, j] = True
+    masks = np.zeros((len(cand_lists), n_labels), dtype=bool)
+    bad_index = {}
+    for k, lst in enumerate(cand_lists):
+        out_of_range = [j for j in lst if not 0 <= j < n_labels]
+        if out_of_range:
+            bad_index[k] = out_of_range[0]
+        else:
+            masks[k, lst] = True
+    if bad_index:
+        i = int(np.flatnonzero(np.isin(codes, list(bad_index)))[0])
+        raise ParseError(
+            f"{path}:{i + 2}: candidate index {bad_index[int(codes[i])]} out of range"
+        )
     ds = PllDataset(
-        features=features, candidates=candidates, true_labels=labels, posterior=eta
+        features=features, candidates=masks[codes], true_labels=labels, posterior=eta
     )
     validate_dataset(ds)
     return ds

@@ -339,10 +339,12 @@ def sample_simplex_ball(
         draw[:, support] = rng.uniform(lo[support], hi[support], size=(k, n_sup))
         total = draw.sum(axis=1)
         ok = total > 0.0
-        f = np.zeros_like(draw)
-        f[ok] = draw[ok] / total[ok, None]
-        ok &= (np.abs(f - center) <= radius + BALL_SLACK).all(axis=1)
-        out[need[ok]] = f[ok]
+        # a row summing to 0 is all zeros: `where` leaves it so and `ok` rejects it
+        np.divide(draw, total[:, None], out=draw, where=ok[:, None])
+        dev = np.subtract(draw, center)
+        np.abs(dev, out=dev)
+        ok &= (dev <= radius + BALL_SLACK).all(axis=1)
+        out[need[ok]] = draw[ok]
         need = need[~ok]
         if need.size == 0:
             return out
@@ -448,8 +450,8 @@ def verify_theorem1(
         candidates[list(scenario.excluded)] = True
 
         f_samples = sample_simplex_ball(rng, eta, f_rad, support_all, count)
-        masked = np.where(candidates, f_samples, -np.inf)
-        lhs_hits += int((masked.argmax(axis=1) == star).sum())
+        f_samples[:, ~candidates] = -np.inf
+        lhs_hits += int((f_samples.argmax(axis=1) == star).sum())
 
         eta_reduced = reduced_posterior(eta, scenario.excluded)
         phi_samples = sample_simplex_ball(

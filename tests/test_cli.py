@@ -213,7 +213,37 @@ def test_generate_one_feature_dimension_is_usage_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("flags", [["--n", "3"], ["--ambiguity", "1.5"]])
+@pytest.mark.parametrize(
+    "flags", [["--n", "3"], ["--ambiguity", "1.5"], ["--seed", "-1"]]
+)
 def test_generate_values_the_data_layer_rejects_are_usage_errors(tmp_path, flags):
     assert main(["generate", *flags, "--out", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theory", "--scenario", "theorem1-4class", "--seed", "-1"],
+        ["train", "--seed-base", "-1"],
+        ["train", "--split-seed", "-1"],
+        ["sweep-alpha", "--seed-base", "-1"],
+    ],
+    ids=["verify-theory-seed", "train-seed-base", "train-split-seed", "sweep-seed-base"],
+)
+def test_negative_seeds_are_usage_errors(tmp_path, capsys, dataset_dir, argv):
+    if argv[0] != "verify-theory":
+        argv = [*argv, "--dataset", str(dataset_dir), *FAST_TRAIN]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+    assert "seeds must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_writes_the_pinned_benchmark_dataset(tmp_path):
+    # the n=2000 benchmark input; bench/reference.json holds the same sha256
+    argv = ["--n", "2000", "--c", "5", "--q", "2", "--separation", "2.5"]
+    argv += ["--ambiguity", "0.5", "--seed", "0", "--out", str(tmp_path)]
+    assert main(["generate", *argv]) == 0
+    assert data.file_checksum(tmp_path / "dataset.csv") == (
+        "0fbeebba2ea51b91f56b63fa041d4efe80525fedd0b6f58e1bdfdd93d55723f6"
+    )

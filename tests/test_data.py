@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduxpll import data
 from reduxpll.errors import ConfigError, DataError, ParseError
@@ -106,6 +109,73 @@ def test_corruption_requires_posterior_and_valid_ambiguity():
         data.corrupt_instance_dependent(stripped, 0.5, seed=0)
     with pytest.raises(ConfigError):
         data.corrupt_instance_dependent(base, 0.0, seed=0)
+    with pytest.raises(ConfigError, match="non-negative"):
+        data.corrupt_instance_dependent(base, 0.5, seed=-1)
+
+
+def _corrupt_reference(ds, ambiguity, seed):
+    """The per-row corruption loop: one generator per instance."""
+    n, c = ds.n, ds.c
+    post = np.asarray(ds.posterior)
+    labels = np.asarray(ds.true_labels)
+    candidates = np.zeros((n, c), dtype=bool)
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        y = labels[i]
+        eta = post[i]
+        incorrect = np.arange(c) != y
+        top = eta[incorrect].max()
+        if top > 0.0:
+            flip_p = ambiguity * eta / top
+        else:
+            flip_p = np.zeros(c)
+        flips = (rng.random(c) < flip_p) & incorrect
+        if not flips.any():
+            j = int(np.argmax(np.where(incorrect, eta, -np.inf)))
+            flips[j] = True
+        elif flips.sum() == c - 1:
+            j = int(np.argmin(np.where(flips, eta, np.inf)))
+            flips[j] = False
+        candidates[i] = flips
+        candidates[i, y] = True
+    return candidates
+
+
+def _corruption_edge_cases():
+    """Ring rows, near-one-hot rows, a one-hot row (top == 0) and a flat row."""
+    ring = _uncorrupted(n=300, seed=1)
+    peaked = data.gen_gaussian_mixture(5, 2, 100, 25.0, seed=2)
+    one_hot = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
+    flat = np.full((1, 5), 0.2)
+    return data.PllDataset(
+        features=np.zeros((402, 2)),
+        candidates=np.zeros((402, 5), dtype=bool),
+        true_labels=np.concatenate([ring.true_labels, peaked.true_labels, [2, 3]]),
+        posterior=np.concatenate([ring.posterior, peaked.posterior, one_hot, flat]),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 5])
+@pytest.mark.parametrize("ambiguity", [0.1, 0.5, 1.0])
+def test_corruption_equals_the_per_row_reference(seed, ambiguity):
+    ds = _corruption_edge_cases()
+    out = data.corrupt_instance_dependent(ds, ambiguity, seed)
+    assert np.array_equal(out.candidates, _corrupt_reference(ds, ambiguity, seed))
+    # the one-hot row got its lowest wrong label forced in
+    assert out.candidates[400].tolist() == [True, False, True, False, False]
+    if ambiguity == 1.0:
+        # every wrong label of the flat row joined, so the first one was dropped
+        assert out.candidates[401].tolist() == [False, True, True, True, True]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789, 2**40 + 5, 2**130 + 17])
+def test_row_uniforms_equal_one_generator_per_row(seed):
+    n, c = 1500, 6
+    got = data._row_uniforms(seed, n, c)
+    assert got.shape == (n, c)
+    for i in (0, 1023, 1024, n - 1):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        assert np.array_equal(got[i], rng.random(c))
 
 
 # -- validator --------------------------------------------------------------------
@@ -181,6 +251,117 @@ def test_csv_round_trip_is_exact(tmp_path):
     path2 = tmp_path / "ds2.csv"
     data.save_csv(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _save_csv_reference(ds, path):
+    """The per-row writer: csv.writer on one formatted row at a time."""
+    header = [f"x{j}" for j in range(ds.q)] + ["candidates"]
+    if ds.true_labels is not None:
+        header.append("label")
+    if ds.posterior is not None:
+        header += [f"eta{j}" for j in range(ds.c)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.n):
+            row = [repr(float(v)) for v in ds.features[i]]
+            row.append(",".join(str(j) for j in np.nonzero(ds.candidates[i])[0]))
+            if ds.true_labels is not None:
+                row.append(str(int(ds.true_labels[i])))
+            if ds.posterior is not None:
+                row += [repr(float(v)) for v in ds.posterior[i]]
+            writer.writerow(row)
+
+
+_odd_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 2100),
+    c=st.integers(3, 7),
+    q=st.integers(1, 3),
+    with_labels=st.booleans(),
+    with_posterior=st.booleans(),
+    odd=st.lists(_odd_floats, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_matches_the_row_writer_and_round_trips(
+    tmp_path_factory, n, c, q, with_labels, with_posterior, odd, seed
+):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, q)) * 10.0 ** rng.integers(-5, 6, size=(n, q))
+    if n:
+        features.flat[rng.integers(0, n * q, size=len(odd))] = odd
+    labels = rng.integers(0, c, size=n)
+    raw = rng.random((n, c)) < rng.random()
+    legal = raw.copy()
+    legal[np.arange(n), labels] = True
+    sizes = legal.sum(axis=1)
+    legal[sizes == 1, (labels[sizes == 1] + 1) % c] = True
+    legal[sizes == c, (labels[sizes == c] + 1) % c] = False
+    posterior = rng.random((n, c)) + 1e-3
+    posterior /= posterior.sum(axis=1, keepdims=True)
+    tmp = tmp_path_factory.mktemp("csv")
+    for masks in (raw, legal):
+        ds = data.PllDataset(
+            features=features,
+            candidates=masks,
+            true_labels=labels if with_labels else None,
+            posterior=posterior if with_posterior else None,
+        )
+        data.save_csv(ds, tmp / "new.csv")
+        _save_csv_reference(ds, tmp / "ref.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+    loaded = data.load_csv(tmp / "new.csv", c=c)
+    assert np.array_equal(loaded.features, features)
+    assert np.array_equal(loaded.candidates, legal)
+    if with_labels:
+        assert loaded.true_labels.dtype == np.int64
+        assert np.array_equal(loaded.true_labels, labels)
+    else:
+        assert loaded.true_labels is None
+    if with_posterior:
+        assert np.array_equal(loaded.posterior, posterior)
+    else:
+        assert loaded.posterior is None
+
+
+def test_csv_of_a_lone_candidate_column_matches_the_row_writer(tmp_path):
+    # csv.writer quotes a record made of one empty field
+    ds = data.PllDataset(
+        features=np.empty((3, 0)),
+        candidates=np.array(
+            [[False, False, False], [True, True, False], [False, True, False]]
+        ),
+    )
+    data.save_csv(ds, tmp_path / "new.csv")
+    _save_csv_reference(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == b'candidates\r\n""\r\n"0,1"\r\n1\r\n'
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda f: [f[0], "nope", *f[2:]], "could not convert string to float: 'nope'"),
+        (lambda f: [*f, "0"], "expected 9 fields, got 10"),
+        (lambda f: [f[0], f[1], "0,9", *f[3:]], "candidate index 9 out of range"),
+    ],
+    ids=["bad-float", "field-count", "candidate-range"],
+)
+def test_csv_parse_error_past_the_first_block_names_its_line(tmp_path, edit, message):
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=2000), 0.5, seed=3)
+    path = tmp_path / "ds.csv"
+    data.save_csv(ds, path)
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1499] = edit(rows[1499])  # line 1500: the header is line 1
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}:1500: {message}"
 
 
 def test_csv_parse_error_carries_line_number(tmp_path):
