@@ -41,6 +41,7 @@ from .training import (
     RunResult,
     TrainConfig,
     fit,
+    fit_lanes,
     train_epoch,
     train_proden,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "RunResult",
     "TrainConfig",
     "fit",
+    "fit_lanes",
     "train_epoch",
     "train_proden",
     "__version__",

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
 failure. All outputs are byte-identical across repeated invocations with the
-same flags; wall-clock timestamps appear only in run manifests. Seeds within
-a run may execute in parallel processes, capped by REDUXPLL_THREADS.
+same flags; wall-clock timestamps appear only in run manifests. A command's
+runs (the seeds of `train`, the alpha x seed grid of `sweep-alpha`) train in
+lockstep as one lane stack; with REDUXPLL_THREADS=k > 1 the stack splits into
+k contiguous chunks that run in parallel processes.
 """
 
 from __future__ import annotations
@@ -96,45 +98,46 @@ def _split_dataset(ds: data.PllDataset, split_seed: int):
     return data.split(ds, data.SplitSpec(seed=split_seed))
 
 
-def _fit_one_seed(payload):
-    """Worker for one seeded run (top level so process pools can pickle it)."""
-    ds_parts, config_doc, seed, metrics_path, checkpoint_path = payload
-    config = replace(training.TrainConfig.from_dict(config_doc), seed=seed)
-    result = training.fit(
+def _fit_lane_chunk(payload):
+    """Worker for one chunk of lanes (top level so process pools can pickle it)."""
+    ds_parts, lanes = payload
+    results = training.fit_lanes(
         ds_parts,
-        config,
-        metrics_path=metrics_path,
-        checkpoint_path=checkpoint_path,
+        [training.TrainConfig.from_dict(doc) for doc, _ in lanes],
+        metrics_paths=[str(out / f"metrics_seed{doc['seed']}.jsonl") for doc, out in lanes],
+        checkpoint_paths=[str(out / f"checkpoint_seed{doc['seed']}.npz") for doc, out in lanes],
     )
-    return {
-        "seed": seed,
-        "best_epoch": result.best_epoch,
-        "best_val_accuracy": result.best_val_accuracy,
-        "test_accuracy": result.test_accuracy,
-        "epochs_run": len(result.history),
-    }
-
-
-def _run_seeds(ds_parts, config, seeds, out_dir: Path) -> list[dict]:
-    payloads = [
-        (
-            ds_parts,
-            config.to_dict(),
-            seed,
-            str(out_dir / f"metrics_seed{seed}.jsonl"),
-            str(out_dir / f"checkpoint_seed{seed}.npz"),
-        )
-        for seed in seeds
+    return [
+        {
+            "seed": result.config.seed,
+            "best_epoch": result.best_epoch,
+            "best_val_accuracy": result.best_val_accuracy,
+            "test_accuracy": result.test_accuracy,
+            "epochs_run": len(result.history),
+        }
+        for result in results
     ]
+
+
+def _run_lanes(ds_parts, configs, out_dirs) -> list[dict]:
+    """Fit every config as one lane stack, logging lane k under out_dirs[k].
+
+    With REDUXPLL_THREADS=k > 1 the lanes split into k contiguous chunks, one
+    per pool worker. Results come back in config order either way.
+    """
+    lanes = [(config.to_dict(), Path(out)) for config, out in zip(configs, out_dirs)]
     raw = os.environ.get("REDUXPLL_THREADS", "1")
     try:
         threads = int(raw)
     except ValueError:
         raise UsageError(f"REDUXPLL_THREADS must be an integer, got {raw!r}") from None
-    if threads > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(payloads))) as pool:
-            return list(pool.map(_fit_one_seed, payloads))
-    return [_fit_one_seed(p) for p in payloads]
+    chunks = max(1, min(threads, len(lanes)))
+    bounds = [len(lanes) * i // chunks for i in range(chunks + 1)]
+    payloads = [(ds_parts, lanes[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if len(payloads) == 1:
+        return _fit_lane_chunk(payloads[0])
+    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        return [row for chunk in pool.map(_fit_lane_chunk, payloads) for row in chunk]
 
 
 def _summarize(per_seed: list[dict]) -> dict:
@@ -203,7 +206,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     parts = _split_dataset(ds, args.split_seed)
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    per_seed = _run_seeds(parts, config, seeds, out_dir)
+    per_seed = _run_lanes(parts, [replace(config, seed=s) for s in seeds], [out_dir] * len(seeds))
     summary = {
         "method": config.method,
         "alpha": config.alpha,
@@ -227,19 +230,26 @@ def cmd_sweep_alpha(args) -> int:
     if args.seeds <= 0:
         raise UsageError(f"--seeds must be positive, got {args.seeds}")
     alphas = DEFAULT_ALPHA_GRID if args.alphas is None else tuple(args.alphas)
+    if len(set(alphas)) != len(alphas):
+        raise UsageError(f"--alphas lists a value twice: {','.join(map(str, alphas))}")
     ds, csv_path, _ = _load_dataset(args.dataset)
     base_config = _build_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     parts = _split_dataset(ds, args.split_seed)
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    rows = []
-    for alpha in alphas:
-        config = replace(base_config, alpha=alpha)
-        alpha_dir = out_dir / f"alpha_{alpha:g}"
+    alpha_dirs = [out_dir / f"alpha_{alpha:g}" for alpha in alphas]
+    for alpha_dir in alpha_dirs:
         alpha_dir.mkdir(exist_ok=True)
-        per_seed = _run_seeds(parts, config, seeds, alpha_dir)
-        summary = _summarize(per_seed)
+    # the whole alpha x seed grid is one lane stack, alpha-major
+    per_lane = _run_lanes(
+        parts,
+        [replace(base_config, alpha=alpha, seed=s) for alpha in alphas for s in seeds],
+        [alpha_dir for alpha_dir in alpha_dirs for _ in seeds],
+    )
+    rows = []
+    for i, alpha in enumerate(alphas):
+        summary = _summarize(per_lane[i * len(seeds) : (i + 1) * len(seeds)])
         rows.append(
             {
                 "alpha": alpha,

@@ -204,6 +204,8 @@ def gen_gaussian_mixture(
     """
     if n < c:
         raise ConfigError(f"need n >= c, got n={n}, c={c}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     mixture = GaussianMixture.ring_with_hub(c, q, separation)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return mixture.sample(n, rng)
@@ -560,6 +562,8 @@ class SplitSpec:
             raise ConfigError(f"split fractions must be positive, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {fracs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _largest_remainder(total: int, fracs) -> list[int]:

@@ -38,7 +38,15 @@ class ParseError(ReduxPllError):
 
 
 class NumericError(ReduxPllError):
-    """Non-finite value produced where finiteness is guaranteed."""
+    """Non-finite value produced where finiteness is guaranteed.
+
+    `lanes` holds the indices, in a lane stack, of the runs that produced it;
+    it is empty when the computation had no lane axis.
+    """
+
+    def __init__(self, message, lanes=None):
+        super().__init__(message)
+        self.lanes = list(lanes) if lanes is not None else []
 
 
 class ScenarioError(ReduxPllError):

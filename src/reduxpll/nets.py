@@ -7,6 +7,13 @@ tolerances. All functions are pure: parameters and tapes are never mutated
 in place, so one forward's tape can serve any number of backward passes, and
 the training loop can check bitwise that a hypergradient left its predictor
 untouched.
+
+Every function is rank-polymorphic over a leading lane axis: a lane stack of
+S nets of one shape holds weights[i] as (S, fan_in, fan_out) and biases[i] as
+(S, fan_out), a batch is (S, m, in_dim) (or one (m, in_dim) batch shared by
+all lanes), and each lane's slice of every result is bit-identical to the
+result for that net alone. numpy's stacked matmul runs one gemm per slice,
+and every reduction runs along the same axis as for one net.
 """
 
 from __future__ import annotations
@@ -28,7 +35,10 @@ SIMPLEX_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Parameters of one net: weights[i] is (fan_in, fan_out), biases[i] is (fan_out,)."""
+    """Parameters of one net: weights[i] is (fan_in, fan_out), biases[i] is (fan_out,).
+
+    A lane stack adds the same leading axes to every array.
+    """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
@@ -39,7 +49,7 @@ class MlpParams:
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
 
 # Gradients share the container: same shapes, layer for layer.
@@ -66,6 +76,34 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator) -> MlpParams:
     return MlpParams(tuple(weights), tuple(biases))
 
 
+def stack(lanes: Sequence[MlpParams]) -> MlpParams:
+    """Nets of one shape as one lane stack (a new leading axis)."""
+    return MlpParams(
+        tuple(np.stack(ws) for ws in zip(*(p.weights for p in lanes))),
+        tuple(np.stack(bs) for bs in zip(*(p.biases for p in lanes))),
+    )
+
+
+def take(params: MlpParams, lanes) -> MlpParams:
+    """The nets at `lanes` of a lane stack, copied; an int index drops the lane axis."""
+    return MlpParams(
+        tuple(w[lanes].copy() for w in params.weights),
+        tuple(b[lanes].copy() for b in params.biases),
+    )
+
+
+def nonfinite_lanes(arr: np.ndarray, net_ndim: int) -> list[int]:
+    """Lanes whose slice of `arr` holds a non-finite value.
+
+    `net_ndim` is the rank `arr` has for one net; without a lane axis beyond
+    it the list is empty.
+    """
+    if arr.ndim <= net_ndim:
+        return []
+    finite = np.isfinite(arr).reshape(arr.shape[0], -1).all(axis=1)
+    return np.flatnonzero(~finite).tolist()
+
+
 def zeros_like_params(params: MlpParams) -> MlpParams:
     return MlpParams(
         tuple(np.zeros_like(w) for w in params.weights),
@@ -74,27 +112,38 @@ def zeros_like_params(params: MlpParams) -> MlpParams:
 
 
 def to_flat(params: MlpParams) -> np.ndarray:
-    """Concatenate all parameters into one fp64 vector (bit-exact round trip)."""
+    """Concatenate each net's parameters into one fp64 vector (bit-exact round trip).
+
+    A stack of nets gives one row per net.
+    """
+    lead = params.biases[0].shape[:-1]
     parts = []
     for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+        parts.append(w.reshape(*lead, -1))
+        parts.append(b)
+    return np.concatenate(parts, axis=-1)
 
 
 def from_flat(template: MlpParams, flat: np.ndarray) -> MlpParams:
     """Inverse of to_flat, using `template` for the layer shapes."""
     flat = np.asarray(flat, dtype=np.float64)
-    need = sum(w.size + b.size for w, b in zip(template.weights, template.biases))
-    if flat.size != need:
-        raise DimensionError(f"flat vector has {flat.size} entries, template needs {need}")
+    lead = template.biases[0].shape[:-1]
+    need = sum(
+        w.shape[-2] * w.shape[-1] + b.shape[-1]
+        for w, b in zip(template.weights, template.biases)
+    )
+    if flat.shape != (*lead, need):
+        raise DimensionError(
+            f"flat vector has shape {flat.shape}, template needs {(*lead, need)}"
+        )
     weights, biases = [], []
     pos = 0
     for w, b in zip(template.weights, template.biases):
-        weights.append(flat[pos : pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        biases.append(flat[pos : pos + b.size].copy())
-        pos += b.size
+        size = w.shape[-2] * w.shape[-1]
+        weights.append(flat[..., pos : pos + size].reshape(w.shape).copy())
+        pos += size
+        biases.append(flat[..., pos : pos + b.shape[-1]].copy())
+        pos += b.shape[-1]
     return MlpParams(tuple(weights), tuple(biases))
 
 
@@ -122,20 +171,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, GradTape]:
     """Run the net on a (m, in_dim) batch; returns simplex rows and their tape."""
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if x.shape[1] != params.in_dim:
+    if x.shape[-1] != params.in_dim:
         raise DimensionError(
-            f"batch has {x.shape[1]} features, net expects {params.in_dim}"
+            f"batch has {x.shape[-1]} features, net expects {params.in_dim}"
         )
     inputs = []
     h = x
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        a = h @ w + b
+        a = h @ w + b[..., None, :]
         h = a if i == last else np.tanh(a)
     probs = softmax(h)
     if not np.all(np.isfinite(probs)):
-        raise NumericError("forward pass produced non-finite probabilities")
+        raise NumericError(
+            "forward pass produced non-finite probabilities",
+            lanes=nonfinite_lanes(probs, 2),
+        )
     return probs, GradTape(params=params, inputs=inputs, probs=probs)
 
 
@@ -152,6 +204,7 @@ def backward_ce(
 
     loss = -(1/m) sum_i sum_j t_ij log p_ij, with p clamped at CE_CLAMP inside
     the log. The softmax+CE gradient shortcut (p - t)/m is used at the output.
+    The loss is a float for one net and one value per lane for a stack.
     """
     probs = np.atleast_2d(probs)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -160,10 +213,15 @@ def backward_ce(
             f"targets shape {targets.shape} != probs shape {probs.shape}"
         )
     check_simplex_rows(targets, "cross-entropy target")
-    m = probs.shape[0]
-    loss = -float((targets * np.log(np.maximum(probs, CE_CLAMP))).sum()) / m
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite cross-entropy loss ({loss!r})")
+    m = probs.shape[-2]
+    terms = targets * np.log(np.maximum(probs, CE_CLAMP))
+    loss = -terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / m
+    if not np.isfinite(loss).all():
+        raise NumericError(
+            f"non-finite cross-entropy loss ({loss.tolist()!r})",
+            lanes=nonfinite_lanes(loss, 0),
+        )
+    loss = float(loss) if loss.ndim == 0 else loss
     d_logits = (probs - targets) / m
     grad = _backward_layers(tape, d_logits)
     return loss, grad
@@ -186,10 +244,10 @@ def _backward_layers(tape: GradTape, d_out: np.ndarray) -> Gradient:
     d_a = d_out
     for i in range(n - 1, -1, -1):
         x = tape.inputs[i]
-        d_weights[i] = x.T @ d_a
-        d_biases[i] = d_a.sum(axis=0)
+        d_weights[i] = x.swapaxes(-1, -2) @ d_a
+        d_biases[i] = d_a.sum(axis=-2)
         if i > 0:
-            d_h = d_a @ tape.params.weights[i].T
+            d_h = d_a @ tape.params.weights[i].swapaxes(-1, -2)
             h = tape.inputs[i]  # post-tanh activation = input of layer i
             d_a = d_h * (1.0 - h * h)
     return MlpParams(tuple(d_weights), tuple(d_biases))
@@ -216,7 +274,11 @@ def forward_jvp(tape: GradTape, tangent: Gradient) -> np.ndarray:
     dh = np.zeros_like(inputs[0])
     last = params.n_layers - 1
     for i in range(params.n_layers):
-        da = inputs[i] @ tangent.weights[i] + dh @ params.weights[i] + tangent.biases[i]
+        da = (
+            inputs[i] @ tangent.weights[i]
+            + dh @ params.weights[i]
+            + tangent.biases[i][..., None, :]
+        )
         if i == last:
             dh = da
         else:
@@ -262,7 +324,7 @@ def hypergradient(
     `forward(theta, inner_batch)` result; when given, it is that tape.
     """
     inner_batch = np.atleast_2d(np.asarray(inner_batch, dtype=np.float64))
-    m = inner_batch.shape[0]
+    m = inner_batch.shape[-2]
     targets, vjp = pseudo_label_fn(gamma, inner_batch)
 
     probs_in, tape_in = (
@@ -283,6 +345,7 @@ def hypergradient(
         raise NumericError(
             "non-finite hypergradient "
             f"(|targets|max={np.abs(targets).max():.3g}, "
-            f"|u|max={np.abs(to_flat(u)).max():.3g})"
+            f"|u|max={np.abs(to_flat(u)).max():.3g})",
+            lanes=nonfinite_lanes(flat, 1),
         )
     return grad_gamma

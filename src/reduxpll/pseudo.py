@@ -10,7 +10,9 @@ to each instance's candidate set S:
   the reduction matrix,
 * combined targets: alpha * basic + (1 - alpha) * reduction.
 
-All operations accept a single vector or a batch of row vectors.
+All operations accept a single vector or a batch of row vectors, and a batch
+may carry leading lane axes (one batch per run of a lane stack): every
+operation is row-wise, so each lane's rows equal that run's rows alone.
 """
 
 from __future__ import annotations
@@ -83,17 +85,17 @@ def reduction_matrix(branch_probs: np.ndarray, candidates: np.ndarray) -> np.nda
 
     Row j of each instance's matrix is branch j's output renormalized over the
     candidates minus label j, i.e. `reduction_row(branch_probs[j], S, j)`,
-    computed for every j at once.
+    computed for every j at once. Lanes are leading axes of both arguments.
     """
-    c = branch_probs.shape[0]
+    c = branch_probs.shape[-3]
     s = np.atleast_2d(np.asarray(candidates, dtype=bool))
-    mask = s[:, None, :] & ~np.eye(c, dtype=bool)
+    mask = s[..., None, :] & ~np.eye(c, dtype=bool)
     empty = np.argwhere(~mask.any(axis=-1))
     if empty.size:
         raise ContractViolation(
-            f"candidate set reduces to nothing when excluding label {empty[0, 1]}"
+            f"candidate set reduces to nothing when excluding label {empty[0, -1]}"
         )
-    return _masked_renormalize(branch_probs.transpose(1, 0, 2), mask, "reduction_matrix")
+    return _masked_renormalize(branch_probs.swapaxes(-3, -2), mask, "reduction_matrix")
 
 
 def reduction_pseudo(w, U) -> np.ndarray:
@@ -102,12 +104,16 @@ def reduction_pseudo(w, U) -> np.ndarray:
     U_arr = np.asarray(U, dtype=np.float64)
     if w_arr.ndim == 1:
         return w_arr @ U_arr
-    return np.einsum("ij,ijr->ir", w_arr, U_arr)
+    return np.einsum("...ij,...ijr->...ir", w_arr, U_arr)
 
 
-def combine(mu, v, alpha: float) -> np.ndarray:
-    """Convex combination alpha * mu + (1 - alpha) * v."""
-    if not 0.0 <= alpha <= 1.0:
+def combine(mu, v, alpha) -> np.ndarray:
+    """Convex combination alpha * mu + (1 - alpha) * v.
+
+    `alpha` may be an array broadcasting against the rows, e.g. one weight
+    per lane shaped (S, 1, 1).
+    """
+    if not np.logical_and(0.0 <= alpha, alpha <= 1.0).all():
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     return alpha * np.asarray(mu, dtype=np.float64) + (1.0 - alpha) * np.asarray(
         v, dtype=np.float64
@@ -145,42 +151,50 @@ def init_reduction_matrix(candidates: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PseudoLabelState:
-    """Per-instance pseudo-label storage refreshed batch by batch during training."""
+    """Per-instance pseudo-label storage refreshed batch by batch during training.
+
+    A lane stack adds a leading lane axis to every array, and `alpha` holds
+    one value per lane.
+    """
 
     mu: np.ndarray  # (n, c) candidate-renormalized predictor targets
     U: np.ndarray  # (n, c, c) reduction rows
     w: np.ndarray  # (n, c) branch weights last used
     v: np.ndarray  # (n, c) aggregated reduction targets
     q: np.ndarray  # (n, c) combined training targets
-    alpha: float
+    alpha: float | np.ndarray
 
     @classmethod
     def initial(
         cls,
         candidates: np.ndarray,
-        alpha: float,
+        alpha,
         *,
         with_reduction: bool = True,
     ):
         """Uniform start: mu uniform over S, U rows uniform over S minus label.
 
         with_reduction=False leaves the reduction-side arrays zeroed for
-        methods that train on the basic targets alone.
+        methods that train on the basic targets alone. An array of alphas,
+        one per lane, gives a lane stack.
         """
-        if not 0.0 <= alpha <= 1.0:
+        alphas = np.asarray(alpha, dtype=np.float64)
+        if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
             raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
         s = np.asarray(candidates, dtype=bool)
         n, c = s.shape
-        mu = uniform_over(s)
+        lead = alphas.shape
+        mu = np.broadcast_to(uniform_over(s), (*lead, n, c)).copy()
         if with_reduction:
-            U = init_reduction_matrix(s)
-            w = np.full((n, c), 1.0 / c)
+            U = np.broadcast_to(init_reduction_matrix(s), (*lead, n, c, c)).copy()
+            w = np.full((*lead, n, c), 1.0 / c)
             v = reduction_pseudo(w, U)
-            q = combine(mu, v, alpha)
+            q = combine(mu, v, alphas[..., None, None])
         else:
-            U = np.zeros((n, c, c))
-            w = np.zeros((n, c))
-            v = np.zeros((n, c))
+            # read-only zeros that take no memory: such a method never writes them
+            U = np.broadcast_to(0.0, (*lead, n, c, c))
+            w = np.broadcast_to(0.0, (*lead, n, c))
+            v = np.broadcast_to(0.0, (*lead, n, c))
             q = mu.copy()
         return cls(mu=mu, U=U, w=w, v=v, q=q, alpha=alpha)
 
@@ -197,19 +211,19 @@ class PseudoLabelState:
                 raise ContractViolation(f"{name} rows do not sum to 1 within {tol}")
             if np.any(arr < -tol):
                 raise ContractViolation(f"{name} has negative entries beyond {tol}")
-            if np.any(np.abs(arr[~s]) > tol):
+            if np.any(np.abs(arr[..., ~s]) > tol):
                 raise ContractViolation(f"{name} puts mass outside the candidate sets")
         if not check_reduction:
             return
         if np.any(np.abs(self.w.sum(axis=-1) - 1.0) > tol) or np.any(self.w < -tol):
             raise ContractViolation("w rows are off the simplex")
         n, c = s.shape
-        row_sums = self.U.sum(axis=-1)
-        if np.any(np.abs(row_sums - 1.0) > tol):
-            raise ContractViolation("U rows do not sum to 1")
-        diag = self.U[:, np.arange(c), np.arange(c)]
-        if np.any(np.abs(diag) > tol):
-            raise ContractViolation("U rows put mass on their own excluded label")
-        outside = self.U * ~s[:, None, :]
-        if np.any(np.abs(outside) > tol):
-            raise ContractViolation("U rows put mass outside the candidate sets")
+        outside = ~s[:, None, :]
+        # one run's rows at a time keeps the temporaries at one run's size
+        for U in self.U.reshape(-1, n, c, c):
+            if np.any(np.abs(U.sum(axis=-1) - 1.0) > tol):
+                raise ContractViolation("U rows do not sum to 1")
+            if np.any(np.abs(U[:, np.arange(c), np.arange(c)]) > tol):
+                raise ContractViolation("U rows put mass on their own excluded label")
+            if np.any(np.abs(U * outside) > tol):
+                raise ContractViolation("U rows put mass outside the candidate sets")

@@ -23,13 +23,21 @@ The two baselines are special cases of the same step, not separate paths:
 skips step 3; `proden` skips steps 2-4 and trains on the stored basic
 targets alone. Steps 1 and 5 are written once for all three methods.
 
+Lanes: several runs that differ only in seed and alpha train in lockstep on
+one `TrainerState` whose arrays carry a leading lane axis, so each numpy call
+of the step serves every run (vmap-style ensembling). `fit` is the one-lane
+case of `fit_lanes`. Each lane's slice of every array is bit-identical to a
+run of that lane alone.
+
 Determinism: every random choice draws from a purpose-keyed stream derived
 from the run seed, so method variants that skip a stream (e.g. the baselines
 never sample validation batches) still shuffle and initialize identically.
+Each lane has its own streams.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -37,12 +45,13 @@ import os
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import nets, pseudo
 from .data import PllDataset, validate_dataset
-from .errors import ConfigError, ContractViolation, DimensionError, NumericError
+from .errors import ConfigError, ContractViolation, NumericError
 
 METHODS = ("reduxpll", "reduxpll-uniform-w", "proden")
 
@@ -81,6 +90,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.hidden_sizes:
             raise ConfigError("predictor needs at least one hidden layer")
 
@@ -116,6 +127,8 @@ class TrainConfig:
 
 @dataclass
 class EpochMetrics:
+    """One epoch of a run; flat fields only, so `vars()` is its JSON document."""
+
     epoch: int
     train_loss: float
     val_accuracy: float
@@ -134,22 +147,36 @@ class ModelBundle:
 
 
 @dataclass
-class TrainerState:
-    bundle: ModelBundle
-    theta_buf: nets.MlpParams
-    omega_buf: nets.MlpParams
-    pls: pseudo.PseudoLabelState
-    prev_q: np.ndarray
+class Lane:
+    """What one run of a lane stack keeps apart from the others.
+
+    The run's parameters and pseudo-labels are its slice of the stack's
+    arrays; its config, streams, early-stopping record and history live here.
+    """
+
+    config: TrainConfig
     rngs: dict[str, np.random.Generator]
-    epoch: int = 0
     stagnant: int = 0
     best_epoch: int = -1
     best_val_accuracy: float = -np.inf
     best_test_accuracy: float = 0.0
     best_theta_flat: np.ndarray | None = None
-    rollback_checks: int = 0
     # the run's only history record: checkpoints persist it, metrics files copy it
     history: list[EpochMetrics] = field(default_factory=list)
+
+
+@dataclass
+class TrainerState:
+    """Runs in lockstep: every array has a leading lane axis, one slice per lane."""
+
+    bundle: ModelBundle
+    theta_buf: nets.MlpParams
+    omega_buf: nets.MlpParams
+    pls: pseudo.PseudoLabelState
+    prev_q: np.ndarray
+    lanes: list[Lane]
+    epoch: int = 0
+    rollback_checks: int = 0
 
 
 @dataclass
@@ -163,7 +190,7 @@ class RunResult:
     config: TrainConfig
 
     def trajectory_hash(self) -> str:
-        blob = json.dumps([asdict(m) for m in self.history], sort_keys=True)
+        blob = json.dumps([vars(m) for m in self.history], sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -180,9 +207,7 @@ def _momentum_step(params, grad, buf, lr, momentum):
 
 
 def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
-    out = np.zeros((len(labels), c))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
+    return np.eye(c)[np.asarray(labels)]
 
 
 def accuracy(theta: nets.MlpParams, ds: PllDataset) -> float:
@@ -190,25 +215,37 @@ def accuracy(theta: nets.MlpParams, ds: PllDataset) -> float:
     return float((probs.argmax(axis=1) == ds.true_labels).mean())
 
 
-def init_state(
-    train_ds: PllDataset, config: TrainConfig, init_bundle: ModelBundle | None = None
+def init_lanes(
+    train_ds: PllDataset,
+    configs: Sequence[TrainConfig],
+    init_bundles: Sequence[ModelBundle | None] | None = None,
 ) -> TrainerState:
+    """A fresh lane stack, one lane per config; a given bundle replaces a lane's init."""
     q, c = train_ds.q, train_ds.c
-    d = config.hidden_sizes[-1]
-    if init_bundle is None:
-        theta = nets.init_mlp([q, *config.hidden_sizes, c], _stream(config.seed, "theta_init"))
-        omega_rng = _stream(config.seed, "omega_init")
-        branches = [nets.init_mlp([d, c], omega_rng) for _ in range(c)]
-        omegas = nets.MlpParams(
-            (np.stack([br.weights[0] for br in branches]),),
-            (np.stack([br.biases[0] for br in branches]),),
-        )
-        gamma = nets.init_mlp([q, *config.meta_hidden_sizes, c], _stream(config.seed, "gamma_init"))
-        bundle = ModelBundle(theta=theta, omegas=omegas, gamma=gamma)
-    else:
-        bundle = init_bundle
+    bundles = []
+    for config, bundle in zip(configs, init_bundles or [None] * len(configs)):
+        if bundle is None:
+            d = config.hidden_sizes[-1]
+            omega_rng = _stream(config.seed, "omega_init")
+            bundle = ModelBundle(
+                theta=nets.init_mlp(
+                    [q, *config.hidden_sizes, c], _stream(config.seed, "theta_init")
+                ),
+                omegas=nets.stack([nets.init_mlp([d, c], omega_rng) for _ in range(c)]),
+                gamma=nets.init_mlp(
+                    [q, *config.meta_hidden_sizes, c], _stream(config.seed, "gamma_init")
+                ),
+            )
+        bundles.append(bundle)
+    bundle = ModelBundle(
+        theta=nets.stack([b.theta for b in bundles]),
+        omegas=nets.stack([b.omegas for b in bundles]),
+        gamma=nets.stack([b.gamma for b in bundles]),
+    )
     pls = pseudo.PseudoLabelState.initial(
-        train_ds.candidates, config.alpha, with_reduction=config.method != "proden"
+        train_ds.candidates,
+        np.array([config.alpha for config in configs]),
+        with_reduction=configs[0].method != "proden",
     )
     return TrainerState(
         bundle=bundle,
@@ -216,18 +253,63 @@ def init_state(
         omega_buf=nets.zeros_like_params(bundle.omegas),
         pls=pls,
         prev_q=pls.q.copy(),
-        rngs={
-            "shuffle": _stream(config.seed, "shuffle"),
-            "val": _stream(config.seed, "val"),
-        },
+        lanes=[
+            Lane(
+                config=config,
+                rngs={
+                    "shuffle": _stream(config.seed, "shuffle"),
+                    "val": _stream(config.seed, "val"),
+                },
+            )
+            for config in configs
+        ],
+    )
+
+
+def init_state(
+    train_ds: PllDataset, config: TrainConfig, init_bundle: ModelBundle | None = None
+) -> TrainerState:
+    """A one-lane stack for `config`."""
+    return init_lanes(train_ds, [config], [init_bundle])
+
+
+def _take_bundle(bundle: ModelBundle, lanes) -> ModelBundle:
+    """`nets.take` of every net in the bundle."""
+    return ModelBundle(
+        theta=nets.take(bundle.theta, lanes),
+        omegas=nets.take(bundle.omegas, lanes),
+        gamma=nets.take(bundle.gamma, lanes),
+    )
+
+
+def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
+    """The stack of the lanes at `keep`, in that order."""
+    pls = state.pls
+    return TrainerState(
+        bundle=_take_bundle(state.bundle, keep),
+        theta_buf=nets.take(state.theta_buf, keep),
+        omega_buf=nets.take(state.omega_buf, keep),
+        pls=pseudo.PseudoLabelState(
+            mu=pls.mu[keep], U=pls.U[keep], w=pls.w[keep], v=pls.v[keep], q=pls.q[keep],
+            alpha=pls.alpha[keep],
+        ),
+        prev_q=state.prev_q[keep],
+        lanes=[state.lanes[k] for k in keep],
+        epoch=state.epoch,
+        rollback_checks=state.rollback_checks,
     )
 
 
 def _branch_probs(head: nets.MlpParams, z: np.ndarray) -> np.ndarray:
     """All branch outputs on features z (m, d) as one (c, m, c) stack."""
-    probs = nets.softmax(np.matmul(z, head.weights[0]) + head.biases[0][:, None, :])
+    probs = nets.softmax(
+        np.matmul(z[..., None, :, :], head.weights[0]) + head.biases[0][..., None, :]
+    )
     if not np.all(np.isfinite(probs)):
-        raise NumericError("branch head produced non-finite probabilities")
+        raise NumericError(
+            "branch head produced non-finite probabilities",
+            lanes=nets.nonfinite_lanes(probs, 3),
+        )
     return probs
 
 
@@ -238,12 +320,16 @@ def _branch_grad(z: np.ndarray, probs: np.ndarray, targets: np.ndarray) -> nets.
     a finite loss.
     """
     nets.check_simplex_rows(targets, "branch target")
-    m = z.shape[0]
-    loss = -float((targets * np.log(np.maximum(probs, nets.CE_CLAMP))).sum()) / m
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite branch cross-entropy loss ({loss!r})")
+    m = z.shape[-2]
+    terms = targets * np.log(np.maximum(probs, nets.CE_CLAMP))
+    # each term is bounded or NaN, so the sum is finite iff every term is
+    if not np.isfinite(terms.sum()):
+        raise NumericError(
+            "non-finite branch cross-entropy loss", lanes=nets.nonfinite_lanes(terms, 3)
+        )
     d_a = (probs - targets) / m
-    return nets.MlpParams((np.matmul(z.T, d_a),), (d_a.sum(axis=1),))
+    z_t = z.swapaxes(-1, -2)[..., None, :, :]
+    return nets.MlpParams((np.matmul(z_t, d_a),), (d_a.sum(axis=-2),))
 
 
 def _batch_step(
@@ -254,7 +340,9 @@ def _batch_step(
     config: TrainConfig,
     epoch: int,
     batch_idx: int,
-) -> float:
+) -> np.ndarray:
+    """One mini-batch in every lane; idx is (S, m), lane s trains on rows idx[s]."""
+    rows = (np.arange(len(idx))[:, None], idx)  # lane s, instance idx[s, i]
     x = train_ds.features[idx]
     S = train_ds.candidates[idx]
     c = train_ds.c
@@ -262,7 +350,7 @@ def _batch_step(
     # the batch's only forward of theta on x: its tape serves the features,
     # the hypergradient's inner step and the committed step
     probs, tape = nets.forward(theta, x)
-    q = state.pls.mu[idx]  # stored basic targets from the previous refresh
+    q = state.pls.mu[rows]  # stored basic targets from the previous refresh
 
     if config.method != "proden":
         z = tape.inputs[-1]
@@ -270,7 +358,7 @@ def _batch_step(
         # branch updates toward the stored (previous-refresh) reduction rows;
         # branch j's targets are row j of each instance's matrix
         head = state.bundle.omegas
-        U_old = state.pls.U[idx].transpose(1, 0, 2)
+        U_old = state.pls.U[rows].swapaxes(-3, -2)
         grad_head = _branch_grad(z, _branch_probs(head, z), U_old)
         head, state.omega_buf = _momentum_step(
             head, grad_head, state.omega_buf, config.beta1, config.momentum
@@ -283,7 +371,10 @@ def _batch_step(
             theta_snapshot = nets.to_flat(theta)
 
             # meta update through a trial step on a sampled validation batch
-            val_idx = state.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
+            val_idx = np.stack([
+                lane.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
+                for lane in state.lanes
+            ])
             val_x = val_ds.features[val_idx]
             val_targets = one_hot(np.asarray(val_ds.true_labels)[val_idx], c)
 
@@ -292,7 +383,7 @@ def _batch_step(
                 targets = pseudo.reduction_pseudo(w_probs, U_new)
 
                 def vjp(d_targets):
-                    d_w = np.einsum("ir,ijr->ij", d_targets, U_new)
+                    d_w = np.einsum("...ir,...ijr->...ij", d_targets, U_new)
                     return nets.backward_probs_vjp(w_tape, d_w)
 
                 return targets, vjp
@@ -313,12 +404,12 @@ def _batch_step(
             # recompute weights with the updated meta net
             w2 = pseudo.meta_weights(gamma_new, x)
         else:  # reduxpll-uniform-w
-            w2 = np.full((len(idx), c), 1.0 / c)
+            w2 = np.full(S.shape, 1.0 / c)
         v2 = pseudo.reduction_pseudo(w2, U_new)
-        q = pseudo.combine(q, v2, config.alpha)
-        state.pls.U[idx] = U_new
-        state.pls.w[idx] = w2
-        state.pls.v[idx] = v2
+        q = pseudo.combine(q, v2, state.pls.alpha[:, None, None])
+        state.pls.U[rows] = U_new
+        state.pls.w[rows] = w2
+        state.pls.v[rows] = v2
 
     loss, grad = nets.backward_ce(tape, probs, q)
     theta_new, state.theta_buf = _momentum_step(
@@ -328,53 +419,187 @@ def _batch_step(
 
     # refresh stored pseudo-label state for the batch
     refreshed, _ = nets.forward(theta_new, x)
-    state.pls.mu[idx] = pseudo.basic_pseudo(refreshed, S)
-    state.pls.q[idx] = q
+    state.pls.mu[rows] = pseudo.basic_pseudo(refreshed, S)
+    state.pls.q[rows] = q
     return loss
+
+
+def _lane_failure(state: TrainerState, exc: NumericError, where: str) -> NumericError:
+    """`exc` restated with the seed, alpha and |theta|max of each lane it names."""
+    flat = nets.to_flat(state.bundle.theta)
+    lanes = exc.lanes or range(len(state.lanes))
+    who = "; ".join(
+        f"seed {state.lanes[k].config.seed}, alpha {state.lanes[k].config.alpha:g} "
+        f"(|theta|max={np.abs(flat[k]).max():.3g})"
+        for k in lanes
+    )
+    method = state.lanes[0].config.method
+    return NumericError(f"{where}: {exc} (method={method}; {who})", lanes=exc.lanes)
 
 
 def train_epoch(
     state: TrainerState,
     datasets: tuple[PllDataset, PllDataset, PllDataset],
     config: TrainConfig,
-) -> tuple[TrainerState, EpochMetrics]:
-    """Run one full pass over the shuffled training set; report and record metrics."""
+) -> tuple[TrainerState, list[EpochMetrics]]:
+    """Run one full pass over the shuffled training set in every lane.
+
+    `config` supplies what the lanes share (method, step sizes, batch size);
+    each lane's seed and alpha are in its own config. Returns the state and
+    each lane's metrics, which are also appended to the lane's history.
+    """
     train_ds, val_ds, test_ds = datasets
     epoch = state.epoch + 1
     n = train_ds.n
     m = config.batch_size
-    perm = state.rngs["shuffle"].permutation(n)
+    perms = np.stack([lane.rngs["shuffle"].permutation(n) for lane in state.lanes])
     losses = []
     for k, start in enumerate(range(0, n, m)):
-        idx = perm[start : start + m]
+        idx = perms[:, start : start + m]
         try:
             losses.append(_batch_step(state, train_ds, val_ds, idx, config, epoch, k))
         except NumericError as exc:
-            flat = nets.to_flat(state.bundle.theta)
-            raise NumericError(
-                f"epoch {epoch}, batch {k}: {exc} "
-                f"(method={config.method}, |theta|max={np.abs(flat).max():.3g})"
-            ) from exc
+            raise _lane_failure(state, exc, f"epoch {epoch}, batch {k}") from exc
     state.pls.validate(train_ds.candidates, check_reduction=config.method != "proden")
 
-    drift = float(np.abs(state.pls.q - state.prev_q).sum(axis=1).mean())
-    state.prev_q = state.pls.q.copy()
-    consistency = None
+    # in place, so the drift makes no stack-sized temporaries: prev_q holds
+    # |q - prev_q| for the drift, then a copy of q
+    step = np.abs(np.subtract(state.pls.q, state.prev_q, out=state.prev_q), out=state.prev_q)
+    drift = step.sum(axis=-1).mean(axis=-1)
+    np.copyto(state.prev_q, state.pls.q)
+    consistency = [None] * len(state.lanes)
     if train_ds.posterior is not None:
-        consistency = float(
-            (state.pls.q.argmax(axis=1) == np.asarray(train_ds.posterior).argmax(axis=1)).mean()
+        bayes = np.asarray(train_ds.posterior).argmax(axis=1)
+        consistency = (state.pls.q.argmax(axis=-1) == bayes).mean(axis=-1).tolist()
+    # one row of batch losses per lane, so each lane's mean sums like one run's
+    lane_losses = np.array(losses).T.copy()
+    metrics = []
+    for k in range(len(state.lanes)):
+        # one lane at a time: evaluation activations stay at one run's size
+        theta = nets.take(state.bundle.theta, k)
+        metrics.append(
+            EpochMetrics(
+                epoch=epoch,
+                train_loss=float(np.mean(lane_losses[k])),
+                val_accuracy=accuracy(theta, val_ds),
+                test_accuracy=accuracy(theta, test_ds),
+                bayes_consistency=consistency[k],
+                pseudo_label_drift=float(drift[k]),
+            )
         )
-    metrics = EpochMetrics(
-        epoch=epoch,
-        train_loss=float(np.mean(losses)),
-        val_accuracy=accuracy(state.bundle.theta, val_ds),
-        test_accuracy=accuracy(state.bundle.theta, test_ds),
-        bayes_consistency=consistency,
-        pseudo_label_drift=drift,
-    )
     state.epoch = epoch
-    state.history.append(metrics)
+    for lane, lane_metrics in zip(state.lanes, metrics):
+        lane.history.append(lane_metrics)
     return state, metrics
+
+
+def _lane_result(state: TrainerState, k: int) -> RunResult:
+    lane = state.lanes[k]
+    bundle = _take_bundle(state.bundle, k)
+    return RunResult(
+        best_theta=nets.from_flat(bundle.theta, lane.best_theta_flat),
+        best_epoch=lane.best_epoch,
+        best_val_accuracy=lane.best_val_accuracy,
+        test_accuracy=lane.best_test_accuracy,
+        history=lane.history,
+        final_bundle=bundle,
+        config=lane.config,
+    )
+
+
+def fit_lanes(
+    datasets: tuple[PllDataset, PllDataset, PllDataset],
+    configs: Sequence[TrainConfig],
+    *,
+    init_bundles: Sequence[ModelBundle | None] | None = None,
+    metrics_paths: Sequence | None = None,
+    checkpoint_paths: Sequence | None = None,
+    resume_from=None,
+    allow_supervised: bool = False,
+) -> list[RunResult]:
+    """Train one run per config in lockstep on one lane stack; results in config order.
+
+    The configs may differ only in `seed` and `alpha`. Each lane keeps its
+    own streams, history, best model, metrics file and checkpoint, all
+    byte-identical to a `fit` of its config alone; a lane that stops early
+    leaves the stack and the others go on. The per-lane keyword lists align
+    with `configs`; a None entry means none for that lane. `resume_from` is a
+    checkpoint to resume a one-lane stack from.
+    """
+    configs = list(configs)
+    count = len(configs)
+    if count == 0:
+        raise ConfigError("fit_lanes needs at least one config")
+    if resume_from is not None and count != 1:
+        raise ConfigError(f"a checkpoint resumes one lane, not {count}")
+    config = configs[0]  # what the lanes share
+    for lane_config in configs:
+        lane_config.validate()
+        if replace(lane_config, seed=config.seed, alpha=config.alpha) != config:
+            raise ConfigError("lanes may differ only in seed and alpha")
+
+    def per_lane(name, values):
+        values = [None] * count if values is None else list(values)
+        if len(values) != count:
+            raise ConfigError(f"{name} has {len(values)} entries for {count} lanes")
+        return values
+
+    init_bundles = per_lane("init_bundles", init_bundles)
+    metrics_paths = per_lane("metrics_paths", metrics_paths)
+    checkpoint_paths = per_lane("checkpoint_paths", checkpoint_paths)
+
+    train_ds, val_ds, test_ds = datasets
+    validate_dataset(train_ds, allow_supervised=allow_supervised)
+    for part, name in ((val_ds, "validation"), (test_ds, "test")):
+        if part.true_labels is None:
+            raise ConfigError(f"{name} split needs true labels")
+    if config.batch_size > train_ds.n:
+        raise ConfigError(
+            f"batch_size {config.batch_size} exceeds training set size {train_ds.n}"
+        )
+
+    if resume_from is None:
+        state = init_lanes(train_ds, configs, init_bundles)
+    else:
+        state = load_checkpoint(resume_from, train_ds, config)
+    ids = list(range(count))  # the config index of each lane still in the stack
+    results: list[RunResult | None] = [None] * count
+    with contextlib.ExitStack() as files:
+        metrics_fhs = [
+            None if path is None else files.enter_context(Path(path).open("w"))
+            for path in metrics_paths
+        ]
+        for fh, lane in zip(metrics_fhs, state.lanes):
+            if fh is not None:
+                fh.writelines(_metrics_line(m) for m in lane.history)
+        while ids and state.epoch < config.epochs:
+            state, metrics = train_epoch(state, datasets, config)
+            finished = []
+            for k, (i, lane, lane_metrics) in enumerate(zip(ids, state.lanes, metrics)):
+                if metrics_fhs[i] is not None:
+                    metrics_fhs[i].write(_metrics_line(lane_metrics))
+                    metrics_fhs[i].flush()
+                if lane_metrics.val_accuracy > lane.best_val_accuracy:
+                    lane.best_val_accuracy = lane_metrics.val_accuracy
+                    lane.best_epoch = lane_metrics.epoch
+                    lane.best_test_accuracy = lane_metrics.test_accuracy
+                    lane.best_theta_flat = nets.to_flat(nets.take(state.bundle.theta, k))
+                    lane.stagnant = 0
+                else:
+                    lane.stagnant += 1
+                if checkpoint_paths[i] is not None:
+                    save_checkpoint(checkpoint_paths[i], state, k)
+                if lane.stagnant >= config.patience:
+                    finished.append(k)
+            if finished:
+                for k in finished:
+                    results[ids[k]] = _lane_result(state, k)
+                keep = [k for k in range(len(ids)) if k not in finished]
+                state = _keep_lanes(state, keep)
+                ids = [ids[k] for k in keep]
+    for k, i in enumerate(ids):
+        results[i] = _lane_result(state, k)
+    return results
 
 
 def fit(
@@ -394,64 +619,22 @@ def fit(
     JSON object per epoch. With `checkpoint_path` the full trainer state,
     history included, is persisted every epoch; `resume_from` continues such
     a run exactly and rewrites `metrics_path` from the checkpoint's history,
-    so epochs logged after the last checkpoint are not repeated.
+    so epochs logged after the last checkpoint are not repeated. This is
+    `fit_lanes` with one lane.
     """
-    config.validate()
-    train_ds, val_ds, test_ds = datasets
-    validate_dataset(train_ds, allow_supervised=allow_supervised)
-    for part, name in ((val_ds, "validation"), (test_ds, "test")):
-        if part.true_labels is None:
-            raise ConfigError(f"{name} split needs true labels")
-    if config.batch_size > train_ds.n:
-        raise ConfigError(
-            f"batch_size {config.batch_size} exceeds training set size {train_ds.n}"
-        )
-
-    if resume_from is not None:
-        state = load_checkpoint(resume_from, train_ds, config)
-    else:
-        state = init_state(train_ds, config, init_bundle)
-
-    metrics_fh = None
-    if metrics_path is not None:
-        metrics_fh = Path(metrics_path).open("w")
-        metrics_fh.writelines(_metrics_line(m) for m in state.history)
-    try:
-        while state.epoch < config.epochs:
-            state, metrics = train_epoch(state, datasets, config)
-            if metrics_fh is not None:
-                metrics_fh.write(_metrics_line(metrics))
-                metrics_fh.flush()
-            if metrics.val_accuracy > state.best_val_accuracy:
-                state.best_val_accuracy = metrics.val_accuracy
-                state.best_epoch = metrics.epoch
-                state.best_test_accuracy = metrics.test_accuracy
-                state.best_theta_flat = nets.to_flat(state.bundle.theta)
-                state.stagnant = 0
-            else:
-                state.stagnant += 1
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, state, config)
-            if state.stagnant >= config.patience:
-                break
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
-
-    best_theta = nets.from_flat(state.bundle.theta, state.best_theta_flat)
-    return RunResult(
-        best_theta=best_theta,
-        best_epoch=state.best_epoch,
-        best_val_accuracy=state.best_val_accuracy,
-        test_accuracy=state.best_test_accuracy,
-        history=state.history,
-        final_bundle=state.bundle,
-        config=config,
-    )
+    return fit_lanes(
+        datasets,
+        [config],
+        init_bundles=[init_bundle],
+        metrics_paths=[metrics_path],
+        checkpoint_paths=[checkpoint_path],
+        resume_from=resume_from,
+        allow_supervised=allow_supervised,
+    )[0]
 
 
 def _metrics_line(metrics: EpochMetrics) -> str:
-    return json.dumps(asdict(metrics), sort_keys=True) + "\n"
+    return json.dumps(vars(metrics), sort_keys=True) + "\n"
 
 
 def train_proden(
@@ -495,40 +678,29 @@ def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _head_rows(head: nets.MlpParams) -> np.ndarray:
-    """One row per branch, laid out as `nets.to_flat` of that branch alone."""
-    w, b = head.weights[0], head.biases[0]
-    return np.concatenate([w.reshape(len(w), -1), b], axis=1)
+def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
+    """Persist lane `lane` of the stack as a one-run checkpoint.
 
-
-def _head_from_rows(template: nets.MlpParams, rows: np.ndarray) -> nets.MlpParams:
-    """Inverse of `_head_rows`, using `template` for the stacked shapes."""
-    shape = template.weights[0].shape
-    if rows.shape != (shape[0], shape[1] * shape[2] + shape[2]):
-        raise DimensionError(f"branch rows have shape {rows.shape}, head needs {shape}")
-    split = shape[1] * shape[2]
-    return nets.MlpParams(
-        (rows[:, :split].reshape(shape).copy(),), (rows[:, split:].copy(),)
-    )
-
-
-def save_checkpoint(path, state: TrainerState, config: TrainConfig) -> None:
+    Branch heads are stored one row per branch, each laid out as
+    `nets.to_flat` of that branch alone.
+    """
+    run = state.lanes[lane]
+    config = run.config
+    bundle = state.bundle
     arrays = {
-        "theta": nets.to_flat(state.bundle.theta),
-        "gamma": nets.to_flat(state.bundle.gamma),
-        "omegas": _head_rows(state.bundle.omegas),
-        "theta_buf": nets.to_flat(state.theta_buf),
-        "omega_bufs": _head_rows(state.omega_buf),
-        "mu": state.pls.mu,
-        "U": state.pls.U,
-        "w": state.pls.w,
-        "v": state.pls.v,
-        "q": state.pls.q,
-        "prev_q": state.prev_q,
+        "theta": nets.to_flat(nets.take(bundle.theta, lane)),
+        "gamma": nets.to_flat(nets.take(bundle.gamma, lane)),
+        "omegas": nets.to_flat(nets.take(bundle.omegas, lane)),
+        "theta_buf": nets.to_flat(nets.take(state.theta_buf, lane)),
+        "omega_bufs": nets.to_flat(nets.take(state.omega_buf, lane)),
+        "mu": state.pls.mu[lane],
+        "U": state.pls.U[lane],
+        "w": state.pls.w[lane],
+        "v": state.pls.v[lane],
+        "q": state.pls.q[lane],
+        "prev_q": state.prev_q[lane],
         "best_theta": (
-            state.best_theta_flat
-            if state.best_theta_flat is not None
-            else np.zeros(0)
+            run.best_theta_flat if run.best_theta_flat is not None else np.zeros(0)
         ),
     }
     meta = {
@@ -536,18 +708,19 @@ def save_checkpoint(path, state: TrainerState, config: TrainConfig) -> None:
         "config_hash": config.config_hash(),
         "resume_hash": config.resume_hash(),
         "epoch": state.epoch,
-        "stagnant": state.stagnant,
-        "best_epoch": state.best_epoch,
-        "best_val_accuracy": state.best_val_accuracy,
-        "best_test_accuracy": state.best_test_accuracy,
+        "stagnant": run.stagnant,
+        "best_epoch": run.best_epoch,
+        "best_val_accuracy": run.best_val_accuracy,
+        "best_test_accuracy": run.best_test_accuracy,
         "rollback_checks": state.rollback_checks,
-        "rng_states": {k: g.bit_generator.state for k, g in state.rngs.items()},
-        "history": [asdict(h) for h in state.history],
+        "rng_states": {k: g.bit_generator.state for k, g in run.rngs.items()},
+        "history": [vars(h) for h in run.history],
     }
     _write_deterministic_npz(path, arrays, meta)
 
 
 def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerState:
+    """The one-lane state a checkpoint holds."""
     path = Path(path)
     with zipfile.ZipFile(path) as zf:
         meta = json.loads(zf.read("meta.json"))
@@ -557,36 +730,38 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
         )
     data = np.load(path)
     template = init_state(train_ds, config)
+
+    def params(like: nets.MlpParams, member: str) -> nets.MlpParams:
+        return nets.from_flat(like, data[member][None])
+
     bundle = ModelBundle(
-        theta=nets.from_flat(template.bundle.theta, data["theta"]),
-        omegas=_head_from_rows(template.bundle.omegas, data["omegas"]),
-        gamma=nets.from_flat(template.bundle.gamma, data["gamma"]),
+        theta=params(template.bundle.theta, "theta"),
+        omegas=params(template.bundle.omegas, "omegas"),
+        gamma=params(template.bundle.gamma, "gamma"),
     )
-    state = TrainerState(
-        bundle=bundle,
-        theta_buf=nets.from_flat(template.bundle.theta, data["theta_buf"]),
-        omega_buf=_head_from_rows(template.bundle.omegas, data["omega_bufs"]),
-        pls=pseudo.PseudoLabelState(
-            mu=data["mu"].copy(),
-            U=data["U"].copy(),
-            w=data["w"].copy(),
-            v=data["v"].copy(),
-            q=data["q"].copy(),
-            alpha=config.alpha,
-        ),
-        prev_q=data["prev_q"].copy(),
-        rngs=template.rngs,
-        epoch=int(meta["epoch"]),
-        stagnant=int(meta["stagnant"]),
-        best_epoch=int(meta["best_epoch"]),
-        best_val_accuracy=float(meta["best_val_accuracy"]),
-        best_test_accuracy=float(meta["best_test_accuracy"]),
-        rollback_checks=int(meta["rollback_checks"]),
-        best_theta_flat=(
-            data["best_theta"].copy() if data["best_theta"].size else None
-        ),
-        history=[EpochMetrics(**h) for h in meta["history"]],
-    )
+    lane = template.lanes[0]
+    lane.stagnant = int(meta["stagnant"])
+    lane.best_epoch = int(meta["best_epoch"])
+    lane.best_val_accuracy = float(meta["best_val_accuracy"])
+    lane.best_test_accuracy = float(meta["best_test_accuracy"])
+    lane.best_theta_flat = data["best_theta"].copy() if data["best_theta"].size else None
+    lane.history = [EpochMetrics(**h) for h in meta["history"]]
     for key, rng_state in meta["rng_states"].items():
-        state.rngs[key].bit_generator.state = rng_state
-    return state
+        lane.rngs[key].bit_generator.state = rng_state
+    return TrainerState(
+        bundle=bundle,
+        theta_buf=params(template.bundle.theta, "theta_buf"),
+        omega_buf=params(template.bundle.omegas, "omega_bufs"),
+        pls=pseudo.PseudoLabelState(
+            mu=data["mu"][None].copy(),
+            U=data["U"][None].copy(),
+            w=data["w"][None].copy(),
+            v=data["v"][None].copy(),
+            q=data["q"][None].copy(),
+            alpha=np.array([config.alpha]),
+        ),
+        prev_q=data["prev_q"][None].copy(),
+        lanes=[lane],
+        epoch=int(meta["epoch"]),
+        rollback_checks=int(meta["rollback_checks"]),
+    )

@@ -140,6 +140,16 @@ def test_sweep_alpha_rows_and_best_flag(dataset_dir, tmp_path):
     assert sum(flags) == 1 and flags[int(np.argmax(accs))]
 
 
+def test_sweep_alpha_rejects_a_repeated_alpha(dataset_dir, tmp_path, capsys):
+    code = main(
+        ["sweep-alpha", "--dataset", str(dataset_dir), "--alphas", "0.3,0.5,0.3",
+         "--out", str(tmp_path / "sweep"), *FAST_TRAIN]
+    )
+    assert code == 1
+    assert "twice" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_verify_theory_builtin_scenario_passes(tmp_path):
     report_path = tmp_path / "report.json"
     code = main(
@@ -162,15 +172,18 @@ def test_verify_theory_zero_trials_is_usage_error():
 
 
 def test_parallel_seed_execution_matches_sequential(dataset_dir, tmp_path, monkeypatch):
+    # three seeds: one stack of three lanes, or pool chunks of two and one
     flags = ["train", "--dataset", str(dataset_dir), "--method", "reduxpll",
-             "--seeds", "2", *FAST_TRAIN]
+             "--seeds", "3", *FAST_TRAIN]
     seq_out, par_out = tmp_path / "seq", tmp_path / "par"
     monkeypatch.setenv("REDUXPLL_THREADS", "1")
     assert main([*flags, "--out", str(seq_out)]) == 0
     monkeypatch.setenv("REDUXPLL_THREADS", "2")
     assert main([*flags, "--out", str(par_out)]) == 0
-    for name in ("metrics_seed0.jsonl", "metrics_seed1.jsonl", "summary.json"):
-        assert (seq_out / name).read_bytes() == (par_out / name).read_bytes()
+    names = [f"{kind}_seed{s}.{ext}" for s in range(3)
+             for kind, ext in (("metrics", "jsonl"), ("checkpoint", "npz"))]
+    for name in [*names, "summary.json"]:
+        assert (seq_out / name).read_bytes() == (par_out / name).read_bytes(), name
 
 
 def test_report_aggregates_runs_and_flags_missing_metrics(dataset_dir, tmp_path):

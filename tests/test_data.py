@@ -436,16 +436,24 @@ def test_split_rejects_bad_fractions():
         data.split(ds, data.SplitSpec(train=1.0, val=-0.1, test=0.1))
 
 
-def test_allocator_is_exact_over_random_class_profiles():
-    rng = np.random.default_rng(15)
-    fracs = (0.8, 0.1, 0.1)
-    for _ in range(200):
-        counts = [int(rng.integers(1, 40)) for _ in range(int(rng.integers(1, 8)))]
-        alloc = data._allocate_stratified(counts, fracs)
-        n = sum(counts)
-        targets = data._largest_remainder(n, fracs)
-        assert [sum(col) for col in zip(*alloc)] == targets
-        for cnt, row in zip(counts, alloc):
-            assert sum(row) == cnt
-            for frac, got in zip(fracs, row):
-                assert abs(got - frac * cnt) <= 1.0
+def test_negative_seeds_are_config_errors():
+    with pytest.raises(ConfigError, match="non-negative"):
+        data.gen_gaussian_mixture(5, 2, 50, 2.5, seed=-1)
+    with pytest.raises(ConfigError, match="non-negative"):
+        data.split(_tiny_dataset(), data.SplitSpec(seed=-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+    weights=st.tuples(*[st.integers(1, 20)] * 3),
+)
+def test_allocator_is_exact_over_random_class_profiles(counts, weights):
+    fracs = tuple(w / sum(weights) for w in weights)
+    alloc = data._allocate_stratified(counts, fracs)
+    targets = data._largest_remainder(sum(counts), fracs)
+    assert [sum(col) for col in zip(*alloc)] == targets
+    for cnt, row in zip(counts, alloc):
+        assert sum(row) == cnt
+        for frac, got in zip(fracs, row):
+            assert abs(got - frac * cnt) <= 1.0

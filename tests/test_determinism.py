@@ -97,7 +97,7 @@ def test_stacked_branch_head_equals_per_branch_nets(seed):
 
     probs = training._branch_probs(head, z)
     grad = training._branch_grad(z, probs, U.transpose(1, 0, 2))
-    rows = training._head_rows(head)
+    rows = nets.to_flat(head)  # one row per branch
     for j, br in enumerate(branches):
         probs_j, tape_j = nets.forward(br, z)
         assert np.array_equal(probs[j], probs_j)
@@ -109,8 +109,8 @@ def test_stacked_branch_head_equals_per_branch_nets(seed):
     reference = np.stack([pseudo.reduction_row(probs[j], S, j) for j in range(c)], axis=1)
     assert np.array_equal(pseudo.reduction_matrix(probs, S), reference)
 
-    rebuilt = training._head_from_rows(head, rows)
-    assert np.array_equal(training._head_rows(rebuilt), rows)
+    rebuilt = nets.from_flat(head, rows)
+    assert np.array_equal(nets.to_flat(rebuilt), rows)
 
 
 def test_branch_grad_keeps_the_target_checks():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reduxpll import nets, pseudo
 from reduxpll.errors import ConfigError, ContractViolation
@@ -155,6 +158,23 @@ def test_state_validate_catches_off_support_mass():
         state.validate(cands)
 
 
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        ([0.0, 2.0, 0.0], "do not sum to 1"),
+        ([0.5, 0.5, 0.0], "own excluded label"),
+        ([0.0, 0.5, 0.5], "outside the candidate sets"),
+    ],
+)
+def test_state_validate_catches_bad_reduction_rows_in_any_lane(row, match):
+    cands = np.array([[True, True, False], [True, True, True]])
+    state = pseudo.PseudoLabelState.initial(cands, alpha=np.array([0.3, 0.6]))
+    state.validate(cands)
+    state.U[1, 0, 0] = row  # lane 1, instance 0, the row that excludes label 0
+    with pytest.raises(ContractViolation, match=match):
+        state.validate(cands)
+
+
 def test_simplex_invariants_over_many_random_draws():
     rng = np.random.default_rng(5)
     for _ in range(2000):
@@ -190,3 +210,85 @@ def test_reduction_matrix_zero_mass_rows_fall_back_to_uniform(caplog):
     assert np.array_equal(U[1, 0], [0.0, 1.0, 0.0])
     assert np.array_equal(U[0, 0], [0.0, 0.5, 0.5])
     assert "zero candidate mass on 1 row(s)" in caplog.text
+
+
+# ---------------------------------------------------------------------------
+# Properties over random batches (hypothesis)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def candidate_batches(draw, lanes=1):
+    """(mask, simplex): candidate masks of at least two labels per row, and a
+    drawer of softmax rows of any shape."""
+    c = draw(st.integers(3, 7))
+    m = draw(st.integers(1, 12))
+    rows = draw(
+        st.lists(
+            st.sets(st.integers(0, c - 1), min_size=2, max_size=c),
+            min_size=lanes * m,
+            max_size=lanes * m,
+        )
+    )
+    mask = np.zeros((lanes * m, c), dtype=bool)
+    for i, labels in enumerate(rows):
+        mask[i, sorted(labels)] = True
+
+    def simplex(*shape):
+        return nets.softmax(draw(arrays(np.float64, shape, elements=st.floats(-40.0, 40.0))))
+
+    return (mask if lanes == 1 else mask.reshape(lanes, m, c)), simplex
+
+
+def _on_simplex(rows, tol=1e-12):
+    return np.all(rows >= 0.0) and np.all(np.abs(rows.sum(axis=-1) - 1.0) <= tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=candidate_batches(), alpha=st.floats(0.0, 1.0))
+def test_every_target_construction_stays_on_the_simplex_inside_the_candidates(batch, alpha):
+    mask, simplex = batch
+    m, c = mask.shape
+    mu = pseudo.basic_pseudo(simplex(m, c), mask)
+    U = pseudo.reduction_matrix(simplex(c, m, c), mask)
+    v = pseudo.reduction_pseudo(simplex(m, c), U)
+    q = pseudo.combine(mu, v, alpha)
+    for rows in (mu, v, q):
+        assert _on_simplex(rows)
+        assert np.all(rows[~mask] == 0.0)
+    # row j of each reduction matrix also keeps off label j
+    assert _on_simplex(U)
+    assert np.all(U * ~mask[:, None, :] == 0.0)
+    assert np.all(U[:, np.arange(c), np.arange(c)] == 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=candidate_batches())
+def test_reduction_matrix_equals_stacked_reduction_rows(batch):
+    mask, simplex = batch
+    m, c = mask.shape
+    branch_probs = simplex(c, m, c)
+    reference = np.stack(
+        [pseudo.reduction_row(branch_probs[j], mask, j) for j in range(c)], axis=1
+    )
+    assert np.array_equal(pseudo.reduction_matrix(branch_probs, mask), reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=candidate_batches(lanes=3), alpha=st.floats(0.0, 1.0))
+def test_a_lane_axis_gives_each_lane_its_own_rows_bitwise(batch, alpha):
+    mask, simplex = batch
+    lanes, m, c = mask.shape
+    probs, branch_probs, w = simplex(lanes, m, c), simplex(lanes, c, m, c), simplex(lanes, m, c)
+    alphas = np.array([alpha, 1.0 - alpha, 0.5])
+    mu = pseudo.basic_pseudo(probs, mask)
+    U = pseudo.reduction_matrix(branch_probs, mask)
+    v = pseudo.reduction_pseudo(w, U)
+    q = pseudo.combine(mu, v, alphas[:, None, None])
+    for k in range(lanes):
+        U_k = pseudo.reduction_matrix(branch_probs[k], mask[k])
+        v_k = pseudo.reduction_pseudo(w[k], U_k)
+        assert np.array_equal(mu[k], pseudo.basic_pseudo(probs[k], mask[k]))
+        assert np.array_equal(U[k], U_k)
+        assert np.array_equal(v[k], v_k)
+        assert np.array_equal(q[k], pseudo.combine(mu[k], v_k, alphas[k]))

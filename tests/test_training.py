@@ -24,6 +24,8 @@ def test_config_validation_rejects_bad_values():
         training.TrainConfig(beta2=-0.1).validate()
     with pytest.raises(ConfigError):
         training.TrainConfig(patience=0).validate()
+    with pytest.raises(ConfigError, match="non-negative"):
+        training.TrainConfig(seed=-1).validate()
 
 
 def test_config_hash_tracks_content():
@@ -71,10 +73,11 @@ def test_alpha_one_matches_proden_trajectory_bitwise(small_dataset):
 def test_frozen_meta_matches_uniform_weight_ablation_bitwise(small_dataset):
     train_ds = small_dataset[0]
     cfg_rx = training.TrainConfig(method="reduxpll", beta3=0.0, seed=6, **FAST)
-    state = training.init_state(train_ds, cfg_rx)
-    zero_gamma = nets.zeros_like_params(state.bundle.gamma)
+    init = training.init_state(train_ds, cfg_rx).bundle  # a one-lane stack
     bundle = training.ModelBundle(
-        theta=state.bundle.theta, omegas=state.bundle.omegas, gamma=zero_gamma
+        theta=nets.take(init.theta, 0),
+        omegas=nets.take(init.omegas, 0),
+        gamma=nets.zeros_like_params(nets.take(init.gamma, 0)),
     )
     r_rx = training.fit(small_dataset, cfg_rx, init_bundle=bundle)
 
@@ -129,7 +132,7 @@ def test_basic_targets_stay_candidate_supported_every_epoch(small_dataset):
     state = training.init_state(train_ds, cfg)
     for _ in range(3):
         state, _ = training.train_epoch(state, small_dataset, cfg)
-        assert np.all(state.pls.mu[~train_ds.candidates] == 0.0)
+        assert np.all(state.pls.mu[:, ~train_ds.candidates] == 0.0)  # every lane
 
 
 def test_supervised_sanity_run_reaches_high_accuracy():
