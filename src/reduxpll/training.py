@@ -58,6 +58,10 @@ METHODS = ("reduxpll", "reduxpll-uniform-w", "proden")
 # purpose-keyed RNG streams spawned from the run seed
 _STREAMS = {"theta_init": 0, "omega_init": 1, "gamma_init": 2, "shuffle": 3, "val": 4}
 
+# a lane's checkpoint is written at every epoch divisible by this and at its last
+# epoch; a crash then costs at most CHECKPOINT_EVERY - 1 epochs of recompute
+CHECKPOINT_EVERY = 10
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -587,9 +591,12 @@ def fit_lanes(
                     lane.stagnant = 0
                 else:
                     lane.stagnant += 1
-                if checkpoint_paths[i] is not None:
+                stops = lane.stagnant >= config.patience
+                if checkpoint_paths[i] is not None and (
+                    stops or state.epoch == config.epochs or state.epoch % CHECKPOINT_EVERY == 0
+                ):
                     save_checkpoint(checkpoint_paths[i], state, k)
-                if lane.stagnant >= config.patience:
+                if stops:
                     finished.append(k)
             if finished:
                 for k in finished:
@@ -617,10 +624,12 @@ def fit(
     Validation accuracy must strictly improve at least once every `patience`
     epochs or training halts. `metrics_path` receives the run history as one
     JSON object per epoch. With `checkpoint_path` the full trainer state,
-    history included, is persisted every epoch; `resume_from` continues such
-    a run exactly and rewrites `metrics_path` from the checkpoint's history,
-    so epochs logged after the last checkpoint are not repeated. This is
-    `fit_lanes` with one lane.
+    history included, is persisted every `CHECKPOINT_EVERY` (10) epochs and
+    at the run's last epoch, so a crash costs at most 9 epochs of recompute.
+    `resume_from` continues such a run exactly, from any of its checkpoints,
+    and rewrites `metrics_path` from the checkpoint's history, so epochs
+    logged after the last checkpoint are not repeated. This is `fit_lanes`
+    with one lane.
     """
     return fit_lanes(
         datasets,
@@ -729,6 +738,17 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
             f"checkpoint {path} was written under a different configuration"
         )
     data = np.load(path)
+    n, c = train_ds.candidates.shape
+    for member, shape in (
+        ("mu", (n, c)), ("U", (n, c, c)), ("w", (n, c)), ("v", (n, c)),
+        ("q", (n, c)), ("prev_q", (n, c)),
+    ):
+        got = data[member].shape
+        if got != shape:
+            raise ConfigError(
+                f"checkpoint {path} holds {member} of shape {got}, "
+                f"but the training set needs {shape}"
+            )
     template = init_state(train_ds, config)
 
     def params(like: nets.MlpParams, member: str) -> nets.MlpParams:

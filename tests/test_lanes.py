@@ -52,19 +52,29 @@ def test_each_lane_writes_the_files_of_its_single_run(small_dataset, tmp_path):
         assert (lanes / name).read_bytes() == (alone / name).read_bytes(), name
 
 
-def test_lanes_that_stop_early_at_different_epochs_each_equal_their_own_fit(small_dataset):
+def test_lanes_that_stop_early_at_different_epochs_each_equal_their_own_fit(
+    small_dataset, tmp_path
+):
     configs = [
         training.TrainConfig(method="reduxpll", seed=seed, epochs=12, patience=2)
         for seed in range(4)
     ]
-    results = training.fit_lanes(small_dataset, configs)
-    assert len({len(r.history) for r in results}) > 1  # the lanes leave the stack apart
+    results = training.fit_lanes(
+        small_dataset, configs, checkpoint_paths=[tmp_path / f"lane{c.seed}.npz" for c in configs]
+    )
+    stops = [len(r.history) for r in results]
+    assert len(set(stops)) > 1  # the lanes leave the stack apart
+    # off the checkpoint cadence, so only the last-epoch save writes these lanes' files
+    assert any(stop % training.CHECKPOINT_EVERY for stop in stops)
     for config, lane in zip(configs, results):
-        alone = training.fit(small_dataset, config)
+        ckpt = tmp_path / f"alone{config.seed}.npz"
+        alone = training.fit(small_dataset, config, checkpoint_path=ckpt)
         assert lane.trajectory_hash() == alone.trajectory_hash()
         assert lane.best_epoch == alone.best_epoch
         assert np.array_equal(nets.to_flat(lane.best_theta), nets.to_flat(alone.best_theta))
         assert _bundles_equal(lane.final_bundle, alone.final_bundle)
+        assert (tmp_path / f"lane{config.seed}.npz").read_bytes() == ckpt.read_bytes()
+        assert training.load_checkpoint(ckpt, small_dataset[0], config).epoch == len(alone.history)
 
 
 def test_a_sweep_lane_equals_a_fit_at_its_alpha(small_dataset):

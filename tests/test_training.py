@@ -1,6 +1,7 @@
 import json
 import zipfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,56 @@ def test_checkpoint_resume_reproduces_straight_run(small_dataset, tmp_path):
     )
 
 
+def test_checkpoints_land_every_ten_epochs_and_resume_to_the_straight_run(
+    small_dataset, tmp_path, monkeypatch
+):
+    assert training.CHECKPOINT_EVERY == 10
+    cfg = training.TrainConfig(method="proden", seed=2, epochs=25)
+    straight_metrics, straight_ckpt = tmp_path / "straight.jsonl", tmp_path / "straight.npz"
+    epoch10 = tmp_path / "epoch10.npz"
+    save = training.save_checkpoint
+    saved = []
+
+    def recording_save(path, state, *rest):
+        save(path, state, *rest)
+        saved.append(state.epoch)
+        if state.epoch == 10:
+            epoch10.write_bytes(Path(path).read_bytes())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "save_checkpoint", recording_save)
+        straight = training.fit(
+            small_dataset, cfg, metrics_path=straight_metrics, checkpoint_path=straight_ckpt
+        )
+    assert saved == [10, 20, 25]
+
+    metrics, ckpt = tmp_path / "metrics.jsonl", tmp_path / "ck.npz"
+    metrics.write_text("stale\n")
+    ckpt.write_bytes(epoch10.read_bytes())
+    assert training.load_checkpoint(ckpt, small_dataset[0], cfg).epoch == 10
+    resumed = training.fit(
+        small_dataset, cfg, metrics_path=metrics, checkpoint_path=ckpt, resume_from=ckpt
+    )
+    assert _histories_equal(straight.history, resumed.history)
+    assert metrics.read_bytes() == straight_metrics.read_bytes()
+    assert ckpt.read_bytes() == straight_ckpt.read_bytes()
+
+
+def test_resume_rejects_a_checkpoint_of_another_training_set_size(small_dataset, tmp_path):
+    def parts(n):
+        ds = data.gen_gaussian_mixture(5, 2, n, 2.5, seed=7)
+        ds = data.corrupt_instance_dependent(ds, 0.5, seed=7)
+        return data.split(ds, data.SplitSpec(seed=7))
+
+    ckpt = tmp_path / "ck.npz"
+    cfg = training.TrainConfig(method="reduxpll", seed=2, epochs=2)
+    training.fit(parts(300), cfg, checkpoint_path=ckpt)
+    with pytest.raises(ConfigError) as err:
+        training.fit(parts(400), replace(cfg, epochs=4), resume_from=ckpt)
+    message = str(err.value)
+    assert str(ckpt) in message and "(240, 5)" in message and "(320, 5)" in message
+
+
 def test_resume_after_a_crash_before_the_checkpoint_logs_each_epoch_once(
     small_dataset, tmp_path, monkeypatch
 ):
@@ -196,6 +247,7 @@ def test_resume_after_a_crash_before_the_checkpoint_logs_each_epoch_once(
             raise OSError("killed while checkpointing epoch 4")
         save(path, state, *rest)
 
+    monkeypatch.setattr(training, "CHECKPOINT_EVERY", 2)  # saves at epochs 2, 4 and 6
     monkeypatch.setattr(training, "save_checkpoint", dying_save)
     with pytest.raises(OSError, match="epoch 4"):
         training.fit(small_dataset, cfg, metrics_path=metrics, checkpoint_path=ckpt)
@@ -214,20 +266,21 @@ def test_failed_checkpoint_write_leaves_the_previous_one_resumable(
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     ckpt = run_dir / "ck.npz"
-    cfg = training.TrainConfig(method="reduxpll", seed=2, epochs=3)
+    cfg = training.TrainConfig(method="reduxpll", seed=2, epochs=5)
     writestr = zipfile.ZipFile.writestr
 
     def failing_writestr(self, info, payload, *args, **kwargs):
-        if info.filename == "meta.json" and json.loads(payload)["epoch"] == 2:
+        if info.filename == "meta.json" and json.loads(payload)["epoch"] == 4:
             raise OSError("disk full")
         return writestr(self, info, payload, *args, **kwargs)
 
+    monkeypatch.setattr(training, "CHECKPOINT_EVERY", 2)  # saves at epochs 2, 4 and 5
     monkeypatch.setattr(zipfile.ZipFile, "writestr", failing_writestr)
     with pytest.raises(OSError, match="disk full"):
         training.fit(small_dataset, cfg, checkpoint_path=ckpt)
     monkeypatch.undo()
     assert [p.name for p in run_dir.iterdir()] == ["ck.npz"]  # no temp file left
-    assert training.load_checkpoint(ckpt, small_dataset[0], cfg).epoch == 1
+    assert training.load_checkpoint(ckpt, small_dataset[0], cfg).epoch == 2
     resumed = training.fit(small_dataset, cfg, resume_from=ckpt)
     assert _histories_equal(training.fit(small_dataset, cfg).history, resumed.history)
 
