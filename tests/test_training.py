@@ -1,7 +1,6 @@
 import json
 import zipfile
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,7 +195,7 @@ def test_checkpoints_land_every_ten_epochs_and_resume_to_the_straight_run(
         save(path, state, *rest)
         saved.append(state.epoch)
         if state.epoch == 10:
-            epoch10.write_bytes(Path(path).read_bytes())
+            epoch10.write_bytes(straight_ckpt.read_bytes())
 
     with monkeypatch.context() as patch:
         patch.setattr(training, "save_checkpoint", recording_save)
