@@ -30,7 +30,6 @@ from .pseudo import (
 from .theory import (
     TheoryScenario,
     check_tsybakov,
-    is_disturbing,
     membership_J,
     reduced_posterior,
     verify_theorem1,
@@ -43,7 +42,6 @@ from .training import (
     fit,
     fit_lanes,
     train_epoch,
-    train_proden,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +70,6 @@ __all__ = [
     "reduction_row",
     "TheoryScenario",
     "check_tsybakov",
-    "is_disturbing",
     "membership_J",
     "reduced_posterior",
     "verify_theorem1",
@@ -83,6 +80,5 @@ __all__ = [
     "fit",
     "fit_lanes",
     "train_epoch",
-    "train_proden",
     "__version__",
 ]

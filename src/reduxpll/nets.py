@@ -3,17 +3,24 @@
 Fixed architecture family: affine layers, tanh on hidden layers, softmax on
 the output. tanh keeps everything smooth, so analytic gradients and the
 hypergradient can be checked against central finite differences to tight
-tolerances. All functions are pure: parameters and tapes are never mutated
-in place, so one forward's tape can serve any number of backward passes, and
-the training loop can check bitwise that a hypergradient left its predictor
-untouched.
+tolerances.
+
+Each net (and each gradient) is one contiguous fp64 buffer, `flat`, laid out
+W0, b0, W1, b1, ...; its `weights`/`biases` are views into it, so an optimizer
+step, a snapshot or a checkpoint row is one array operation. All functions
+are pure: no buffer is written after it is made, so one forward's tape can
+serve any number of backward passes. `to_flat` and `from_flat` share the
+buffer instead of copying it, so a caller that keeps a buffer to compare
+later (the training loop's check that a hypergradient left its predictor
+untouched) keeps a copy.
 
 Every function is rank-polymorphic over a leading lane axis: a lane stack of
-S nets of one shape holds weights[i] as (S, fan_in, fan_out) and biases[i] as
-(S, fan_out), a batch is (S, m, in_dim) (or one (m, in_dim) batch shared by
-all lanes), and each lane's slice of every result is bit-identical to the
-result for that net alone. numpy's stacked matmul runs one gemm per slice,
-and every reduction runs along the same axis as for one net.
+S nets of one shape has a (S, P) buffer, so weights[i] is (S, fan_in,
+fan_out) and biases[i] is (S, fan_out), a batch is (S, m, in_dim) (or one
+(m, in_dim) batch shared by all lanes), and each lane's slice of every result
+is bit-identical to the result for that net alone. numpy's stacked matmul
+runs one gemm per slice, and every reduction runs along the same axis as for
+one net.
 """
 
 from __future__ import annotations
@@ -33,27 +40,75 @@ CE_CLAMP = 1e-12
 SIMPLEX_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class MlpParams:
-    """Parameters of one net: weights[i] is (fan_in, fan_out), biases[i] is (fan_out,).
+    """One net, or a lane stack of nets of one shape, in one fp64 buffer.
 
-    A lane stack adds the same leading axes to every array.
+    `flat` is (*lanes, P) and `sizes` is one net's layer widths (in_dim, ...,
+    out_dim). weights[i] (*lanes, fan_in, fan_out) and biases[i] (*lanes,
+    fan_out) are views into `flat`. `MlpParams(weights, biases)` copies the
+    given layers into a new buffer.
     """
 
+    flat: np.ndarray
+    sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        if len(weights) != len(biases):
+            raise DimensionError(f"{len(weights)} weight arrays for {len(biases)} biases")
+        self.sizes = (np.shape(weights[0])[-2], *(np.shape(b)[-1] for b in biases))
+        self.flat = np.empty((*np.shape(biases[0])[:-1], _n_params(self.sizes)))
+        for view, layer in zip(self.weights + self.biases, (*weights, *biases)):
+            if np.shape(layer) != view.shape:
+                raise DimensionError(f"layer of shape {np.shape(layer)} where {view.shape} fits")
+            view[...] = layer
+
+    def __getattr__(self, name: str):
+        # weights and biases are made on first use: many buffers (momentum
+        # sums, gradients fed only to sgd_step) never need their layers
+        if name not in ("weights", "biases"):
+            raise AttributeError(name)
+        lead = self.flat.shape[:-1]
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            end = pos + fan_in * fan_out
+            weights.append(self.flat[..., pos:end].reshape(*lead, fan_in, fan_out))
+            biases.append(self.flat[..., end : end + fan_out])
+            pos = end + fan_out
+        self.weights, self.biases = tuple(weights), tuple(biases)
+        return getattr(self, name)
+
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.sizes) - 1
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[-2]
+        return self.sizes[0]
 
 
-# Gradients share the container: same shapes, layer for layer.
+# Gradients share the container: same layout, layer for layer.
 Gradient = MlpParams
+
+
+def _n_params(sizes: Sequence[int]) -> int:
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _wrap(flat: np.ndarray, sizes: tuple[int, ...]) -> MlpParams:
+    """The nets whose buffer is `flat`, without a copy."""
+    params = MlpParams.__new__(MlpParams)
+    params.flat, params.sizes = flat, sizes
+    return params
+
+
+def empty(sizes: Sequence[int], lead: tuple[int, ...] = ()) -> MlpParams:
+    """Nets of layer widths `sizes` on an uninitialized (*lead, P) buffer.
+
+    Only for the function that fills it, before it hands the nets on.
+    """
+    return _wrap(np.empty((*lead, _n_params(sizes))), tuple(sizes))
 
 
 @dataclass(frozen=True)
@@ -73,23 +128,20 @@ def init_mlp(sizes: Sequence[int], rng: np.random.Generator) -> MlpParams:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
         biases.append(np.zeros(fan_out))
-    return MlpParams(tuple(weights), tuple(biases))
+    return MlpParams(weights, biases)
 
 
 def stack(lanes: Sequence[MlpParams]) -> MlpParams:
     """Nets of one shape as one lane stack (a new leading axis)."""
-    return MlpParams(
-        tuple(np.stack(ws) for ws in zip(*(p.weights for p in lanes))),
-        tuple(np.stack(bs) for bs in zip(*(p.biases for p in lanes))),
-    )
+    sizes = lanes[0].sizes
+    if any(p.sizes != sizes for p in lanes):
+        raise DimensionError(f"cannot stack nets of sizes {[p.sizes for p in lanes]}")
+    return _wrap(np.stack([p.flat for p in lanes]), sizes)
 
 
 def take(params: MlpParams, lanes) -> MlpParams:
     """The nets at `lanes` of a lane stack, copied; an int index drops the lane axis."""
-    return MlpParams(
-        tuple(w[lanes].copy() for w in params.weights),
-        tuple(b[lanes].copy() for b in params.biases),
-    )
+    return _wrap(np.take(params.flat, lanes, axis=0), params.sizes)
 
 
 def nonfinite_lanes(arr: np.ndarray, net_ndim: int) -> list[int]:
@@ -104,61 +156,19 @@ def nonfinite_lanes(arr: np.ndarray, net_ndim: int) -> list[int]:
     return np.flatnonzero(~finite).tolist()
 
 
-def zeros_like_params(params: MlpParams) -> MlpParams:
-    return MlpParams(
-        tuple(np.zeros_like(w) for w in params.weights),
-        tuple(np.zeros_like(b) for b in params.biases),
-    )
-
-
 def to_flat(params: MlpParams) -> np.ndarray:
-    """Concatenate each net's parameters into one fp64 vector (bit-exact round trip).
-
-    A stack of nets gives one row per net.
-    """
-    lead = params.biases[0].shape[:-1]
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.reshape(*lead, -1))
-        parts.append(b)
-    return np.concatenate(parts, axis=-1)
+    """The nets' buffer itself, one row per net of a stack (not a copy)."""
+    return params.flat
 
 
 def from_flat(template: MlpParams, flat: np.ndarray) -> MlpParams:
-    """Inverse of to_flat, using `template` for the layer shapes."""
+    """Nets shaped like `template` whose buffer is `flat` (not a copy)."""
     flat = np.asarray(flat, dtype=np.float64)
-    lead = template.biases[0].shape[:-1]
-    need = sum(
-        w.shape[-2] * w.shape[-1] + b.shape[-1]
-        for w, b in zip(template.weights, template.biases)
-    )
-    if flat.shape != (*lead, need):
+    if flat.shape != template.flat.shape:
         raise DimensionError(
-            f"flat vector has shape {flat.shape}, template needs {(*lead, need)}"
+            f"flat vector has shape {flat.shape}, template needs {template.flat.shape}"
         )
-    weights, biases = [], []
-    pos = 0
-    for w, b in zip(template.weights, template.biases):
-        size = w.shape[-2] * w.shape[-1]
-        weights.append(flat[..., pos : pos + size].reshape(w.shape).copy())
-        pos += size
-        biases.append(flat[..., pos : pos + b.shape[-1]].copy())
-        pos += b.shape[-1]
-    return MlpParams(tuple(weights), tuple(biases))
-
-
-def param_axpy(a: float, x: MlpParams, y: MlpParams) -> MlpParams:
-    """a*x + y, layer by layer."""
-    return MlpParams(
-        tuple(a * wx + wy for wx, wy in zip(x.weights, y.weights)),
-        tuple(a * bx + by for bx, by in zip(x.biases, y.biases)),
-    )
-
-
-def param_scale(a: float, x: MlpParams) -> MlpParams:
-    return MlpParams(
-        tuple(a * w for w in x.weights), tuple(a * b for b in x.biases)
-    )
+    return _wrap(flat, template.sizes)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -238,29 +248,24 @@ def backward_probs_vjp(tape: GradTape, d_probs: np.ndarray) -> Gradient:
 
 
 def _backward_layers(tape: GradTape, d_out: np.ndarray) -> Gradient:
-    n = len(tape.inputs)
-    d_weights: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    params = tape.params
+    grad = _wrap(np.empty((*d_out.shape[:-2], params.flat.shape[-1])), params.sizes)
     d_a = d_out
-    for i in range(n - 1, -1, -1):
-        x = tape.inputs[i]
-        d_weights[i] = x.swapaxes(-1, -2) @ d_a
-        d_biases[i] = d_a.sum(axis=-2)
+    for i in range(params.n_layers - 1, -1, -1):
+        x = tape.inputs[i]  # for i > 0, the post-tanh activation of layer i - 1
+        np.matmul(x.swapaxes(-1, -2), d_a, out=grad.weights[i])
+        np.add.reduce(d_a, axis=-2, out=grad.biases[i])
         if i > 0:
-            d_h = d_a @ tape.params.weights[i].swapaxes(-1, -2)
-            h = tape.inputs[i]  # post-tanh activation = input of layer i
-            d_a = d_h * (1.0 - h * h)
-    return MlpParams(tuple(d_weights), tuple(d_biases))
+            d_h = d_a @ params.weights[i].swapaxes(-1, -2)
+            d_a = d_h * (1.0 - x * x)
+    return grad
 
 
 def sgd_step(params: MlpParams, grad: Gradient, step_size: float) -> MlpParams:
-    """params - step_size * grad as fresh arrays; the inputs are untouched."""
+    """params - step_size * grad in a fresh buffer; the inputs are untouched."""
     if step_size < 0:
         raise ContractViolation(f"step_size must be >= 0, got {step_size}")
-    return MlpParams(
-        tuple(w - step_size * g for w, g in zip(params.weights, grad.weights)),
-        tuple(b - step_size * g for b, g in zip(params.biases, grad.biases)),
-    )
+    return _wrap(params.flat - step_size * grad.flat, params.sizes)
 
 
 def forward_jvp(tape: GradTape, tangent: Gradient) -> np.ndarray:
@@ -338,14 +343,13 @@ def hypergradient(
 
     d_logprobs = forward_jvp(tape_in, u)
     sensitivity = -d_logprobs / m
-    grad_gamma = param_scale(-beta2, vjp(sensitivity))
-
-    flat = to_flat(grad_gamma)
+    vjp_gamma = vjp(sensitivity)
+    flat = -beta2 * vjp_gamma.flat
     if not np.all(np.isfinite(flat)):
         raise NumericError(
             "non-finite hypergradient "
             f"(|targets|max={np.abs(targets).max():.3g}, "
-            f"|u|max={np.abs(to_flat(u)).max():.3g})",
+            f"|u|max={np.abs(u.flat).max():.3g})",
             lanes=nonfinite_lanes(flat, 1),
         )
-    return grad_gamma
+    return _wrap(flat, vjp_gamma.sizes)

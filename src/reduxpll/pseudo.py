@@ -17,15 +17,12 @@ operation is row-wise, so each lane's rows equal that run's rows alone.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
 from .errors import ConfigError, ContractViolation
-
-log = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.3
 
@@ -36,21 +33,13 @@ def _as_batch(x, dtype=np.float64):
 
 
 def _masked_renormalize(probs: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:
-    """Zero outside mask, renormalize inside it; uniform fallback on zero mass."""
+    """Zero outside mask, renormalize inside it; a row with no mass is an error."""
     masked = np.where(mask, probs, 0.0)
     denom = masked.sum(axis=-1, keepdims=True)
     bad = denom[..., 0] <= 0.0
     if np.any(bad):
-        # Unreachable with softmax outputs (strictly positive), kept as a guard.
-        log.warning(
-            "%s: zero candidate mass on %d row(s); falling back to uniform",
-            what,
-            int(bad.sum()),
-        )
-        counts = mask.sum(axis=-1, keepdims=True)
-        uniform = np.where(mask, 1.0 / np.maximum(counts, 1), 0.0)
-        masked = np.where(bad[..., None], uniform, masked)
-        denom = np.where(bad[..., None], 1.0, denom)
+        # softmax outputs are floored at PROB_FLOOR, so training never gets here
+        raise ContractViolation(f"{what}: zero candidate mass on {int(bad.sum())} row(s)")
     return masked / denom
 
 
@@ -140,13 +129,7 @@ def uniform_over(mask) -> np.ndarray:
 def init_reduction_matrix(candidates: np.ndarray) -> np.ndarray:
     """Initial reduction rows: uniform over S minus the row's label."""
     s = np.atleast_2d(np.asarray(candidates, dtype=bool))
-    m, c = s.shape
-    U = np.empty((m, c, c))
-    for j in range(c):
-        mask = s.copy()
-        mask[:, j] = False
-        U[:, j, :] = uniform_over(mask)
-    return U
+    return uniform_over(s[:, None, :] & ~np.eye(s.shape[-1], dtype=bool))
 
 
 @dataclass

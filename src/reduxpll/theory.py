@@ -107,27 +107,6 @@ class TheoryScenario:
 
     # -- JSON ----------------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "labels": self.c,
-            "excluded": sorted(self.excluded),
-            "tau": self.tau,
-            "epsilon": self.epsilon,
-            "epsilon_prime": self.epsilon_prime,
-            "points": [
-                {"eta": [float(v) for v in p.eta], "weight": p.weight}
-                for p in self.points
-            ],
-        }
-        if self.tsybakov is not None:
-            out["tsybakov"] = {
-                "C": self.tsybakov.C,
-                "lambda": self.tsybakov.lam,
-                "t0": self.tsybakov.t0,
-            }
-        return out
-
     @classmethod
     def from_dict(cls, doc: dict, name: str = "") -> "TheoryScenario":
         try:
@@ -219,27 +198,6 @@ def reduced_posterior(eta, excluded) -> np.ndarray:
         )
     out = np.where(mask, 0.0, eta / (1.0 - removed))
     return out
-
-
-def is_disturbing(eta, f_out, j: int, tau: float, epsilon: float) -> bool:
-    """True iff label j is indistinguishable from correct given the budgets.
-
-    Requires the model to track the posterior within epsilon everywhere on
-    the point and the posterior gap to label j to be at most tau.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ContractViolation(f"epsilon must be in (0, 1), got {epsilon}")
-    tau_cap = min(1.0, 2.0 * epsilon)
-    if not 0.0 < tau <= tau_cap:
-        raise ContractViolation(f"tau must be in (0, {tau_cap}], got {tau}")
-    eta = np.asarray(eta, dtype=np.float64)
-    f_out = np.asarray(f_out, dtype=np.float64)
-    star = bayes_label(eta)
-    if j == star:
-        raise ContractViolation("a disturbing label must differ from the most likely label")
-    if np.any(np.abs(f_out - eta) > epsilon):
-        return False
-    return bool(eta[star] - eta[j] <= tau)
 
 
 def membership_J(scenario: TheoryScenario, index: int) -> bool:

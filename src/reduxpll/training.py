@@ -144,8 +144,8 @@ class EpochMetrics:
 @dataclass
 class ModelBundle:
     theta: nets.MlpParams
-    # the c branches as one stacked head: weights[0] is (c, d, c), biases[0]
-    # is (c, c), and slice j is branch j, the one that excludes label j
+    # the c branches as one stacked head: its buffer is (c, d*c + c), one row
+    # per branch, and row j is branch j, the one that excludes label j
     omegas: nets.MlpParams
     gamma: nets.MlpParams
 
@@ -174,8 +174,9 @@ class TrainerState:
     """Runs in lockstep: every array has a leading lane axis, one slice per lane."""
 
     bundle: ModelBundle
-    theta_buf: nets.MlpParams
-    omega_buf: nets.MlpParams
+    # momentum buffers, laid out like the buffers of theta and the head
+    theta_buf: np.ndarray
+    omega_buf: np.ndarray
     pls: pseudo.PseudoLabelState
     prev_q: np.ndarray
     lanes: list[Lane]
@@ -206,8 +207,8 @@ def _stream(seed: int, purpose: str) -> np.random.Generator:
 
 def _momentum_step(params, grad, buf, lr, momentum):
     """buf' = momentum*buf + grad; params' = params - lr*buf' (all fresh arrays)."""
-    new_buf = nets.param_axpy(momentum, buf, grad)
-    return nets.sgd_step(params, new_buf, lr), new_buf
+    new_buf = momentum * buf + grad.flat
+    return nets.sgd_step(params, nets.from_flat(params, new_buf), lr), new_buf
 
 
 def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
@@ -253,8 +254,8 @@ def init_lanes(
     )
     return TrainerState(
         bundle=bundle,
-        theta_buf=nets.zeros_like_params(bundle.theta),
-        omega_buf=nets.zeros_like_params(bundle.omegas),
+        theta_buf=np.zeros_like(bundle.theta.flat),
+        omega_buf=np.zeros_like(bundle.omegas.flat),
         pls=pls,
         prev_q=pls.q.copy(),
         lanes=[
@@ -291,8 +292,8 @@ def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
     pls = state.pls
     return TrainerState(
         bundle=_take_bundle(state.bundle, keep),
-        theta_buf=nets.take(state.theta_buf, keep),
-        omega_buf=nets.take(state.omega_buf, keep),
+        theta_buf=state.theta_buf[keep],
+        omega_buf=state.omega_buf[keep],
         pls=pseudo.PseudoLabelState(
             mu=pls.mu[keep], U=pls.U[keep], w=pls.w[keep], v=pls.v[keep], q=pls.q[keep],
             alpha=pls.alpha[keep],
@@ -318,7 +319,7 @@ def _branch_probs(head: nets.MlpParams, z: np.ndarray) -> np.ndarray:
 
 
 def _branch_grad(z: np.ndarray, probs: np.ndarray, targets: np.ndarray) -> nets.Gradient:
-    """Per-branch mean cross-entropy gradient, stacked like the head.
+    """Per-branch mean cross-entropy gradient, in one buffer laid out like the head's.
 
     Runs the checks of `nets.backward_ce` on every branch: simplex targets and
     a finite loss.
@@ -332,8 +333,10 @@ def _branch_grad(z: np.ndarray, probs: np.ndarray, targets: np.ndarray) -> nets.
             "non-finite branch cross-entropy loss", lanes=nets.nonfinite_lanes(terms, 3)
         )
     d_a = (probs - targets) / m
-    z_t = z.swapaxes(-1, -2)[..., None, :, :]
-    return nets.MlpParams((np.matmul(z_t, d_a),), (d_a.sum(axis=-2),))
+    grad = nets.empty((z.shape[-1], probs.shape[-1]), d_a.shape[:-2])
+    np.matmul(z.swapaxes(-1, -2)[..., None, :, :], d_a, out=grad.weights[0])
+    np.add.reduce(d_a, axis=-2, out=grad.biases[0])
+    return grad
 
 
 def _batch_step(
@@ -372,7 +375,8 @@ def _batch_step(
         U_new = pseudo.reduction_matrix(_branch_probs(head, z), S)
 
         if config.method == "reduxpll":
-            theta_snapshot = nets.to_flat(theta)
+            # a copy, since the check watches theta's own buffer
+            theta_snapshot = theta.flat.copy()
 
             # meta update through a trial step on a sampled validation batch
             val_idx = np.stack([
@@ -400,7 +404,7 @@ def _batch_step(
             state.bundle = replace(state.bundle, gamma=gamma_new)
 
             # the trial step must leave no trace: theta is bit-identical to before
-            if not np.array_equal(nets.to_flat(state.bundle.theta), theta_snapshot):
+            if not np.array_equal(state.bundle.theta.flat, theta_snapshot):
                 raise ContractViolation(
                     f"rollback drifted at epoch {epoch}, batch {batch_idx}"
                 )
@@ -430,7 +434,7 @@ def _batch_step(
 
 def _lane_failure(state: TrainerState, exc: NumericError, where: str) -> NumericError:
     """`exc` restated with the seed, alpha and |theta|max of each lane it names."""
-    flat = nets.to_flat(state.bundle.theta)
+    flat = state.bundle.theta.flat
     lanes = exc.lanes or range(len(state.lanes))
     who = "; ".join(
         f"seed {state.lanes[k].config.seed}, alpha {state.lanes[k].config.alpha:g} "
@@ -576,7 +580,8 @@ def fit_lanes(
         for fh, lane in zip(metrics_fhs, state.lanes):
             if fh is not None:
                 fh.writelines(_metrics_line(m) for m in lane.history)
-        while ids and state.epoch < config.epochs:
+        # only a run resumed from the checkpoint of its early stop starts stopped
+        while ids and state.epoch < config.epochs and state.lanes[0].stagnant < config.patience:
             state, metrics = train_epoch(state, datasets, config)
             finished = []
             for k, (i, lane, lane_metrics) in enumerate(zip(ids, state.lanes, metrics)):
@@ -587,7 +592,7 @@ def fit_lanes(
                     lane.best_val_accuracy = lane_metrics.val_accuracy
                     lane.best_epoch = lane_metrics.epoch
                     lane.best_test_accuracy = lane_metrics.test_accuracy
-                    lane.best_theta_flat = nets.to_flat(nets.take(state.bundle.theta, k))
+                    lane.best_theta_flat = nets.take(state.bundle.theta, k).flat
                     lane.stagnant = 0
                 else:
                     lane.stagnant += 1
@@ -646,15 +651,6 @@ def _metrics_line(metrics: EpochMetrics) -> str:
     return json.dumps(vars(metrics), sort_keys=True) + "\n"
 
 
-def train_proden(
-    datasets: tuple[PllDataset, PllDataset, PllDataset],
-    config: TrainConfig,
-    **kwargs,
-) -> RunResult:
-    """Self-training baseline on the candidate-renormalized targets alone."""
-    return fit(datasets, replace(config, method="proden"), **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Checkpointing (deterministic bytes: fixed zip timestamps)
 # ---------------------------------------------------------------------------
@@ -690,18 +686,18 @@ def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
 def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
     """Persist lane `lane` of the stack as a one-run checkpoint.
 
-    Branch heads are stored one row per branch, each laid out as
-    `nets.to_flat` of that branch alone.
+    Each net is its buffer's row for the lane; the branch head's row holds
+    one row per branch, each laid out as `nets.to_flat` of that branch alone.
     """
     run = state.lanes[lane]
     config = run.config
     bundle = state.bundle
     arrays = {
-        "theta": nets.to_flat(nets.take(bundle.theta, lane)),
-        "gamma": nets.to_flat(nets.take(bundle.gamma, lane)),
-        "omegas": nets.to_flat(nets.take(bundle.omegas, lane)),
-        "theta_buf": nets.to_flat(nets.take(state.theta_buf, lane)),
-        "omega_bufs": nets.to_flat(nets.take(state.omega_buf, lane)),
+        "theta": bundle.theta.flat[lane],
+        "gamma": bundle.gamma.flat[lane],
+        "omegas": bundle.omegas.flat[lane],
+        "theta_buf": state.theta_buf[lane],
+        "omega_bufs": state.omega_buf[lane],
         "mu": state.pls.mu[lane],
         "U": state.pls.U[lane],
         "w": state.pls.w[lane],
@@ -752,6 +748,7 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
     template = init_state(train_ds, config)
 
     def params(like: nets.MlpParams, member: str) -> nets.MlpParams:
+        """The member as a one-lane stack, checked against the layout of `like`."""
         return nets.from_flat(like, data[member][None])
 
     bundle = ModelBundle(
@@ -770,8 +767,8 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
         lane.rngs[key].bit_generator.state = rng_state
     return TrainerState(
         bundle=bundle,
-        theta_buf=params(template.bundle.theta, "theta_buf"),
-        omega_buf=params(template.bundle.omegas, "omega_bufs"),
+        theta_buf=params(template.bundle.theta, "theta_buf").flat,
+        omega_buf=params(template.bundle.omegas, "omega_bufs").flat,
         pls=pseudo.PseudoLabelState(
             mu=data["mu"][None].copy(),
             U=data["U"][None].copy(),

@@ -37,6 +37,11 @@ def random_net(rng, sizes) -> nets.MlpParams:
     return nets.init_mlp(sizes, rng)
 
 
+def zero_net(like: nets.MlpParams) -> nets.MlpParams:
+    """Nets shaped like `like` with every parameter zero."""
+    return nets.from_flat(like, np.zeros_like(nets.to_flat(like)))
+
+
 def random_simplex_rows(rng, n, c) -> np.ndarray:
     raw = rng.random((n, c)) + 1e-3
     return raw / raw.sum(axis=1, keepdims=True)

@@ -4,7 +4,7 @@ import pytest
 from reduxpll import nets
 from reduxpll.errors import ContractViolation, DimensionError, NumericError
 
-from conftest import ce_value, fd_gradient, random_simplex_rows, rel_error
+from conftest import ce_value, fd_gradient, random_simplex_rows, rel_error, zero_net
 
 
 def test_zero_net_outputs_uniform_rows():
@@ -54,6 +54,69 @@ def test_flat_round_trip_is_bit_exact():
     rebuilt = nets.from_flat(params, nets.to_flat(params))
     for a, b in zip(params.weights + params.biases, rebuilt.weights + rebuilt.biases):
         assert np.array_equal(a, b)
+
+
+def _reference_to_flat(weights, biases):
+    """The layout every net's buffer must have: W0, b0, W1, b1, ... concatenated."""
+    lead = biases[0].shape[:-1]
+    parts = []
+    for w, b in zip(weights, biases):
+        parts.append(w.reshape(*lead, -1))
+        parts.append(b)
+    return np.concatenate(parts, axis=-1)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (3, 4)], ids=["one", "lanes", "lanes-branches"])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_buffer_holds_every_layer_in_the_reference_layout(lead, seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 9, size=int(rng.integers(2, 5))).tolist()
+    weights = [rng.standard_normal((*lead, a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
+    biases = [rng.standard_normal((*lead, b)) for b in sizes[1:]]
+    params = nets.MlpParams(weights, biases)
+    flat = nets.to_flat(params)
+    assert np.array_equal(flat, _reference_to_flat(weights, biases))
+    for view, layer in zip(params.weights + params.biases, weights + biases):
+        assert np.shares_memory(view, flat) and np.array_equal(view, layer)
+
+    rebuilt = nets.from_flat(params, flat)
+    assert nets.to_flat(rebuilt) is flat
+    for view in rebuilt.weights + rebuilt.biases:
+        assert np.shares_memory(view, flat)
+
+    grad = nets.from_flat(params, rng.standard_normal(flat.shape))
+    kept = flat.copy(), nets.to_flat(grad).copy()
+    stepped = nets.sgd_step(params, grad, 0.3)
+    assert np.array_equal(flat, kept[0]) and np.array_equal(nets.to_flat(grad), kept[1])
+    assert not np.shares_memory(nets.to_flat(stepped), flat)
+    assert np.array_equal(
+        nets.to_flat(stepped),
+        _reference_to_flat(
+            [w - 0.3 * g for w, g in zip(weights, grad.weights)],
+            [b - 0.3 * g for b, g in zip(biases, grad.biases)],
+        ),
+    )
+
+    x = rng.standard_normal((5, sizes[0]))  # one batch shared by every net
+    probs, tape = nets.forward(params, x)
+    _, backward = nets.backward_ce(tape, probs, np.full(probs.shape, 1.0 / sizes[-1]))
+    assert nets.to_flat(backward).shape == flat.shape
+    for view in backward.weights + backward.biases:
+        assert np.shares_memory(view, nets.to_flat(backward))
+
+
+def test_stack_and_take_index_one_buffer():
+    rng = np.random.default_rng(4)
+    lanes = [nets.init_mlp([3, 5, 2], rng) for _ in range(4)]
+    stacked = nets.stack(lanes)
+    assert np.array_equal(nets.to_flat(stacked), np.stack([nets.to_flat(p) for p in lanes]))
+    one, some = nets.take(stacked, 2), nets.take(stacked, [3, 0])
+    assert np.array_equal(nets.to_flat(one), nets.to_flat(lanes[2]))
+    assert np.array_equal(nets.to_flat(some), nets.to_flat(stacked)[[3, 0]])
+    for taken in (one, some):  # copies, not views of the stack
+        assert not np.shares_memory(nets.to_flat(taken), nets.to_flat(stacked))
+    with pytest.raises(DimensionError):  # both buffers hold 9 numbers
+        nets.stack([nets.init_mlp([2, 2, 1], rng), nets.init_mlp([2, 3], rng)])
 
 
 def test_from_flat_rejects_wrong_length():
@@ -137,7 +200,7 @@ def test_backward_probs_vjp_matches_finite_differences(seed):
 
 def test_sgd_zero_gradient_is_identity():
     params = nets.init_mlp([3, 4], np.random.default_rng(0))
-    out = nets.sgd_step(params, nets.zeros_like_params(params), 0.5)
+    out = nets.sgd_step(params, zero_net(params), 0.5)
     assert np.array_equal(nets.to_flat(out), nets.to_flat(params))
 
 
@@ -229,7 +292,7 @@ def test_hypergradient_zero_when_targets_ignore_gamma():
     fixed = np.full((4, 3), 1.0 / 3.0)
 
     def fn(gamma_params, x):
-        return fixed, lambda d: nets.zeros_like_params(gamma_params)
+        return fixed, lambda d: zero_net(gamma_params)
 
     grad = nets.hypergradient(theta, gamma, x_in, x_out, y_out, 0.1, fn)
     assert np.all(nets.to_flat(grad) == 0.0)

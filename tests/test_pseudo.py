@@ -31,11 +31,9 @@ def test_basic_pseudo_preserves_candidate_argmax():
         assert mu.argmax() == masked.argmax()
 
 
-def test_basic_pseudo_zero_mass_fallback_is_uniform(caplog):
-    with caplog.at_level("WARNING"):
-        mu = pseudo.basic_pseudo([0.0, 0.0, 1.0], [True, True, False])
-    assert np.allclose(mu, [0.5, 0.5, 0.0])
-    assert "uniform" in caplog.text
+def test_basic_pseudo_zero_mass_is_a_contract_violation():
+    with pytest.raises(ContractViolation, match="basic_pseudo: zero candidate mass on 1 row"):
+        pseudo.basic_pseudo([0.0, 0.0, 1.0], [True, True, False])
 
 
 def test_reduction_row_worked_example():
@@ -202,14 +200,14 @@ def test_reduction_matrix_empty_support_names_the_label():
         pseudo.reduction_matrix(probs, S)
 
 
-def test_reduction_matrix_zero_mass_rows_fall_back_to_uniform(caplog):
+def test_reduction_matrix_zero_mass_rows_are_a_contract_violation():
     probs = np.full((3, 2, 3), 1.0 / 3.0)
     probs[0, 1] = [0.0, 0.0, 1.0]  # branch 0 puts no mass on instance 1's row support
     S = np.array([[True, True, True], [True, True, False]])
-    U = pseudo.reduction_matrix(probs, S)
-    assert np.array_equal(U[1, 0], [0.0, 1.0, 0.0])
-    assert np.array_equal(U[0, 0], [0.0, 0.5, 0.5])
-    assert "zero candidate mass on 1 row(s)" in caplog.text
+    with pytest.raises(ContractViolation, match="zero candidate mass on 1 row"):
+        pseudo.reduction_matrix(probs, S)
+    probs[0, 1] = [0.0, 1e-300, 1.0]  # the softmax floor leaves mass on every label
+    assert np.array_equal(pseudo.reduction_matrix(probs, S)[1, 0], [0.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

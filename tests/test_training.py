@@ -8,6 +8,8 @@ import pytest
 from reduxpll import data, nets, training
 from reduxpll.errors import ConfigError, ContractViolation, NumericError
 
+from conftest import zero_net
+
 FAST = dict(epochs=5, batch_size=64)
 
 
@@ -77,7 +79,7 @@ def test_frozen_meta_matches_uniform_weight_ablation_bitwise(small_dataset):
     bundle = training.ModelBundle(
         theta=nets.take(init.theta, 0),
         omegas=nets.take(init.omegas, 0),
-        gamma=nets.zeros_like_params(nets.take(init.gamma, 0)),
+        gamma=zero_net(nets.take(init.gamma, 0)),
     )
     r_rx = training.fit(small_dataset, cfg_rx, init_bundle=bundle)
 
@@ -216,6 +218,24 @@ def test_checkpoints_land_every_ten_epochs_and_resume_to_the_straight_run(
     assert ckpt.read_bytes() == straight_ckpt.read_bytes()
 
 
+def test_resuming_the_checkpoint_of_an_early_stop_trains_no_further(small_dataset, tmp_path):
+    cfg = training.TrainConfig(method="proden", seed=0, epochs=30, patience=2)
+    metrics, ckpt = tmp_path / "metrics.jsonl", tmp_path / "ck.npz"
+    straight = training.fit(small_dataset, cfg, metrics_path=metrics, checkpoint_path=ckpt)
+    assert len(straight.history) < cfg.epochs  # the run stopped early
+    logged, saved = metrics.read_bytes(), ckpt.read_bytes()
+    resumed = training.fit(
+        small_dataset, cfg, metrics_path=metrics, checkpoint_path=ckpt, resume_from=ckpt
+    )
+    assert _histories_equal(straight.history, resumed.history)
+    assert (resumed.best_epoch, resumed.test_accuracy) == (
+        straight.best_epoch, straight.test_accuracy
+    )
+    assert np.array_equal(nets.to_flat(resumed.best_theta), nets.to_flat(straight.best_theta))
+    assert metrics.read_bytes() == logged
+    assert ckpt.read_bytes() == saved
+
+
 def test_resume_rejects_a_checkpoint_of_another_training_set_size(small_dataset, tmp_path):
     def parts(n):
         ds = data.gen_gaussian_mixture(5, 2, n, 2.5, seed=7)
@@ -320,13 +340,6 @@ def test_resume_requires_labels_and_validates_datasets(small_dataset):
     bare_val = data.PllDataset(val_ds.features, val_ds.candidates, None, None)
     with pytest.raises(ConfigError):
         training.fit((train_ds, bare_val, test_ds), training.TrainConfig(epochs=1))
-
-
-def test_train_proden_wrapper_forces_method(small_dataset):
-    result = training.train_proden(
-        small_dataset, training.TrainConfig(method="reduxpll", epochs=2)
-    )
-    assert result.config.method == "proden"
 
 
 def test_rollback_check_fails_when_the_hypergradient_mutates_theta(
