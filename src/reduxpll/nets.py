@@ -106,7 +106,8 @@ def _wrap(flat: np.ndarray, sizes: tuple[int, ...]) -> MlpParams:
 def empty(sizes: Sequence[int], lead: tuple[int, ...] = ()) -> MlpParams:
     """Nets of layer widths `sizes` on an uninitialized (*lead, P) buffer.
 
-    Only for the function that fills it, before it hands the nets on.
+    Only for the function that fills it, before it hands the nets on, or as a
+    layout template whose values are never read.
     """
     return _wrap(np.empty((*lead, _n_params(sizes))), tuple(sizes))
 

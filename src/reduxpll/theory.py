@@ -15,6 +15,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 BALL_SLACK = 1e-12  # fp dust allowance when re-checking ball membership
+BALL_BLOCK = 65536  # rows the ball sampler draws and yields at a time
 _MAX_RESAMPLE_ROUNDS = 1000
 
 
@@ -279,33 +281,39 @@ def sample_simplex_ball(
     radius: float,
     support: np.ndarray,
     count: int,
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Uniform coordinate draws in [center +- radius], clipped, renormalized.
 
     Draws whose renormalized point leaves the ball (beyond fp dust) are
-    rejected and resampled, so every returned row honors the budget.
+    rejected and resampled, so every row honors the budget. Yields the
+    `count` accepted rows in blocks of at most BALL_BLOCK rows: each rejection
+    round draws its rows block by block and carries only the number it
+    rejected into the next round, so memory does not grow with `count`. Rows
+    come out in round order, not in the order of their first draw.
     """
     c = center.size
-    out = np.empty((count, c))
-    need = np.arange(count)
-    lo = np.clip(center - radius, 0.0, 1.0)
-    hi = np.clip(center + radius, 0.0, 1.0)
-    n_sup = int(support.sum())
+    lo = np.clip(center - radius, 0.0, 1.0)[support]
+    hi = np.clip(center + radius, 0.0, 1.0)[support]
+    n_sup = lo.size
+    need = count
     for _ in range(_MAX_RESAMPLE_ROUNDS):
-        k = need.size
-        draw = np.zeros((k, c))
-        draw[:, support] = rng.uniform(lo[support], hi[support], size=(k, n_sup))
-        total = draw.sum(axis=1)
-        ok = total > 0.0
-        # a row summing to 0 is all zeros: `where` leaves it so and `ok` rejects it
-        np.divide(draw, total[:, None], out=draw, where=ok[:, None])
-        dev = np.subtract(draw, center)
-        np.abs(dev, out=dev)
-        ok &= (dev <= radius + BALL_SLACK).all(axis=1)
-        out[need[ok]] = draw[ok]
-        need = need[~ok]
-        if need.size == 0:
-            return out
+        rejected = 0
+        for start in range(0, need, BALL_BLOCK):
+            k = min(BALL_BLOCK, need - start)
+            draw = np.zeros((k, c))
+            draw[:, support] = rng.uniform(lo, hi, size=(k, n_sup))
+            total = draw.sum(axis=1)
+            ok = total > 0.0
+            # a row summing to 0 is all zeros: `where` leaves it so and `ok` rejects it
+            np.divide(draw, total[:, None], out=draw, where=ok[:, None])
+            dev = np.subtract(draw, center)
+            np.abs(dev, out=dev)
+            ok &= (dev <= radius + BALL_SLACK).all(axis=1)
+            rejected += k - int(ok.sum())
+            yield draw[ok]
+        need = rejected
+        if need == 0:
+            return
     raise ScenarioError(
         f"ball sampling kept rejecting after {_MAX_RESAMPLE_ROUNDS} rounds "
         f"(radius {radius} too tight around the simplex)"
@@ -407,15 +415,15 @@ def verify_theorem1(
         candidates[star] = True
         candidates[list(scenario.excluded)] = True
 
-        f_samples = sample_simplex_ball(rng, eta, f_rad, support_all, count)
-        f_samples[:, ~candidates] = -np.inf
-        lhs_hits += int((f_samples.argmax(axis=1) == star).sum())
+        for f_block in sample_simplex_ball(rng, eta, f_rad, support_all, count):
+            f_block[:, ~candidates] = -np.inf
+            lhs_hits += int((f_block.argmax(axis=1) == star).sum())
 
         eta_reduced = reduced_posterior(eta, scenario.excluded)
-        phi_samples = sample_simplex_ball(
+        for phi_block in sample_simplex_ball(
             rng, eta_reduced, phi_rad, support_reduced, count
-        )
-        rhs_hits += int((phi_samples.argmax(axis=1) == star).sum())
+        ):
+            rhs_hits += int((phi_block.argmax(axis=1) == star).sum())
 
     lhs = lhs_hits / trials
     rhs = rhs_hits / trials
@@ -489,11 +497,12 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
         if count == 0:
             continue
         eta = scenario.points[i].eta
+        star = bayes_label(eta)
         eta_reduced = reduced_posterior(eta, scenario.excluded)
-        phi_samples = sample_simplex_ball(
+        for phi_block in sample_simplex_ball(
             rng, eta_reduced, scenario.epsilon_prime, support_reduced, count
-        )
-        hits += int((phi_samples.argmax(axis=1) == bayes_label(eta)).sum())
+        ):
+            hits += int((phi_block.argmax(axis=1) == star).sum())
 
     empirical = hits / trials
     return Theorem2Report(

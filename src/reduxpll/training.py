@@ -118,15 +118,20 @@ class TrainConfig:
         return cls(**doc)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
+        return _doc_hash(self.to_dict())
 
     def resume_hash(self) -> str:
         """Hash of everything that must match to resume a run (epoch budget may grow)."""
-        doc = self.to_dict()
-        doc.pop("epochs")
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        return _resume_hash(self.to_dict())
+
+
+def _doc_hash(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _resume_hash(doc: dict) -> str:
+    """`config_hash` of a config document without its epoch budget."""
+    return _doc_hash({k: v for k, v in doc.items() if k != "epochs"})
 
 
 @dataclass
@@ -220,6 +225,13 @@ def accuracy(theta: nets.MlpParams, ds: PllDataset) -> float:
     return float((probs.argmax(axis=1) == ds.true_labels).mean())
 
 
+def _fresh_lane(config: TrainConfig) -> Lane:
+    return Lane(
+        config=config,
+        rngs={"shuffle": _stream(config.seed, "shuffle"), "val": _stream(config.seed, "val")},
+    )
+
+
 def init_lanes(
     train_ds: PllDataset,
     configs: Sequence[TrainConfig],
@@ -258,16 +270,7 @@ def init_lanes(
         omega_buf=np.zeros_like(bundle.omegas.flat),
         pls=pls,
         prev_q=pls.q.copy(),
-        lanes=[
-            Lane(
-                config=config,
-                rngs={
-                    "shuffle": _stream(config.seed, "shuffle"),
-                    "val": _stream(config.seed, "val"),
-                },
-            )
-            for config in configs
-        ],
+        lanes=[_fresh_lane(config) for config in configs],
     )
 
 
@@ -690,7 +693,7 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
     one row per branch, each laid out as `nets.to_flat` of that branch alone.
     """
     run = state.lanes[lane]
-    config = run.config
+    config_doc = run.config.to_dict()
     bundle = state.bundle
     arrays = {
         "theta": bundle.theta.flat[lane],
@@ -709,9 +712,9 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
         ),
     }
     meta = {
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "resume_hash": config.resume_hash(),
+        "config": config_doc,
+        "config_hash": _doc_hash(config_doc),
+        "resume_hash": _resume_hash(config_doc),
         "epoch": state.epoch,
         "stagnant": run.stagnant,
         "best_epoch": run.best_epoch,
@@ -745,18 +748,21 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
                 f"checkpoint {path} holds {member} of shape {got}, "
                 f"but the training set needs {shape}"
             )
-    template = init_state(train_ds, config)
+    # one-lane layouts of the three nets, to check the members against
+    theta = nets.empty([train_ds.q, *config.hidden_sizes, c], (1,))
+    omegas = nets.empty([config.hidden_sizes[-1], c], (1, c))
+    gamma = nets.empty([train_ds.q, *config.meta_hidden_sizes, c], (1,))
 
     def params(like: nets.MlpParams, member: str) -> nets.MlpParams:
         """The member as a one-lane stack, checked against the layout of `like`."""
         return nets.from_flat(like, data[member][None])
 
     bundle = ModelBundle(
-        theta=params(template.bundle.theta, "theta"),
-        omegas=params(template.bundle.omegas, "omegas"),
-        gamma=params(template.bundle.gamma, "gamma"),
+        theta=params(theta, "theta"),
+        omegas=params(omegas, "omegas"),
+        gamma=params(gamma, "gamma"),
     )
-    lane = template.lanes[0]
+    lane = _fresh_lane(config)
     lane.stagnant = int(meta["stagnant"])
     lane.best_epoch = int(meta["best_epoch"])
     lane.best_val_accuracy = float(meta["best_val_accuracy"])
@@ -767,8 +773,8 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
         lane.rngs[key].bit_generator.state = rng_state
     return TrainerState(
         bundle=bundle,
-        theta_buf=params(template.bundle.theta, "theta_buf").flat,
-        omega_buf=params(template.bundle.omegas, "omega_bufs").flat,
+        theta_buf=params(theta, "theta_buf").flat,
+        omega_buf=params(omegas, "omega_bufs").flat,
         pls=pseudo.PseudoLabelState(
             mu=data["mu"][None].copy(),
             U=data["U"][None].copy(),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_ball_samples_honor_radius_and_support():
     rng = np.random.default_rng(2)
     center = np.array([0.6, 0.0, 0.3, 0.1])
     support = np.array([True, False, True, True])
-    out = theory.sample_simplex_ball(rng, center, 0.05, support, 500)
+    out = np.concatenate(list(theory.sample_simplex_ball(rng, center, 0.05, support, 500)))
     assert np.abs(out - center).max() <= 0.05 + 1e-9
     assert np.all(out[:, 1] == 0.0)
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
@@ -187,8 +188,115 @@ def test_ball_samples_honor_radius_and_support():
 def test_ball_radius_zero_returns_center_exactly():
     rng = np.random.default_rng(3)
     center = np.array([0.5, 0.3, 0.2])
-    out = theory.sample_simplex_ball(rng, center, 0.0, np.ones(3, bool), 7)
+    out = np.concatenate(list(theory.sample_simplex_ball(rng, center, 0.0, np.ones(3, bool), 7)))
     assert np.allclose(out, center, atol=1e-15)
+
+
+def reference_ball(rng, center, radius, support, count):
+    """The one-shot sampler: every round draws all its rows in one call.
+
+    Row i of the result is the first accepted redraw of row i, so its rows are
+    the streaming sampler's, in another order.
+    """
+    c = center.size
+    out = np.empty((count, c))
+    need = np.arange(count)
+    lo = np.clip(center - radius, 0.0, 1.0)
+    hi = np.clip(center + radius, 0.0, 1.0)
+    n_sup = int(support.sum())
+    for _ in range(theory._MAX_RESAMPLE_ROUNDS):
+        k = need.size
+        draw = np.zeros((k, c))
+        draw[:, support] = rng.uniform(lo[support], hi[support], size=(k, n_sup))
+        total = draw.sum(axis=1)
+        ok = total > 0.0
+        np.divide(draw, total[:, None], out=draw, where=ok[:, None])
+        ok &= (np.abs(draw - center) <= radius + theory.BALL_SLACK).all(axis=1)
+        out[need[ok]] = draw[ok]
+        need = need[~ok]
+        if need.size == 0:
+            return out
+    raise ScenarioError("reference sampler kept rejecting")
+
+
+# accepts about half its draws, so a few hundred rows take about ten rounds
+REJECTING_CENTER = np.array([0.8] + [0.025] * 8)
+REJECTING_RADIUS = 0.025
+
+
+def _sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_ball_blocks_yield_the_one_shot_rows_and_draws(monkeypatch, block):
+    monkeypatch.setattr(theory, "BALL_BLOCK", block)
+    support = np.ones(REJECTING_CENTER.size, bool)
+    ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    expect = reference_ball(ref_rng, REJECTING_CENTER, REJECTING_RADIUS, support, 300)
+    blocks = list(theory.sample_simplex_ball(rng, REJECTING_CENTER, REJECTING_RADIUS, support, 300))
+    assert max(len(b) for b in blocks) <= block
+    assert np.array_equal(_sorted_rows(np.concatenate(blocks)), _sorted_rows(expect))
+    # both consumed the same doubles: the streams are in the same state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _rejecting_scenario():
+    # nine labels around a dominant pair: the overridden radii below reject
+    # about two draws in three for theorem 1 and one in two for theorem 2
+    return make_scenario(
+        [[0.5, 0.4] + [0.0125] * 8], [1.0], {1}, tau=0.1, eps=0.1, eps_p=0.001,
+        tsy=(50.0, 1.0, 1.0),
+    )
+
+
+def _reports():
+    scen = theory.load_builtin_scenario("theorem1-4class")
+    rejecting = _rejecting_scenario()
+    return [
+        theory.verify_theorem1(scen, 3000, seed=4).to_dict(),
+        theory.verify_theorem1(rejecting, 1500, seed=4, f_radius=0.03, phi_radius=0.03).to_dict(),
+        theory.verify_theorem2(theory.load_builtin_scenario("theorem2-tsybakov"), 3000, seed=4).to_dict(),
+        theory.verify_theorem2(rejecting, 1500, seed=4).to_dict(),
+    ]
+
+
+@pytest.fixture(scope="module")
+def one_shot_reports():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theory, "sample_simplex_ball", lambda *args: iter([reference_ball(*args)]))
+        return _reports()
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_reports_do_not_depend_on_the_ball_block(monkeypatch, one_shot_reports, block):
+    monkeypatch.setattr(theory, "BALL_BLOCK", block)
+    assert _reports() == one_shot_reports
+
+
+def test_verifier_memory_does_not_grow_with_trials(monkeypatch):
+    # 2e5 trials as whole (count, 4) arrays peak near 23 MiB; 1024-row blocks
+    # stay near 0.2 MiB
+    monkeypatch.setattr(theory, "BALL_BLOCK", 1024)
+    scen = theory.load_builtin_scenario("theorem1-4class")
+    tracemalloc.start()
+    try:
+        theory.verify_theorem1(scen, 200_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_ball_sampling_gives_up_after_the_round_cap(monkeypatch):
+    monkeypatch.setattr(theory, "_MAX_RESAMPLE_ROUNDS", 1)
+    support = np.ones(REJECTING_CENTER.size, bool)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ScenarioError, match="kept rejecting after 1 rounds"):
+        list(theory.sample_simplex_ball(rng, REJECTING_CENTER, REJECTING_RADIUS, support, 100))
+    # a ball that accepts every draw finishes in the one round it is allowed
+    rows = list(theory.sample_simplex_ball(rng, REJECTING_CENTER, 0.0, support, 100))
+    assert sum(len(b) for b in rows) == 100
 
 
 # -- theorem 1 ---------------------------------------------------------------------
