@@ -736,7 +736,8 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
         raise ConfigError(
             f"checkpoint {path} was written under a different configuration"
         )
-    data = np.load(path)
+    with np.load(path) as npz:
+        data = {member: npz[member] for member in npz.files}
     n, c = train_ds.candidates.shape
     for member, shape in (
         ("mu", (n, c)), ("U", (n, c, c)), ("w", (n, c)), ("v", (n, c)),
@@ -767,7 +768,7 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
     lane.best_epoch = int(meta["best_epoch"])
     lane.best_val_accuracy = float(meta["best_val_accuracy"])
     lane.best_test_accuracy = float(meta["best_test_accuracy"])
-    lane.best_theta_flat = data["best_theta"].copy() if data["best_theta"].size else None
+    lane.best_theta_flat = data["best_theta"] if data["best_theta"].size else None
     lane.history = [EpochMetrics(**h) for h in meta["history"]]
     for key, rng_state in meta["rng_states"].items():
         lane.rngs[key].bit_generator.state = rng_state
@@ -776,14 +777,14 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
         theta_buf=params(theta, "theta_buf").flat,
         omega_buf=params(omegas, "omega_bufs").flat,
         pls=pseudo.PseudoLabelState(
-            mu=data["mu"][None].copy(),
-            U=data["U"][None].copy(),
-            w=data["w"][None].copy(),
-            v=data["v"][None].copy(),
-            q=data["q"][None].copy(),
+            mu=data["mu"][None],
+            U=data["U"][None],
+            w=data["w"][None],
+            v=data["v"][None],
+            q=data["q"][None],
             alpha=np.array([config.alpha]),
         ),
-        prev_q=data["prev_q"][None].copy(),
+        prev_q=data["prev_q"][None],
         lanes=[lane],
         epoch=int(meta["epoch"]),
         rollback_checks=int(meta["rollback_checks"]),

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 import zipfile
 from dataclasses import asdict, replace
 
@@ -249,6 +251,25 @@ def test_resume_rejects_a_checkpoint_of_another_training_set_size(small_dataset,
         training.fit(parts(400), replace(cfg, epochs=4), resume_from=ckpt)
     message = str(err.value)
     assert str(ckpt) in message and "(240, 5)" in message and "(320, 5)" in message
+
+
+def test_a_rejected_checkpoint_leaves_no_file_open(small_dataset, tmp_path):
+    ckpt = tmp_path / "ck.npz"
+    cfg = training.TrainConfig(method="proden", seed=2, epochs=1)
+    training.fit(small_dataset, cfg, checkpoint_path=ckpt)
+    other = data.split(data.gen_gaussian_mixture(5, 2, 100, 2.5, seed=7), data.SplitSpec(seed=7))
+
+    def rejected():
+        # the kept traceback and this frame form a cycle that only gc frees
+        with pytest.raises(ConfigError, match="training set needs") as err:
+            training.load_checkpoint(ckpt, other[0], cfg)
+        return err
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        rejected()
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_resume_after_a_crash_before_the_checkpoint_logs_each_epoch_once(
