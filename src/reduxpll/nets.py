@@ -8,11 +8,11 @@ tolerances.
 Each net (and each gradient) is one contiguous fp64 buffer, `flat`, laid out
 W0, b0, W1, b1, ...; its `weights`/`biases` are views into it, so an optimizer
 step, a snapshot or a checkpoint row is one array operation. All functions
-are pure: no buffer is written after it is made, so one forward's tape can
-serve any number of backward passes. `to_flat` and `from_flat` share the
-buffer instead of copying it, so a caller that keeps a buffer to compare
-later (the training loop's check that a hypergradient left its predictor
-untouched) keeps a copy.
+are pure: a function writes only buffers it has just made, before it hands
+them on, so one forward's tape can serve any number of backward passes.
+`to_flat` and `from_flat` share the buffer instead of copying it, so a caller
+that keeps a buffer to compare later (the training loop's check that a
+hypergradient left its predictor untouched) keeps a copy.
 
 Every function is rank-polymorphic over a leading lane axis: a lane stack of
 S nets of one shape has a (S, P) buffer, so weights[i] is (S, fan_in,
@@ -25,6 +25,7 @@ one net.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,31 +70,34 @@ class MlpParams:
         # sums, gradients fed only to sgd_step) never need their layers
         if name not in ("weights", "biases"):
             raise AttributeError(name)
-        lead = self.flat.shape[:-1]
-        weights, biases, pos = [], [], 0
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            end = pos + fan_in * fan_out
-            weights.append(self.flat[..., pos:end].reshape(*lead, fan_in, fan_out))
-            biases.append(self.flat[..., end : end + fan_out])
-            pos = end + fan_out
+        flat = self.flat
+        lead = flat.shape[:-1]
+        weights, biases = [], []
+        for w_cols, w_shape, b_cols in _layout(self.sizes):
+            weights.append(flat[..., w_cols].reshape(lead + w_shape))
+            biases.append(flat[..., b_cols])
         self.weights, self.biases = tuple(weights), tuple(biases)
         return getattr(self, name)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.sizes) - 1
-
-    @property
-    def in_dim(self) -> int:
-        return self.sizes[0]
 
 
 # Gradients share the container: same layout, layer for layer.
 Gradient = MlpParams
 
 
-def _n_params(sizes: Sequence[int]) -> int:
-    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+@functools.cache
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+    """Per layer of nets of widths `sizes`: its weight columns of the buffer,
+    the weight shape and its bias columns."""
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = pos + fan_in * fan_out
+        layers.append((slice(pos, end), (fan_in, fan_out), slice(end, end + fan_out)))
+        pos = end + fan_out
+    return tuple(layers)
+
+
+def _n_params(sizes: tuple[int, ...]) -> int:
+    return _layout(sizes)[-1][2].stop
 
 
 def _wrap(flat: np.ndarray, sizes: tuple[int, ...]) -> MlpParams:
@@ -109,7 +113,8 @@ def empty(sizes: Sequence[int], lead: tuple[int, ...] = ()) -> MlpParams:
     Only for the function that fills it, before it hands the nets on, or as a
     layout template whose values are never read.
     """
-    return _wrap(np.empty((*lead, _n_params(sizes))), tuple(sizes))
+    sizes = tuple(sizes)
+    return _wrap(np.empty((*lead, _n_params(sizes))), sizes)
 
 
 @dataclass(frozen=True)
@@ -172,29 +177,49 @@ def from_flat(template: MlpParams, flat: np.ndarray) -> MlpParams:
     return _wrap(flat, template.sizes)
 
 
+def _as_rows(x: np.ndarray) -> np.ndarray:
+    """`x` with at least two axes, the same array when it has them."""
+    return x if x.ndim >= 2 else np.atleast_2d(x)
+
+
+def _least(arr: np.ndarray) -> float:
+    """The least entry of `arr` that is not NaN (inf if there is none).
+
+    So `_least(arr) < t` is `np.any(arr < t)` in one reduction, NaN and
+    empty arrays included, where `arr.min()` would return NaN or raise.
+    """
+    return np.fmin.reduce(arr, axis=None, initial=np.inf)
+
+
+def _greatest(arr: np.ndarray) -> float:
+    """The greatest entry of `arr` that is not NaN (-inf if there is none)."""
+    return np.fmax.reduce(arr, axis=None, initial=-np.inf)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return np.maximum(p, PROB_FLOOR)
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return np.maximum(z, PROB_FLOOR, out=z)
 
 
 def forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, GradTape]:
     """Run the net on a (m, in_dim) batch; returns simplex rows and their tape."""
-    x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if x.shape[-1] != params.in_dim:
-        raise DimensionError(
-            f"batch has {x.shape[-1]} features, net expects {params.in_dim}"
-        )
+    x = _as_rows(np.asarray(batch, dtype=np.float64))
+    in_dim = params.sizes[0]
+    if x.shape[-1] != in_dim:
+        raise DimensionError(f"batch has {x.shape[-1]} features, net expects {in_dim}")
     inputs = []
     h = x
-    last = params.n_layers - 1
+    last = len(params.sizes) - 2
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        a = h @ w + b[..., None, :]
-        h = a if i == last else np.tanh(a)
+        h = h @ w
+        h += b[..., None, :]
+        if i != last:
+            np.tanh(h, out=h)
     probs = softmax(h)
-    if not np.all(np.isfinite(probs)):
+    if not np.isfinite(probs).all():
         raise NumericError(
             "forward pass produced non-finite probabilities",
             lanes=nonfinite_lanes(probs, 2),
@@ -203,8 +228,8 @@ def forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, GradTape]
 
 
 def check_simplex_rows(mat: np.ndarray, what: str, tol: float = SIMPLEX_TOL) -> None:
-    mat = np.atleast_2d(mat)
-    if np.any(mat < -tol) or np.any(np.abs(mat.sum(axis=-1) - 1.0) > tol):
+    mat = _as_rows(np.asarray(mat, dtype=np.float64))
+    if _least(mat) < -tol or _greatest(np.abs(np.add.reduce(mat, axis=-1) - 1.0)) > tol:
         raise ContractViolation(f"{what} rows are off the probability simplex (tol {tol})")
 
 
@@ -217,34 +242,37 @@ def backward_ce(
     the log. The softmax+CE gradient shortcut (p - t)/m is used at the output.
     The loss is a float for one net and one value per lane for a stack.
     """
-    probs = np.atleast_2d(probs)
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    probs = _as_rows(np.asarray(probs))
+    targets = _as_rows(np.asarray(targets, dtype=np.float64))
     if targets.shape != probs.shape:
         raise DimensionError(
             f"targets shape {targets.shape} != probs shape {probs.shape}"
         )
     check_simplex_rows(targets, "cross-entropy target")
     m = probs.shape[-2]
-    terms = targets * np.log(np.maximum(probs, CE_CLAMP))
-    loss = -terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / m
+    terms = np.maximum(probs, CE_CLAMP)
+    np.log(terms, out=terms)
+    terms *= targets
+    loss = -np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1) / m
     if not np.isfinite(loss).all():
         raise NumericError(
             f"non-finite cross-entropy loss ({loss.tolist()!r})",
             lanes=nonfinite_lanes(loss, 0),
         )
     loss = float(loss) if loss.ndim == 0 else loss
-    d_logits = (probs - targets) / m
-    grad = _backward_layers(tape, d_logits)
-    return loss, grad
+    d_logits = probs - targets
+    d_logits /= m
+    return loss, _backward_layers(tape, d_logits)
 
 
 def backward_probs_vjp(tape: GradTape, d_probs: np.ndarray) -> Gradient:
     """Parameter gradient for an arbitrary upstream gradient on the softmax output."""
     p = tape.probs
-    d_probs = np.atleast_2d(d_probs)
+    d_probs = _as_rows(np.asarray(d_probs))
     if d_probs.shape != p.shape:
         raise DimensionError(f"d_probs shape {d_probs.shape} != probs shape {p.shape}")
-    d_logits = p * (d_probs - (d_probs * p).sum(axis=-1, keepdims=True))
+    d_logits = d_probs - np.add.reduce(d_probs * p, axis=-1, keepdims=True)
+    d_logits *= p
     return _backward_layers(tape, d_logits)
 
 
@@ -252,13 +280,15 @@ def _backward_layers(tape: GradTape, d_out: np.ndarray) -> Gradient:
     params = tape.params
     grad = _wrap(np.empty((*d_out.shape[:-2], params.flat.shape[-1])), params.sizes)
     d_a = d_out
-    for i in range(params.n_layers - 1, -1, -1):
+    for i in range(len(params.sizes) - 2, -1, -1):
         x = tape.inputs[i]  # for i > 0, the post-tanh activation of layer i - 1
         np.matmul(x.swapaxes(-1, -2), d_a, out=grad.weights[i])
         np.add.reduce(d_a, axis=-2, out=grad.biases[i])
         if i > 0:
-            d_h = d_a @ params.weights[i].swapaxes(-1, -2)
-            d_a = d_h * (1.0 - x * x)
+            d_a = d_a @ params.weights[i].swapaxes(-1, -2)
+            slope = x * x
+            np.subtract(1.0, slope, out=slope)
+            d_a *= slope
     return grad
 
 
@@ -278,20 +308,20 @@ def forward_jvp(tape: GradTape, tangent: Gradient) -> np.ndarray:
     """
     params, inputs = tape.params, tape.inputs
     dh = np.zeros_like(inputs[0])
-    last = params.n_layers - 1
-    for i in range(params.n_layers):
-        da = (
-            inputs[i] @ tangent.weights[i]
-            + dh @ params.weights[i]
-            + tangent.biases[i][..., None, :]
-        )
+    last = len(params.sizes) - 2
+    for i in range(last + 1):
+        da = inputs[i] @ tangent.weights[i]
+        da += dh @ params.weights[i]
+        da += tangent.biases[i][..., None, :]
         if i == last:
             dh = da
         else:
             h = inputs[i + 1]  # post-tanh activation of layer i
-            dh = (1.0 - h * h) * da
+            dh = h * h
+            np.subtract(1.0, dh, out=dh)
+            dh *= da
     # d log p_j = da_j - sum_k p_k da_k
-    return dh - (tape.probs * dh).sum(axis=-1, keepdims=True)
+    return dh - np.add.reduce(tape.probs * dh, axis=-1, keepdims=True)
 
 
 # Maps (gamma, inner features) to a batch of inner targets plus a VJP pulling
@@ -329,7 +359,7 @@ def hypergradient(
     inner step and the forward-mode pass. `inner_forward` is the caller's
     `forward(theta, inner_batch)` result; when given, it is that tape.
     """
-    inner_batch = np.atleast_2d(np.asarray(inner_batch, dtype=np.float64))
+    inner_batch = _as_rows(np.asarray(inner_batch, dtype=np.float64))
     m = inner_batch.shape[-2]
     targets, vjp = pseudo_label_fn(gamma, inner_batch)
 
@@ -343,10 +373,11 @@ def hypergradient(
     _, u = backward_ce(tape_out, probs_out, outer_targets)
 
     d_logprobs = forward_jvp(tape_in, u)
-    sensitivity = -d_logprobs / m
+    sensitivity = np.negative(d_logprobs, out=d_logprobs)
+    sensitivity /= m
     vjp_gamma = vjp(sensitivity)
     flat = -beta2 * vjp_gamma.flat
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise NumericError(
             "non-finite hypergradient "
             f"(|targets|max={np.abs(targets).max():.3g}, "

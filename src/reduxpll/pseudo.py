@@ -17,6 +17,7 @@ operation is row-wise, so each lane's rows equal that run's rows alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +30,27 @@ DEFAULT_ALPHA = 0.3
 
 def _as_batch(x, dtype=np.float64):
     arr = np.asarray(x, dtype=dtype)
-    return np.atleast_2d(arr), arr.ndim == 1
+    return nets._as_rows(arr), arr.ndim == 1
+
+
+@functools.cache
+def _off_diagonal(c: int) -> np.ndarray:
+    """The read-only (c, c) mask that is True off the diagonal."""
+    mask = ~np.eye(c, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _masked_renormalize(probs: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:
     """Zero outside mask, renormalize inside it; a row with no mass is an error."""
     masked = np.where(mask, probs, 0.0)
-    denom = masked.sum(axis=-1, keepdims=True)
-    bad = denom[..., 0] <= 0.0
-    if np.any(bad):
+    denom = np.add.reduce(masked, axis=-1, keepdims=True)
+    if nets._least(denom) <= 0.0:
         # softmax outputs are floored at PROB_FLOOR, so training never gets here
-        raise ContractViolation(f"{what}: zero candidate mass on {int(bad.sum())} row(s)")
-    return masked / denom
+        bad = int((denom <= 0.0).sum())
+        raise ContractViolation(f"{what}: zero candidate mass on {bad} row(s)")
+    masked /= denom
+    return masked
 
 
 def basic_pseudo(probs, candidates) -> np.ndarray:
@@ -76,11 +86,10 @@ def reduction_matrix(branch_probs: np.ndarray, candidates: np.ndarray) -> np.nda
     candidates minus label j, i.e. `reduction_row(branch_probs[j], S, j)`,
     computed for every j at once. Lanes are leading axes of both arguments.
     """
-    c = branch_probs.shape[-3]
-    s = np.atleast_2d(np.asarray(candidates, dtype=bool))
-    mask = s[..., None, :] & ~np.eye(c, dtype=bool)
-    empty = np.argwhere(~mask.any(axis=-1))
-    if empty.size:
+    s = nets._as_rows(np.asarray(candidates, dtype=bool))
+    mask = s[..., None, :] & _off_diagonal(branch_probs.shape[-3])
+    if not mask.any(axis=-1).all():
+        empty = np.argwhere(~mask.any(axis=-1))
         raise ContractViolation(
             f"candidate set reduces to nothing when excluding label {empty[0, -1]}"
         )
@@ -129,7 +138,7 @@ def uniform_over(mask) -> np.ndarray:
 def init_reduction_matrix(candidates: np.ndarray) -> np.ndarray:
     """Initial reduction rows: uniform over S minus the row's label."""
     s = np.atleast_2d(np.asarray(candidates, dtype=bool))
-    return uniform_over(s[:, None, :] & ~np.eye(s.shape[-1], dtype=bool))
+    return uniform_over(s[:, None, :] & _off_diagonal(s.shape[-1]))
 
 
 @dataclass
@@ -189,24 +198,28 @@ class PseudoLabelState:
         targets = [("mu", self.mu), ("q", self.q)]
         if check_reduction:
             targets.append(("v", self.v))
+        # one reduction per check, with the verdict of np.any(x > tol) etc.
+        least, greatest = nets._least, nets._greatest
         for name, arr in targets:
-            if np.any(np.abs(arr.sum(axis=-1) - 1.0) > tol):
+            if greatest(np.abs(np.add.reduce(arr, axis=-1) - 1.0)) > tol:
                 raise ContractViolation(f"{name} rows do not sum to 1 within {tol}")
-            if np.any(arr < -tol):
+            if least(arr) < -tol:
                 raise ContractViolation(f"{name} has negative entries beyond {tol}")
-            if np.any(np.abs(arr[..., ~s]) > tol):
+            if greatest(np.abs(arr[..., ~s])) > tol:
                 raise ContractViolation(f"{name} puts mass outside the candidate sets")
         if not check_reduction:
             return
-        if np.any(np.abs(self.w.sum(axis=-1) - 1.0) > tol) or np.any(self.w < -tol):
+        w = self.w
+        if greatest(np.abs(np.add.reduce(w, axis=-1) - 1.0)) > tol or least(w) < -tol:
             raise ContractViolation("w rows are off the simplex")
         n, c = s.shape
         outside = ~s[:, None, :]
+        diagonal = np.arange(c)
         # one run's rows at a time keeps the temporaries at one run's size
         for U in self.U.reshape(-1, n, c, c):
-            if np.any(np.abs(U.sum(axis=-1) - 1.0) > tol):
+            if greatest(np.abs(np.add.reduce(U, axis=-1) - 1.0)) > tol:
                 raise ContractViolation("U rows do not sum to 1")
-            if np.any(np.abs(U[:, np.arange(c), np.arange(c)]) > tol):
+            if greatest(np.abs(U[:, diagonal, diagonal])) > tol:
                 raise ContractViolation("U rows put mass on their own excluded label")
-            if np.any(np.abs(U * outside) > tol):
+            if greatest(np.abs(U * outside)) > tol:
                 raise ContractViolation("U rows put mass outside the candidate sets")

@@ -217,7 +217,8 @@ def _momentum_step(params, grad, buf, lr, momentum):
 
 
 def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
-    return np.eye(c)[np.asarray(labels)]
+    """Rows of the (c, c) identity picked by `labels`, each in [0, c)."""
+    return (np.asarray(labels)[..., None] == np.arange(c)).astype(np.float64)
 
 
 def accuracy(theta: nets.MlpParams, ds: PllDataset) -> float:
@@ -274,13 +275,6 @@ def init_lanes(
     )
 
 
-def init_state(
-    train_ds: PllDataset, config: TrainConfig, init_bundle: ModelBundle | None = None
-) -> TrainerState:
-    """A one-lane stack for `config`."""
-    return init_lanes(train_ds, [config], [init_bundle])
-
-
 def _take_bundle(bundle: ModelBundle, lanes) -> ModelBundle:
     """`nets.take` of every net in the bundle."""
     return ModelBundle(
@@ -313,7 +307,7 @@ def _branch_probs(head: nets.MlpParams, z: np.ndarray) -> np.ndarray:
     probs = nets.softmax(
         np.matmul(z[..., None, :, :], head.weights[0]) + head.biases[0][..., None, :]
     )
-    if not np.all(np.isfinite(probs)):
+    if not np.isfinite(probs).all():
         raise NumericError(
             "branch head produced non-finite probabilities",
             lanes=nets.nonfinite_lanes(probs, 3),
@@ -329,13 +323,16 @@ def _branch_grad(z: np.ndarray, probs: np.ndarray, targets: np.ndarray) -> nets.
     """
     nets.check_simplex_rows(targets, "branch target")
     m = z.shape[-2]
-    terms = targets * np.log(np.maximum(probs, nets.CE_CLAMP))
+    terms = np.maximum(probs, nets.CE_CLAMP)
+    np.log(terms, out=terms)
+    terms *= targets
     # each term is bounded or NaN, so the sum is finite iff every term is
-    if not np.isfinite(terms.sum()):
+    if not np.isfinite(np.add.reduce(terms, axis=None)):
         raise NumericError(
             "non-finite branch cross-entropy loss", lanes=nets.nonfinite_lanes(terms, 3)
         )
-    d_a = (probs - targets) / m
+    d_a = probs - targets
+    d_a /= m
     grad = nets.empty((z.shape[-1], probs.shape[-1]), d_a.shape[:-2])
     np.matmul(z.swapaxes(-1, -2)[..., None, :, :], d_a, out=grad.weights[0])
     np.add.reduce(d_a, axis=-2, out=grad.biases[0])
@@ -373,7 +370,7 @@ def _batch_step(
         head, state.omega_buf = _momentum_step(
             head, grad_head, state.omega_buf, config.beta1, config.momentum
         )
-        state.bundle = replace(state.bundle, omegas=head)
+        state.bundle.omegas = head
 
         U_new = pseudo.reduction_matrix(_branch_probs(head, z), S)
 
@@ -404,7 +401,7 @@ def _batch_step(
                 pseudo_label_fn, inner_forward=(probs, tape),
             )
             gamma_new = nets.sgd_step(state.bundle.gamma, hyper, config.beta3)
-            state.bundle = replace(state.bundle, gamma=gamma_new)
+            state.bundle.gamma = gamma_new
 
             # the trial step must leave no trace: theta is bit-identical to before
             if not np.array_equal(state.bundle.theta.flat, theta_snapshot):
@@ -426,7 +423,7 @@ def _batch_step(
     theta_new, state.theta_buf = _momentum_step(
         theta, grad, state.theta_buf, config.beta2, config.momentum
     )
-    state.bundle = replace(state.bundle, theta=theta_new)
+    state.bundle.theta = theta_new
 
     # refresh stored pseudo-label state for the batch
     refreshed, _ = nets.forward(theta_new, x)

@@ -126,7 +126,7 @@ def test_criterion_2_gradient_suite():
 def test_criterion_3_rollback_exactness(small_dataset):
     train_ds = small_dataset[0]
     cfg = training.TrainConfig(method="reduxpll", epochs=5, batch_size=64)
-    state = training.init_state(train_ds, cfg)
+    state = training.init_lanes(train_ds, [cfg])
     batches = -(-train_ds.n // cfg.batch_size)
     for _ in range(cfg.epochs):
         # train_epoch raises if any rollback is not bit-identical

@@ -159,6 +159,59 @@ def test_ce_rejects_off_simplex_targets():
         nets.backward_ce(tape, probs, bad)
 
 
+@pytest.mark.parametrize("lanes", [None, 3])
+def test_ce_rejects_targets_with_a_negative_entry(lanes):
+    # every row sums to 1, and one entry of the last row of the last lane is -0.2
+    rng = np.random.default_rng(4)
+    one = [3, 4]
+    params = (
+        nets.init_mlp(one, rng)
+        if lanes is None
+        else nets.stack([nets.init_mlp(one, rng) for _ in range(lanes)])
+    )
+    probs, tape = nets.forward(params, rng.random((2, 3)))
+    targets = random_simplex_rows(rng, (lanes or 1) * 2, 4).reshape(probs.shape)
+    nets.backward_ce(tape, probs, targets)
+    targets.reshape(-1, 4)[-1] = [1.2, -0.2, 0.0, 0.0]  # a view: the last lane's last row
+    with pytest.raises(ContractViolation, match="off the probability simplex"):
+        nets.backward_ce(tape, probs, targets)
+
+
+def _elementwise_simplex_verdict(mat, tol=nets.SIMPLEX_TOL):
+    """The simplex-row check written with one comparison per entry (the reference)."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
+    return bool(np.any(mat < -tol) or np.any(np.abs(mat.sum(axis=-1) - 1.0) > tol))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[0.5, 0.5]],
+        [[1.2, -0.2]],
+        [[0.7, 0.7]],
+        [[np.nan, 1.0]],
+        [[np.nan, -1.0]],  # a NaN beside a negative entry: reject, as the reference does
+        [[0.5, 0.5], [np.nan, np.nan]],
+        [[0.5, 0.5], [np.nan, 0.5], [0.9, 0.9]],  # a NaN row beside a bad row sum
+        [[np.inf, 0.0]],
+        [[-np.inf, 1.0]],
+        [[np.inf, -np.inf]],
+        [[0.0, 1.0, 0.0]],
+        np.zeros((0, 3)),
+        np.zeros((2, 0)),
+        [[[0.5, 0.5]], [[np.nan, -1.0]]],  # lanes
+    ],
+)
+def test_simplex_check_gives_the_elementwise_verdict(mat):
+    expected = _elementwise_simplex_verdict(mat)
+    try:
+        nets.check_simplex_rows(np.asarray(mat, dtype=np.float64), "test")
+        raised = False
+    except ContractViolation:
+        raised = True
+    assert raised == expected
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_backward_ce_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
@@ -229,6 +282,53 @@ def test_sgd_never_mutates_inputs():
 
 
 # -- jvp and hypergradient ------------------------------------------------------
+
+def test_batch_functions_write_only_buffers_they_made():
+    """forward, both backwards, the JVP and the hypergradient leave every input,
+    every parameter buffer and every earlier tape bit-identical."""
+    rng = np.random.default_rng(11)
+    sizes = [3, 5, 4, 3]
+    theta = nets.stack([nets.init_mlp(sizes, rng) for _ in range(2)])
+    gamma = nets.stack([nets.init_mlp(sizes, rng) for _ in range(2)])
+    tangent = nets.stack([nets.init_mlp(sizes, rng) for _ in range(2)])
+    x = rng.standard_normal((6, 3))  # one batch shared by both lanes
+    x_out = rng.standard_normal((2, 7, 3))
+    targets = random_simplex_rows(rng, 12, 3).reshape(2, 6, 3)
+    y_out = np.eye(3)[rng.integers(0, 3, (2, 7))]
+    d_probs = rng.standard_normal((2, 6, 3))
+    U = _random_reduction_stack(rng, 12, 3).reshape(2, 6, 3, 3)
+
+    def fn(gamma_params, feats):
+        w, tape = nets.forward(gamma_params, feats)
+        return np.einsum("...ij,...ijr->...ir", w, U), lambda d: nets.backward_probs_vjp(
+            tape, np.einsum("...ir,...ijr->...ij", d, U)
+        )
+
+    probs, tape = nets.forward(theta, x)
+    watched = [x, x_out, targets, y_out, d_probs, U, theta.flat, gamma.flat, tangent.flat]
+    watched += [probs, tape.probs, *tape.inputs]
+    before = [a.copy() for a in watched]
+
+    def unchanged():
+        return all(a.tobytes() == b.tobytes() for a, b in zip(watched, before))
+
+    for call in (
+        lambda: nets.forward(theta, x),
+        lambda: nets.backward_ce(tape, probs, targets),
+        lambda: nets.backward_probs_vjp(tape, d_probs),
+        lambda: nets.forward_jvp(tape, tangent),
+        lambda: nets.hypergradient(theta, gamma, x, x_out, y_out, 0.3, fn),
+        lambda: nets.hypergradient(
+            theta, gamma, x, x_out, y_out, 0.3, fn, inner_forward=(probs, tape)
+        ),
+    ):
+        call()
+        assert unchanged()
+    # a second tape made after the calls is the first one, bit for bit
+    probs_again, tape_again = nets.forward(theta, x)
+    assert probs_again.tobytes() == probs.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(tape_again.inputs, tape.inputs))
+
 
 @pytest.mark.parametrize("seed", range(5))
 def test_forward_jvp_matches_directional_finite_difference(seed):

@@ -157,6 +157,28 @@ def test_state_validate_catches_off_support_mass():
 
 
 @pytest.mark.parametrize(
+    "name, row, match",
+    [
+        ("mu", [1.2, -0.2, 0.0], "mu has negative entries"),
+        ("q", [1.2, -0.2, 0.0], "q has negative entries"),
+        ("v", [1.2, -0.2, 0.0], "v has negative entries"),
+        ("mu", [np.nan, -0.5, 0.0], "mu has negative entries"),  # NaN beside a negative
+        ("mu", [0.6, 0.6, 0.0], "mu rows do not sum to 1"),
+        ("v", [0.6, 0.6, 0.0], "v rows do not sum to 1"),
+        ("w", [0.6, 0.6, 0.0], "w rows are off the simplex"),
+        ("w", [1.5, -0.5, 0.0], "w rows are off the simplex"),
+    ],
+)
+def test_state_validate_catches_off_simplex_rows_in_any_lane(name, row, match):
+    cands = np.array([[True, True, False], [True, True, True]])
+    state = pseudo.PseudoLabelState.initial(cands, alpha=np.array([0.3, 0.6]))
+    state.validate(cands)
+    getattr(state, name)[1, 0] = row  # lane 1, instance 0 (candidates {0, 1})
+    with pytest.raises(ContractViolation, match=match):
+        state.validate(cands)
+
+
+@pytest.mark.parametrize(
     "row, match",
     [
         ([0.0, 2.0, 0.0], "do not sum to 1"),

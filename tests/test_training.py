@@ -77,7 +77,7 @@ def test_alpha_one_matches_proden_trajectory_bitwise(small_dataset):
 def test_frozen_meta_matches_uniform_weight_ablation_bitwise(small_dataset):
     train_ds = small_dataset[0]
     cfg_rx = training.TrainConfig(method="reduxpll", beta3=0.0, seed=6, **FAST)
-    init = training.init_state(train_ds, cfg_rx).bundle  # a one-lane stack
+    init = training.init_lanes(train_ds, [cfg_rx]).bundle  # a one-lane stack
     bundle = training.ModelBundle(
         theta=nets.take(init.theta, 0),
         omegas=nets.take(init.omegas, 0),
@@ -105,7 +105,7 @@ def test_single_batch_epoch_runs_exactly_one_update_cycle(small_dataset):
     train_ds, val_ds, test_ds = small_dataset
     n = train_ds.n
     cfg = training.TrainConfig(method="reduxpll", batch_size=n, epochs=1)
-    state = training.init_state(train_ds, cfg)
+    state = training.init_lanes(train_ds, [cfg])
     state, _ = training.train_epoch(state, small_dataset, cfg)
     assert state.rollback_checks == 1
 
@@ -113,7 +113,7 @@ def test_single_batch_epoch_runs_exactly_one_update_cycle(small_dataset):
 def test_rollback_verified_every_batch_over_five_epochs(small_dataset):
     train_ds = small_dataset[0]
     cfg = training.TrainConfig(method="reduxpll", **FAST)
-    state = training.init_state(train_ds, cfg)
+    state = training.init_lanes(train_ds, [cfg])
     batches_per_epoch = -(-train_ds.n // cfg.batch_size)
     for _ in range(cfg.epochs):
         state, _ = training.train_epoch(state, small_dataset, cfg)
@@ -133,7 +133,7 @@ def test_best_checkpoint_dominates_final_epoch(small_dataset):
 def test_basic_targets_stay_candidate_supported_every_epoch(small_dataset):
     train_ds = small_dataset[0]
     cfg = training.TrainConfig(method="proden", epochs=3)
-    state = training.init_state(train_ds, cfg)
+    state = training.init_lanes(train_ds, [cfg])
     for _ in range(3):
         state, _ = training.train_epoch(state, small_dataset, cfg)
         assert np.all(state.pls.mu[:, ~train_ds.candidates] == 0.0)  # every lane
@@ -345,7 +345,7 @@ def test_checkpoint_bytes_are_deterministic(small_dataset, tmp_path):
 def test_nonfinite_loss_raises_numeric_error_with_context(small_dataset):
     train_ds = small_dataset[0]
     cfg = training.TrainConfig(method="proden", epochs=1)
-    state = training.init_state(train_ds, cfg)
+    state = training.init_lanes(train_ds, [cfg])
     poisoned = nets.MlpParams(
         tuple(w * np.nan for w in state.bundle.theta.weights),
         state.bundle.theta.biases,
@@ -374,7 +374,7 @@ def test_rollback_check_fails_when_the_hypergradient_mutates_theta(
 
     monkeypatch.setattr(nets, "forward_jvp", mutating_forward_jvp)
     cfg = training.TrainConfig(method="reduxpll", epochs=1)
-    state = training.init_state(small_dataset[0], cfg)
+    state = training.init_lanes(small_dataset[0], [cfg])
     with pytest.raises(ContractViolation, match="rollback drifted at epoch 1, batch 0"):
         training.train_epoch(state, small_dataset, cfg)
     assert state.rollback_checks == 0
