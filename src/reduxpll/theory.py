@@ -281,20 +281,22 @@ def sample_simplex_ball(
     radius: float,
     support: np.ndarray,
     count: int,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Uniform coordinate draws in [center +- radius], clipped, renormalized.
 
     Draws whose renormalized point leaves the ball (beyond fp dust) are
-    rejected and resampled, so every row honors the budget. Yields the
-    `count` accepted rows in blocks of at most BALL_BLOCK rows: each rejection
-    round draws its rows block by block and carries only the number it
-    rejected into the next round, so memory does not grow with `count`. Rows
+    rejected and resampled, so `count` rows are accepted in all. Each rejection
+    round draws its rows in blocks of at most BALL_BLOCK rows and yields every
+    drawn block with its acceptance mask, `(block, ok)`; only the number it
+    rejected carries into the next round, so memory does not grow with
+    `count`. Rejected rows stay in the block and may hold NaN. Accepted rows
     come out in round order, not in the order of their first draw.
     """
     c = center.size
     lo = np.clip(center - radius, 0.0, 1.0)[support]
     hi = np.clip(center + radius, 0.0, 1.0)[support]
     n_sup = lo.size
+    bound = radius + BALL_SLACK
     need = count
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         rejected = 0
@@ -302,15 +304,17 @@ def sample_simplex_ball(
             k = min(BALL_BLOCK, need - start)
             draw = np.zeros((k, c))
             draw[:, support] = rng.uniform(lo, hi, size=(k, n_sup))
-            total = draw.sum(axis=1)
+            # a row reduction, not column adds: numpy sums 8 or more entries pairwise
+            total = np.add.reduce(draw, axis=1)
             ok = total > 0.0
-            # a row summing to 0 is all zeros: `where` leaves it so and `ok` rejects it
-            np.divide(draw, total[:, None], out=draw, where=ok[:, None])
-            dev = np.subtract(draw, center)
-            np.abs(dev, out=dev)
-            ok &= (dev <= radius + BALL_SLACK).all(axis=1)
-            rejected += k - int(ok.sum())
-            yield draw[ok]
+            # a row summing to 0 is all zeros: it divides to NaN and `ok` rejects it
+            with np.errstate(invalid="ignore"):
+                draw /= total[:, None]
+            # one column at a time: a reduction along rows of c entries costs more
+            for j in range(c):
+                ok &= np.abs(draw[:, j] - center[j]) <= bound
+            rejected += k - int(np.count_nonzero(ok))
+            yield draw, ok
         need = rejected
         if need == 0:
             return
@@ -318,6 +322,25 @@ def sample_simplex_ball(
         f"ball sampling kept rejecting after {_MAX_RESAMPLE_ROUNDS} rounds "
         f"(radius {radius} too tight around the simplex)"
     )
+
+
+def _count_hits(
+    blocks: Iterator[tuple[np.ndarray, np.ndarray]], star: int, candidates: np.ndarray
+) -> int:
+    """Accepted rows whose argmax over the `candidates` columns is `star`.
+
+    Compares `star` with one rival column at a time under argmax's tie rule
+    (the lowest index wins): it must beat a rival left of it strictly and one
+    right of it at least weakly. Writes into each block's `ok` mask.
+    """
+    rivals = [int(j) for j in np.flatnonzero(candidates) if j != star]
+    hits = 0
+    for block, ok in blocks:
+        s = block[:, star]
+        for j in rivals:
+            ok &= (np.greater if j < star else np.greater_equal)(s, block[:, j])
+        hits += int(np.count_nonzero(ok))
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +438,15 @@ def verify_theorem1(
         candidates[star] = True
         candidates[list(scenario.excluded)] = True
 
-        for f_block in sample_simplex_ball(rng, eta, f_rad, support_all, count):
-            f_block[:, ~candidates] = -np.inf
-            lhs_hits += int((f_block.argmax(axis=1) == star).sum())
-
+        lhs_hits += _count_hits(
+            sample_simplex_ball(rng, eta, f_rad, support_all, count), star, candidates
+        )
         eta_reduced = reduced_posterior(eta, scenario.excluded)
-        for phi_block in sample_simplex_ball(
-            rng, eta_reduced, phi_rad, support_reduced, count
-        ):
-            rhs_hits += int((phi_block.argmax(axis=1) == star).sum())
+        rhs_hits += _count_hits(
+            sample_simplex_ball(rng, eta_reduced, phi_rad, support_reduced, count),
+            star,
+            support_all,
+        )
 
     lhs = lhs_hits / trials
     rhs = rhs_hits / trials
@@ -490,6 +513,7 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = _conditional_counts(scenario, members, trials, rng)
+    support_all = np.ones(scenario.c, dtype=bool)
     support_reduced = np.ones(scenario.c, dtype=bool)
     support_reduced[list(scenario.excluded)] = False
     hits = 0
@@ -499,10 +523,13 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
         eta = scenario.points[i].eta
         star = bayes_label(eta)
         eta_reduced = reduced_posterior(eta, scenario.excluded)
-        for phi_block in sample_simplex_ball(
-            rng, eta_reduced, scenario.epsilon_prime, support_reduced, count
-        ):
-            hits += int((phi_block.argmax(axis=1) == star).sum())
+        hits += _count_hits(
+            sample_simplex_ball(
+                rng, eta_reduced, scenario.epsilon_prime, support_reduced, count
+            ),
+            star,
+            support_all,
+        )
 
     empirical = hits / trials
     return Theorem2Report(

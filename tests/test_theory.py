@@ -1,9 +1,14 @@
+import hashlib
 import json
 import tracemalloc
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reduxpll import theory
 from reduxpll.errors import (
@@ -179,7 +184,7 @@ def test_ball_samples_honor_radius_and_support():
     rng = np.random.default_rng(2)
     center = np.array([0.6, 0.0, 0.3, 0.1])
     support = np.array([True, False, True, True])
-    out = np.concatenate(list(theory.sample_simplex_ball(rng, center, 0.05, support, 500)))
+    out = np.concatenate([b[ok] for b, ok in theory.sample_simplex_ball(rng, center, 0.05, support, 500)])
     assert np.abs(out - center).max() <= 0.05 + 1e-9
     assert np.all(out[:, 1] == 0.0)
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
@@ -188,7 +193,8 @@ def test_ball_samples_honor_radius_and_support():
 def test_ball_radius_zero_returns_center_exactly():
     rng = np.random.default_rng(3)
     center = np.array([0.5, 0.3, 0.2])
-    out = np.concatenate(list(theory.sample_simplex_ball(rng, center, 0.0, np.ones(3, bool), 7)))
+    blocks = theory.sample_simplex_ball(rng, center, 0.0, np.ones(3, bool), 7)
+    out = np.concatenate([b[ok] for b, ok in blocks])
     assert np.allclose(out, center, atol=1e-15)
 
 
@@ -235,8 +241,9 @@ def test_ball_blocks_yield_the_one_shot_rows_and_draws(monkeypatch, block):
     ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
     expect = reference_ball(ref_rng, REJECTING_CENTER, REJECTING_RADIUS, support, 300)
     blocks = list(theory.sample_simplex_ball(rng, REJECTING_CENTER, REJECTING_RADIUS, support, 300))
-    assert max(len(b) for b in blocks) <= block
-    assert np.array_equal(_sorted_rows(np.concatenate(blocks)), _sorted_rows(expect))
+    assert max(len(b) for b, _ in blocks) <= block
+    rows = np.concatenate([b[ok] for b, ok in blocks])
+    assert np.array_equal(_sorted_rows(rows), _sorted_rows(expect))
     # both consumed the same doubles: the streams are in the same state
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -261,10 +268,27 @@ def _reports():
     ]
 
 
+def reference_hits(blocks, star, candidates):
+    """The argmax hit rule: non-candidate columns set to -inf on the accepted rows."""
+    hits = 0
+    for block, ok in blocks:
+        rows = block[ok]
+        rows[:, ~candidates] = -np.inf
+        hits += int((rows.argmax(axis=1) == star).sum())
+    return hits
+
+
+def _one_shot_ball(*args):
+    rows = reference_ball(*args)
+    return iter([(rows, np.ones(len(rows), bool))])
+
+
 @pytest.fixture(scope="module")
 def one_shot_reports():
+    # neither the block sampler nor the column-wise hit count takes part
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(theory, "sample_simplex_ball", lambda *args: iter([reference_ball(*args)]))
+        mp.setattr(theory, "sample_simplex_ball", _one_shot_ball)
+        mp.setattr(theory, "_count_hits", reference_hits)
         return _reports()
 
 
@@ -295,8 +319,66 @@ def test_ball_sampling_gives_up_after_the_round_cap(monkeypatch):
     with pytest.raises(ScenarioError, match="kept rejecting after 1 rounds"):
         list(theory.sample_simplex_ball(rng, REJECTING_CENTER, REJECTING_RADIUS, support, 100))
     # a ball that accepts every draw finishes in the one round it is allowed
-    rows = list(theory.sample_simplex_ball(rng, REJECTING_CENTER, 0.0, support, 100))
-    assert sum(len(b) for b in rows) == 100
+    blocks = list(theory.sample_simplex_ball(rng, REJECTING_CENTER, 0.0, support, 100))
+    assert sum(int(ok.sum()) for _, ok in blocks) == 100
+
+
+def test_ball_of_zero_total_draws_ends_in_the_round_cap(monkeypatch):
+    # radius 0 around a vertex outside the support: every draw is all zeros,
+    # divides to NaN without a warning, and is rejected
+    monkeypatch.setattr(theory, "_MAX_RESAMPLE_ROUNDS", 1)
+    center = np.array([1.0, 0.0, 0.0])
+    support = np.array([False, True, True])
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="kept rejecting after 1 rounds"):
+            for _, ok in theory.sample_simplex_ball(rng, center, 0.0, support, 50):
+                assert not ok.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_column_hits_follow_the_argmax_tie_rule(data):
+    # a three-value grid makes ties on both sides of `star` common
+    c = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(1, 12))
+    block = data.draw(arrays(np.float64, (k, c), elements=st.sampled_from([0.0, 0.25, 0.5])))
+    ok = data.draw(arrays(np.bool_, k))
+    star = data.draw(st.integers(0, c - 1))
+    candidates = data.draw(arrays(np.bool_, c))
+    candidates[star] = True
+    if data.draw(st.booleans()):
+        block[~ok] = np.nan  # rejected zero-total rows divide to NaN
+    expect = reference_hits([(block, ok)], star, candidates)
+    assert theory._count_hits(iter([(block, ok.copy())]), star, candidates) == expect
+
+
+# sha256 of `json.dumps(report.to_dict(), sort_keys=True)` at 20 000 trials,
+# recorded before the verifiers counted hits column by column. The phi-ball hits
+# every time on both bundled scenarios (rhs and theorem 2 read 1.0), so the
+# phi-side rule is checked against argmax on `_rejecting_scenario` above.
+REPORT_SHA256 = {
+    ("theorem1-4class", "verify_theorem1", 0): "53bc36f81ffe9b37b9f72d8ef84851b9d7b9e7aa3cc608ea3d0765fe209b2b3c",
+    ("theorem1-4class", "verify_theorem1", 1): "ee3b6d94cf6ca745dfbf236eb348649ac883a38406e91b987118ca09b2f749eb",
+    ("theorem1-4class", "verify_theorem1", 2): "25b31e413d69931b18350ffb32279499368a48b8ff6bdbea6d51f20634d7597c",
+    ("theorem1-4class", "verify_theorem2", 0): "4c033faa629bdddf8b83a1c42a43b8ff0a9d490d34b76df40b3da1c6a81e1ac6",
+    ("theorem1-4class", "verify_theorem2", 1): "4c033faa629bdddf8b83a1c42a43b8ff0a9d490d34b76df40b3da1c6a81e1ac6",
+    ("theorem1-4class", "verify_theorem2", 2): "4c033faa629bdddf8b83a1c42a43b8ff0a9d490d34b76df40b3da1c6a81e1ac6",
+    ("theorem2-tsybakov", "verify_theorem1", 0): "e18663f3c41aadabedc7c7d0bba97daeaf010d2514b62d941d5b09ca892c0802",
+    ("theorem2-tsybakov", "verify_theorem1", 1): "5a7cfa8c60f557c3872250b3964b51edf341e90a46a698793603bb780aa65c40",
+    ("theorem2-tsybakov", "verify_theorem1", 2): "f212f00134df3322bc3d9754401677fad8081ad8b7a73409ce133c5ec755fe61",
+    ("theorem2-tsybakov", "verify_theorem2", 0): "7cc741ac5bc78530c05cd930bbcd2e9e7fd8a4c5c0b9091199e61f5bc3c2ad56",
+    ("theorem2-tsybakov", "verify_theorem2", 1): "7cc741ac5bc78530c05cd930bbcd2e9e7fd8a4c5c0b9091199e61f5bc3c2ad56",
+    ("theorem2-tsybakov", "verify_theorem2", 2): "7cc741ac5bc78530c05cd930bbcd2e9e7fd8a4c5c0b9091199e61f5bc3c2ad56",
+}
+
+
+@pytest.mark.parametrize("name, verifier, seed", sorted(REPORT_SHA256))
+def test_builtin_report_bytes_are_pinned(name, verifier, seed):
+    report = getattr(theory, verifier)(theory.load_builtin_scenario(name), 20_000, seed)
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name, verifier, seed]
 
 
 # -- theorem 1 ---------------------------------------------------------------------
