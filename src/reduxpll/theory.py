@@ -333,7 +333,7 @@ def _count_hits(
     (the lowest index wins): it must beat a rival left of it strictly and one
     right of it at least weakly. Writes into each block's `ok` mask.
     """
-    rivals = [int(j) for j in np.flatnonzero(candidates) if j != star]
+    rivals = [j for j in np.flatnonzero(candidates) if j != star]
     hits = 0
     for block, ok in blocks:
         s = block[:, star]

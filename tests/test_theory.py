@@ -184,7 +184,8 @@ def test_ball_samples_honor_radius_and_support():
     rng = np.random.default_rng(2)
     center = np.array([0.6, 0.0, 0.3, 0.1])
     support = np.array([True, False, True, True])
-    out = np.concatenate([b[ok] for b, ok in theory.sample_simplex_ball(rng, center, 0.05, support, 500)])
+    blocks = theory.sample_simplex_ball(rng, center, 0.05, support, 500)
+    out = np.concatenate([b[ok] for b, ok in blocks])
     assert np.abs(out - center).max() <= 0.05 + 1e-9
     assert np.all(out[:, 1] == 0.0)
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
