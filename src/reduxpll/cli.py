@@ -56,7 +56,12 @@ def _load_dataset(path_arg: str) -> tuple[data.PllDataset, Path, dict | None]:
         csv_path = path / "dataset.csv"
         manifest_path = path / "manifest.json"
         if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
+            try:
+                manifest = json.loads(manifest_path.read_text())
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
+            if not isinstance(manifest, dict):
+                raise ParseError(f"{manifest_path}: expected a JSON object")
     else:
         csv_path = path
     if not csv_path.exists():

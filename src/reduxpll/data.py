@@ -21,6 +21,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
 
+# Rows per block wherever a whole-dataset pass would otherwise make (n, c)
+# temporaries: the mixture posterior, the corruption and the validator.
+_ROW_BLOCK = 16384
+
 
 @dataclass
 class PllDataset:
@@ -70,53 +74,56 @@ def validate_dataset(
         raise DataError(
             f"features {feats.shape} and candidates {cands.shape} are not aligned"
         )
-    if not np.all(np.isfinite(feats)):
-        rows = np.unique(np.nonzero(~np.isfinite(feats))[0])
-        raise DataError(f"non-finite features in rows {rows.tolist()[:20]}", rows)
-    sizes = cands.sum(axis=1)
-    empty = np.nonzero(sizes == 0)[0]
-    if empty.size:
-        raise DataError(f"empty candidate sets in rows {empty.tolist()[:20]}", empty)
-    full = np.nonzero(sizes == ds.c)[0]
-    if full.size:
-        raise DataError(
-            f"candidate sets equal to the whole label space in rows {full.tolist()[:20]}",
-            full,
-        )
+    n, c = cands.shape
+
+    def reject_rows(message, test):
+        rows = _rows_where(n, test)
+        if rows.size:
+            raise DataError(f"{message} in rows {rows.tolist()[:20]}", rows)
+
+    def sizes(b):
+        return cands[b].sum(axis=1)
+
+    reject_rows("non-finite features", lambda b: ~np.isfinite(feats[b]).all(axis=1))
+    reject_rows("empty candidate sets", lambda b: sizes(b) == 0)
+    reject_rows(
+        "candidate sets equal to the whole label space", lambda b: sizes(b) == c
+    )
     if ds.true_labels is not None:
         y = np.asarray(ds.true_labels)
-        if y.shape != (ds.n,):
-            raise DataError(f"true_labels shape {y.shape} does not match n={ds.n}")
-        if np.any(y < 0) or np.any(y >= ds.c):
-            bad = np.nonzero((y < 0) | (y >= ds.c))[0]
-            raise DataError(f"labels out of range in rows {bad.tolist()[:20]}", bad)
-        missing = np.nonzero(~cands[np.arange(ds.n), y])[0]
-        if missing.size:
-            raise DataError(
-                f"true label missing from candidates in rows {missing.tolist()[:20]}",
-                missing,
-            )
+        if y.shape != (n,):
+            raise DataError(f"true_labels shape {y.shape} does not match n={n}")
+        reject_rows("labels out of range", lambda b: (y[b] < 0) | (y[b] >= c))
+
+        def has_label(b):
+            return np.take_along_axis(cands[b], y[b, None], axis=1)[:, 0]
+
+        reject_rows("true label missing from candidates", lambda b: ~has_label(b))
         if not allow_supervised:
-            singleton = np.nonzero((sizes == 1) & cands[np.arange(ds.n), y])[0]
-            if singleton.size:
-                raise DataError(
-                    "candidate sets equal to the bare true label in rows "
-                    f"{singleton.tolist()[:20]}",
-                    singleton,
-                )
+            reject_rows(
+                "candidate sets equal to the bare true label",
+                lambda b: (sizes(b) == 1) & has_label(b),
+            )
     if require_posterior and ds.posterior is None:
         raise DataError("posterior required but absent")
     if ds.posterior is not None:
         post = np.asarray(ds.posterior)
-        if post.shape != (ds.n, ds.c):
-            raise DataError(f"posterior shape {post.shape} != ({ds.n}, {ds.c})")
-        off = np.nonzero(
-            (np.abs(post.sum(axis=1) - 1.0) > 1e-9) | np.any(post < -1e-12, axis=1)
-        )[0]
-        if off.size:
-            raise DataError(
-                f"posterior rows off the simplex in rows {off.tolist()[:20]}", off
-            )
+        if post.shape != (n, c):
+            raise DataError(f"posterior shape {post.shape} != ({n}, {c})")
+        reject_rows(
+            "posterior rows off the simplex",
+            lambda b: (np.abs(post[b].sum(axis=1) - 1.0) > 1e-9)
+            | np.any(post[b] < -1e-12, axis=1),
+        )
+
+
+def _rows_where(n: int, test) -> np.ndarray:
+    """Indices of the rows where test(row slice) is true, _ROW_BLOCK rows at a time."""
+    hits = [
+        start + np.flatnonzero(test(slice(start, start + _ROW_BLOCK)))
+        for start in range(0, n, _ROW_BLOCK)
+    ]
+    return np.concatenate(hits) if hits else np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -173,22 +180,28 @@ class GaussianMixture:
         return post[0] if np.asarray(x).ndim == 1 else post
 
     def sample(self, n: int, rng: np.random.Generator) -> PllDataset:
-        """Draw features from the mixture marginal, labels from the exact posterior."""
-        comp = rng.integers(0, self.c, size=n)
-        x = self.means[comp] + rng.standard_normal((n, self.q)) * self.scales[comp][
-            :, None
-        ]
-        post = self.posterior(x)
+        """Draw features from the mixture marginal, labels from the exact posterior.
+
+        The three draws are whole-length, so the stream does not depend on the
+        block size; features, posteriors and labels are then made in row blocks,
+        each label overwriting its row's component.
+        """
+        labels = rng.integers(0, self.c, size=n)  # components, then labels
+        x = rng.standard_normal((n, self.q))
         u = rng.random(n)
-        labels = (post.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        labels = np.minimum(labels, self.c - 1)
+        post = np.empty((n, self.c))
         candidates = np.zeros((n, self.c), dtype=bool)
-        candidates[np.arange(n), labels] = True
+        for start in range(0, n, _ROW_BLOCK):
+            blk = slice(start, start + _ROW_BLOCK)
+            comp = labels[blk]
+            x[blk] *= self.scales[comp][:, None]
+            x[blk] += self.means[comp]
+            post[blk] = self.posterior(x[blk])
+            below = (post[blk].cumsum(axis=1) < u[blk, None]).sum(axis=1)
+            labels[blk] = np.minimum(below, self.c - 1)
+            np.put_along_axis(candidates[blk], labels[blk, None], True, axis=1)
         return PllDataset(
-            features=x,
-            candidates=candidates,
-            true_labels=labels.astype(np.int64),
-            posterior=post,
+            features=x, candidates=candidates, true_labels=labels, posterior=post
         )
 
 
@@ -242,8 +255,9 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi + inc_hi + (out_lo < new_lo), out_lo
 
 
-def _row_uniforms(seed: int, n: int, c: int) -> np.ndarray:
-    """(n, c) doubles; row i is default_rng(SeedSequence(seed, spawn_key=(i,))).random(c).
+def _row_uniforms(seed: int, n: int, c: int, start: int = 0) -> np.ndarray:
+    """(n, c) doubles; row i is the first c of instance start + i's stream,
+    default_rng(SeedSequence(seed, spawn_key=(start + i,))).random(c).
 
     The SeedSequence pool mixing, the PCG64 seeding and its XSL-RR output are
     replayed in wrapping uint32/uint64 arithmetic for all rows at once. Only
@@ -253,7 +267,7 @@ def _row_uniforms(seed: int, n: int, c: int) -> np.ndarray:
     words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_SS_POOL - len(words))  # padded because a spawn key follows
     entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.arange(n, dtype=np.uint32))
+    entropy.append(np.arange(start, start + n, dtype=np.uint32))
 
     hash_const = _SS_INIT_A
 
@@ -317,8 +331,8 @@ def corrupt_instance_dependent(
     if everything joined, the least likely incorrect label is removed.
     Deterministic per (seed, instance index), independent of iteration order:
     instance i compares its flip probabilities with the first c doubles of
-    default_rng(SeedSequence(seed, spawn_key=(i,))), computed for all
-    instances at once by `_row_uniforms`.
+    default_rng(SeedSequence(seed, spawn_key=(i,))), computed by
+    `_row_uniforms` for a block of _ROW_BLOCK instances at a time.
     """
     if ds.posterior is None:
         raise ConfigError("instance-dependent corruption needs exact posteriors")
@@ -328,9 +342,25 @@ def corrupt_instance_dependent(
         raise ConfigError(f"ambiguity must be in (0, 1], got {ambiguity}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    n, c = ds.n, ds.c
     post = np.asarray(ds.posterior)
     labels = np.asarray(ds.true_labels)
+    candidates = np.empty((ds.n, ds.c), dtype=bool)
+    for start in range(0, ds.n, _ROW_BLOCK):
+        blk = slice(start, start + _ROW_BLOCK)
+        candidates[blk] = _corrupt_rows(
+            post[blk], labels[blk], ambiguity, int(seed), start
+        )
+    return PllDataset(
+        features=np.asarray(ds.features).copy(),
+        candidates=candidates,
+        true_labels=labels.copy(),
+        posterior=post.copy(),
+    )
+
+
+def _corrupt_rows(post, labels, ambiguity: float, seed: int, start: int) -> np.ndarray:
+    """Candidate masks of the instances start, start + 1, ... with these rows."""
+    n, c = post.shape
     rows = np.arange(n)
     incorrect = np.ones((n, c), dtype=bool)
     incorrect[rows, labels] = False
@@ -338,7 +368,7 @@ def corrupt_instance_dependent(
     top = wrong_eta.max(axis=1, keepdims=True)
     flip_p = np.zeros((n, c))
     np.divide(ambiguity * post, top, out=flip_p, where=top > 0.0)
-    flips = (_row_uniforms(int(seed), n, c) < flip_p) & incorrect
+    flips = (_row_uniforms(seed, n, c, start) < flip_p) & incorrect
     none = ~flips.any(axis=1)
     full = np.nonzero(~none & (flips.sum(axis=1) == c - 1))[0]
     # guarantee the set is larger than {y}
@@ -346,12 +376,7 @@ def corrupt_instance_dependent(
     # guarantee the set is not the whole label space
     flips[full, np.where(flips[full], post[full], np.inf).argmin(axis=1)] = False
     flips[rows, labels] = True
-    return PllDataset(
-        features=np.asarray(ds.features).copy(),
-        candidates=flips,
-        true_labels=labels.copy(),
-        posterior=post.copy(),
-    )
+    return flips
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +415,24 @@ def save_csv(ds: PllDataset, path) -> None:
     if ds.posterior is not None:
         header += [f"eta{j}" for j in range(ds.c)]
     features = np.asarray(ds.features, dtype=np.float64)
-    labels = (
-        None if ds.true_labels is None else np.asarray(ds.true_labels).astype(np.int64)
-    )
+    cands = np.asarray(ds.candidates, dtype=bool)
+    labels = None if ds.true_labels is None else np.asarray(ds.true_labels, dtype=np.int64)
     post = None if ds.posterior is None else np.asarray(ds.posterior, dtype=np.float64)
-    masks, mask_ids = _distinct_rows(np.asarray(ds.candidates, dtype=bool))
-    cand_fields = []
-    for mask in masks:
+
+    def candidate_field(mask):
         field = ",".join(map(str, np.flatnonzero(mask).tolist()))
         # csv.writer quotes a field holding the delimiter, and a lone empty field
         quoted = "," in field or (field == "" and len(header) == 1)
-        cand_fields.append(f'"{field}"' if quoted else field)
+        return f'"{field}"' if quoted else field
+
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, ds.n, _CSV_BLOCK):
             block = slice(start, start + _CSV_BLOCK)
+            masks, mask_ids = _distinct_rows(cands[block])
+            cand_fields = [candidate_field(mask) for mask in masks]
             cols = [list(map(repr, col)) for col in features[block].T.tolist()]
-            cols.append([cand_fields[k] for k in mask_ids[block].tolist()])
+            cols.append([cand_fields[k] for k in mask_ids.tolist()])
             if labels is not None:
                 cols.append(list(map(str, labels[block].tolist())))
             if post is not None:
@@ -499,10 +525,11 @@ def load_csv(path, c: int | None = None) -> PllDataset:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
-    features = np.concatenate(feat_parts)
-    codes = np.concatenate(code_parts)
-    labels = np.concatenate(label_parts) if label_col is not None else None
-    eta = np.concatenate(eta_parts) if eta_cols else None
+    # one field at a time, each block list freed once it is joined
+    features = _join(feat_parts)
+    codes = _join(code_parts)
+    labels = _join(label_parts) if label_col is not None else None
+    eta = _join(eta_parts) if eta_cols else None
     if eta is not None:
         n_labels = eta.shape[1]
     elif c is not None:
@@ -522,15 +549,28 @@ def load_csv(path, c: int | None = None) -> PllDataset:
         raise ParseError(
             f"{path}:{i + 2}: candidate index {bad_index[int(codes[i])]} out of range"
         )
+    candidates = masks[codes]
+    del codes
     ds = PllDataset(
-        features=features, candidates=masks[codes], true_labels=labels, posterior=eta
+        features=features, candidates=candidates, true_labels=labels, posterior=eta
     )
     validate_dataset(ds)
     return ds
 
 
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """np.concatenate(parts), emptying the list so that the blocks can be freed."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
+
+
 def file_checksum(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(path, ds: PllDataset, csv_path, *, ambiguity=None, seed=None) -> None:

@@ -124,6 +124,19 @@ def test_config_file_with_unknown_key_is_rejected(dataset_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["{not json", "[5]"])
+def test_malformed_dataset_manifest_is_a_parse_error(dataset_dir, tmp_path, capsys, text):
+    ds_dir = tmp_path / "ds"
+    ds_dir.mkdir()
+    (ds_dir / "dataset.csv").write_bytes((dataset_dir / "dataset.csv").read_bytes())
+    (ds_dir / "manifest.json").write_text(text)
+    code = main(
+        ["train", "--dataset", str(ds_dir), "--out", str(tmp_path / "run"), *FAST_TRAIN]
+    )
+    assert code == 2
+    assert str(ds_dir / "manifest.json") in capsys.readouterr().err
+
+
 def test_sweep_alpha_rows_and_best_flag(dataset_dir, tmp_path):
     out = tmp_path / "sweep"
     code = main(

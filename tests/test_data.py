@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,14 +170,80 @@ def test_corruption_equals_the_per_row_reference(seed, ambiguity):
         assert out.candidates[401].tolist() == [False, True, True, True, True]
 
 
+def _one_generator_row(seed, i, c):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))).random(c)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 123456789, 2**40 + 5, 2**130 + 17])
 def test_row_uniforms_equal_one_generator_per_row(seed):
     n, c = 1500, 6
     got = data._row_uniforms(seed, n, c)
     assert got.shape == (n, c)
     for i in (0, 1023, 1024, n - 1):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        assert np.array_equal(got[i], rng.random(c))
+        assert np.array_equal(got[i], _one_generator_row(seed, i, c))
+    # a block that starts at row 1024 continues the rows before it
+    assert np.array_equal(data._row_uniforms(seed, n - 1024, c, start=1024), got[1024:])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789, 2**40 + 5, 2**130 + 17])
+@pytest.mark.parametrize("seam", [data._ROW_BLOCK, 3_000_000_000])
+def test_row_uniforms_agree_with_one_generator_across_a_block_seam(seed, seam):
+    c, k = 6, 5
+    before = data._row_uniforms(seed, k, c, start=seam - k)
+    after = data._row_uniforms(seed, k, c, start=seam)
+    for i in (seam - 2, seam - 1):
+        assert np.array_equal(before[i - seam + k], _one_generator_row(seed, i, c))
+    for i in (seam, seam + 1):
+        assert np.array_equal(after[i - seam], _one_generator_row(seed, i, c))
+
+
+def _generated(seed, path):
+    """Mixture, corruption and CSV bytes of the benchmark layout at n = 5000."""
+    ds = data.gen_gaussian_mixture(5, 2, 5000, 2.5, seed)
+    corrupted = data.corrupt_instance_dependent(ds, 0.5, seed)
+    data.save_csv(corrupted, path)
+    return ds, corrupted, path.read_bytes()
+
+
+_BLOCK_SEEDS = [0, 3, 2**40 + 5]
+
+
+@pytest.fixture(scope="module")
+def whole_array_generation(tmp_path_factory):
+    # one block holds every row, as the whole-array passes did
+    out = tmp_path_factory.mktemp("whole")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_ROW_BLOCK", 10**9)
+        return {seed: _generated(seed, out / f"{seed}.csv") for seed in _BLOCK_SEEDS}
+
+
+def _arrays(ds):
+    return [ds.features, ds.candidates, ds.true_labels, ds.posterior]
+
+
+@pytest.mark.parametrize("seed", _BLOCK_SEEDS)
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_generated_bytes_do_not_depend_on_the_row_block(
+    monkeypatch, tmp_path, whole_array_generation, seed, block
+):
+    monkeypatch.setattr(data, "_ROW_BLOCK", block)
+    got = _generated(seed, tmp_path / "ds.csv")
+    want = whole_array_generation[seed]
+    for got_ds, want_ds in zip(got[:2], want[:2]):
+        for a, b in zip(_arrays(got_ds), _arrays(want_ds)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_validator_rows_do_not_depend_on_the_row_block(monkeypatch, block):
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=5000), 0.5, seed=4)
+    bad = [3, 6, 7, 4095, 4096, 4999]
+    ds.posterior[bad] += 0.1
+    monkeypatch.setattr(data, "_ROW_BLOCK", block)
+    with pytest.raises(DataError) as err:
+        data.validate_dataset(ds)
+    assert err.value.rows == bad
 
 
 # -- validator --------------------------------------------------------------------
@@ -388,6 +456,74 @@ def test_manifest_checksum_matches_file(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     assert manifest["checksum"] == data.file_checksum(csv_path)
     assert manifest["n"] == 30 and manifest["c"] == 5 and manifest["q"] == 2
+
+
+# -- memory --------------------------------------------------------------------------
+
+# Each stage holds its output plus temporaries of a bounded size. At this n the
+# whole-array passes held 8.8 MiB (save_csv) to 47 MiB (the corruption) more.
+MEM_ROWS = 200_000
+ALLOWANCE = 4 * 2**20  # bytes of block temporaries and I/O buffers
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _nbytes(ds):
+    return sum(a.nbytes for a in _arrays(ds))
+
+
+@pytest.fixture(scope="module")
+def large_generation(tmp_path_factory):
+    """The generate command's stages at MEM_ROWS rows, each traced on its own."""
+    out = tmp_path_factory.mktemp("large")
+    csv_path = out / "dataset.csv"
+    peaks = {}
+    ds, peaks["gen"] = _traced(data.gen_gaussian_mixture, 5, 2, MEM_ROWS, 2.5, 0)
+    corrupted, peaks["corrupt"] = _traced(data.corrupt_instance_dependent, ds, 0.5, 0)
+    _, peaks["validate"] = _traced(data.validate_dataset, corrupted)
+    _, peaks["save"] = _traced(data.save_csv, corrupted, csv_path)
+    _, peaks["manifest"] = _traced(
+        data.write_manifest, out / "manifest.json", corrupted, csv_path
+    )
+    return ds, corrupted, csv_path, peaks
+
+
+def test_generation_memory_is_its_output_plus_blocks(large_generation):
+    ds, _, _, peaks = large_generation
+    # the uniform draw of the label rule is the one whole-length temporary
+    assert peaks["gen"] <= _nbytes(ds) + 8 * MEM_ROWS + ALLOWANCE
+
+
+def test_corruption_memory_is_its_output_plus_blocks(large_generation):
+    _, corrupted, _, peaks = large_generation
+    assert peaks["corrupt"] <= _nbytes(corrupted) + ALLOWANCE
+
+
+@pytest.mark.parametrize("stage", ["validate", "save", "manifest"])
+def test_validation_and_writing_hold_only_blocks(large_generation, stage):
+    assert large_generation[3][stage] <= ALLOWANCE
+
+
+def test_checksum_reads_the_file_in_chunks(large_generation):
+    path = large_generation[2]
+    digest, peak = _traced(data.file_checksum, path)
+    assert peak <= ALLOWANCE
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_csv_loading_memory_is_its_output_plus_one_field(large_generation):
+    loaded, peak = _traced(data.load_csv, large_generation[2])
+    # joining a field's blocks holds them and the joined array at once
+    largest_field = max(a.nbytes for a in _arrays(loaded))
+    assert peak <= _nbytes(loaded) + largest_field + ALLOWANCE
 
 
 # -- splitting ----------------------------------------------------------------------
