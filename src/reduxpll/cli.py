@@ -81,17 +81,8 @@ def _build_config(args) -> training.TrainConfig:
             raise ParseError(f"{cfg_path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"{cfg_path}: invalid JSON ({exc})") from exc
-    for flag, key in (
-        ("method", "method"),
-        ("alpha", "alpha"),
-        ("beta1", "beta1"),
-        ("beta2", "beta2"),
-        ("beta3", "beta3"),
-        ("batch_size", "batch_size"),
-        ("epochs", "epochs"),
-        ("patience", "patience"),
-    ):
-        value = getattr(args, flag, None)
+    for key in ("method", "alpha", "beta1", "beta2", "beta3", "batch_size", "epochs", "patience"):
+        value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
     config = training.TrainConfig.from_dict(doc)
@@ -108,9 +99,9 @@ def _fit_lane_chunk(payload):
     ds_parts, lanes = payload
     results = training.fit_lanes(
         ds_parts,
-        [training.TrainConfig.from_dict(doc) for doc, _ in lanes],
-        metrics_paths=[str(out / f"metrics_seed{doc['seed']}.jsonl") for doc, out in lanes],
-        checkpoint_paths=[str(out / f"checkpoint_seed{doc['seed']}.npz") for doc, out in lanes],
+        [cfg for cfg, _ in lanes],
+        metrics_paths=[str(out / f"metrics_seed{cfg.seed}.jsonl") for cfg, out in lanes],
+        checkpoint_paths=[str(out / f"checkpoint_seed{cfg.seed}.npz") for cfg, out in lanes],
     )
     return [
         {
@@ -130,7 +121,7 @@ def _run_lanes(ds_parts, configs, out_dirs) -> list[dict]:
     With REDUXPLL_THREADS=k > 1 the lanes split into k contiguous chunks, one
     per pool worker. Results come back in config order either way.
     """
-    lanes = [(config.to_dict(), Path(out)) for config, out in zip(configs, out_dirs)]
+    lanes = [(config, Path(out)) for config, out in zip(configs, out_dirs)]
     raw = os.environ.get("REDUXPLL_THREADS", "1")
     try:
         threads = int(raw)

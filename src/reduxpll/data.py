@@ -332,7 +332,9 @@ def corrupt_instance_dependent(
     Deterministic per (seed, instance index), independent of iteration order:
     instance i compares its flip probabilities with the first c doubles of
     default_rng(SeedSequence(seed, spawn_key=(i,))), computed by
-    `_row_uniforms` for a block of _ROW_BLOCK instances at a time.
+    `_row_uniforms` for a block of _ROW_BLOCK instances at a time. Only the
+    candidate masks are new: the result shares the input's features, true
+    labels and posterior arrays.
     """
     if ds.posterior is None:
         raise ConfigError("instance-dependent corruption needs exact posteriors")
@@ -351,16 +353,18 @@ def corrupt_instance_dependent(
             post[blk], labels[blk], ambiguity, int(seed), start
         )
     return PllDataset(
-        features=np.asarray(ds.features).copy(),
+        features=np.asarray(ds.features),
         candidates=candidates,
-        true_labels=labels.copy(),
-        posterior=post.copy(),
+        true_labels=labels,
+        posterior=post,
     )
 
 
 def _corrupt_rows(post, labels, ambiguity: float, seed: int, start: int) -> np.ndarray:
     """Candidate masks of the instances start, start + 1, ... with these rows."""
     n, c = post.shape
+    # first, while nothing else is held: replaying the streams needs the most scratch
+    uniforms = _row_uniforms(seed, n, c, start)
     rows = np.arange(n)
     incorrect = np.ones((n, c), dtype=bool)
     incorrect[rows, labels] = False
@@ -368,7 +372,7 @@ def _corrupt_rows(post, labels, ambiguity: float, seed: int, start: int) -> np.n
     top = wrong_eta.max(axis=1, keepdims=True)
     flip_p = np.zeros((n, c))
     np.divide(ambiguity * post, top, out=flip_p, where=top > 0.0)
-    flips = (_row_uniforms(seed, n, c, start) < flip_p) & incorrect
+    flips = (uniforms < flip_p) & incorrect
     none = ~flips.any(axis=1)
     full = np.nonzero(~none & (flips.sum(axis=1) == c - 1))[0]
     # guarantee the set is larger than {y}

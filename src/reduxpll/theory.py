@@ -71,10 +71,14 @@ class TheoryScenario:
         if not self.points:
             raise ScenarioError("scenario has no points")
         c = self.c
+        if any(p.eta.shape != (c,) for p in self.points):
+            raise ScenarioError(f"posterior rows must all be flat with {c} entries")
         etas = self.etas()
+        w = self.weights()
+        if not (np.isfinite(etas).all() and np.isfinite(w).all()):
+            raise ScenarioError("posterior rows and point weights must be finite")
         if np.any(np.abs(etas.sum(axis=1) - 1.0) > 1e-9) or np.any(etas < -1e-12):
             raise ScenarioError("posterior rows are off the probability simplex")
-        w = self.weights()
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ScenarioError("point weights must be nonnegative and sum to 1")
         if any(not 0 <= j < c for j in self.excluded):
@@ -94,7 +98,7 @@ class TheoryScenario:
             )
         if self.tsybakov is not None:
             t = self.tsybakov
-            if t.C <= 0 or t.lam <= 0 or not 0.0 < t.t0 <= 1.0:
+            if not (t.C > 0 and t.lam > 0 and 0.0 < t.t0 <= 1.0):
                 raise ScenarioError(
                     f"Tsybakov constants out of range: C={t.C}, lambda={t.lam}, t0={t.t0}"
                 )
@@ -112,15 +116,22 @@ class TheoryScenario:
     @classmethod
     def from_dict(cls, doc: dict, name: str = "") -> "TheoryScenario":
         try:
-            points = [
-                ScenarioPoint(
-                    eta=np.asarray(p["eta"], dtype=np.float64), weight=float(p["weight"])
+            _reject_unknown_keys("scenario", doc, "name", "labels", "points", "excluded",
+                                 "tau", "epsilon", "epsilon_prime", "tsybakov")
+            points = []
+            for p in doc["points"]:
+                _reject_unknown_keys("point", p, "eta", "weight")
+                points.append(
+                    ScenarioPoint(
+                        eta=np.asarray(p["eta"], dtype=np.float64), weight=float(p["weight"])
+                    )
                 )
-                for p in doc["points"]
-            ]
+            if "labels" in doc and any(p.eta.size != doc["labels"] for p in points):
+                raise ParseError(f"labels is {doc['labels']!r}; an eta row has another length")
             tsy = None
             if doc.get("tsybakov") is not None:
                 t = doc["tsybakov"]
+                _reject_unknown_keys("tsybakov", t, "C", "lambda", "t0")
                 tsy = TsybakovConstants(
                     C=float(t["C"]), lam=float(t["lambda"]), t0=float(t["t0"])
                 )
@@ -148,6 +159,12 @@ class TheoryScenario:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(doc, name=path.stem)
+
+
+def _reject_unknown_keys(what: str, doc: dict, *known: str) -> None:
+    unknown = set(doc).difference(known)
+    if unknown:
+        raise ParseError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def builtin_scenario_names() -> list[str]:
@@ -198,8 +215,7 @@ def reduced_posterior(eta, excluded) -> np.ndarray:
         raise ScenarioError(
             "excluded labels carry (almost) all posterior mass; reduction is singular"
         )
-    out = np.where(mask, 0.0, eta / (1.0 - removed))
-    return out
+    return np.where(mask, 0.0, eta / (1.0 - removed))
 
 
 def membership_J(scenario: TheoryScenario, index: int) -> bool:
@@ -383,11 +399,31 @@ def _binomial_se(p_hat: float, n: int) -> float:
     return float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n))
 
 
-def _conditional_counts(
-    scenario: TheoryScenario, members: list[int], trials: int, rng: np.random.Generator
-) -> np.ndarray:
+def _troubled_trials(scenario: TheoryScenario, trials: int, seed: int):
+    """The troubled points, the stream seeded by `seed`, and `(eta, star, count)`
+    for each troubled point that drew trials in the stream's first draw, a
+    multinomial split of `trials` by weight. The ball draws continue the stream.
+    """
+    members = members_of_J(scenario)
     w = scenario.weights()[members]
-    return rng.multinomial(trials, w / w.sum())
+    if not w.sum() > 0.0:
+        raise ScenarioError("troubled set is empty or carries no weight; nothing to sample")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = []
+    for i, count in zip(members, rng.multinomial(trials, w / w.sum())):
+        if count:
+            eta = scenario.points[i].eta
+            draws.append((eta, bayes_label(eta), int(count)))
+    return members, rng, draws
+
+
+def _phi_hits(rng, scenario: TheoryScenario, eta, star: int, radius: float, count: int) -> int:
+    """Draws in the ball around the reduced posterior whose plain argmax is `star`."""
+    support = np.ones(scenario.c, dtype=bool)
+    support[list(scenario.excluded)] = False
+    center = reduced_posterior(eta, scenario.excluded)
+    blocks = sample_simplex_ball(rng, center, radius, support, count)
+    return _count_hits(blocks, star, np.ones(scenario.c, dtype=bool))
 
 
 def verify_theorem1(
@@ -411,42 +447,21 @@ def verify_theorem1(
     if trials <= 0:
         raise ConfigError(f"trials must be positive, got {trials}")
     scenario.validate()
-    if not scenario.excluded:
-        raise ScenarioError("theorem verification needs a nonempty excluded set")
-    members = members_of_J(scenario)
-    if not members:
-        raise ScenarioError("troubled set is empty; construct a scenario with members")
-    bound = epsilon_prime_bound(scenario)
-
+    members, rng, draws = _troubled_trials(scenario, trials, seed)
     f_rad = scenario.epsilon if f_radius is None else f_radius
     phi_rad = scenario.epsilon_prime if phi_radius is None else phi_radius
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = _conditional_counts(scenario, members, trials, rng)
-
-    support_all = np.ones(scenario.c, dtype=bool)
-    support_reduced = np.ones(scenario.c, dtype=bool)
-    support_reduced[list(scenario.excluded)] = False
 
     lhs_hits = 0
     rhs_hits = 0
-    for i, count in zip(members, counts):
-        if count == 0:
-            continue
-        eta = scenario.points[i].eta
-        star = bayes_label(eta)
+    for eta, star, count in draws:
         candidates = np.zeros(scenario.c, dtype=bool)
-        candidates[star] = True
-        candidates[list(scenario.excluded)] = True
-
+        candidates[[star, *scenario.excluded]] = True
         lhs_hits += _count_hits(
-            sample_simplex_ball(rng, eta, f_rad, support_all, count), star, candidates
-        )
-        eta_reduced = reduced_posterior(eta, scenario.excluded)
-        rhs_hits += _count_hits(
-            sample_simplex_ball(rng, eta_reduced, phi_rad, support_reduced, count),
+            sample_simplex_ball(rng, eta, f_rad, np.ones(scenario.c, dtype=bool), count),
             star,
-            support_all,
+            candidates,
         )
+        rhs_hits += _phi_hits(rng, scenario, eta, star, phi_rad, count)
 
     lhs = lhs_hits / trials
     rhs = rhs_hits / trials
@@ -463,7 +478,7 @@ def verify_theorem1(
         holds=lhs <= rhs + 2.0 * combined,
         trials=trials,
         troubled_points=members,
-        epsilon_prime_bound=bound,
+        epsilon_prime_bound=epsilon_prime_bound(scenario),
     )
 
 
@@ -479,11 +494,7 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
     scenario.validate()
     if scenario.tsybakov is None:
         raise ConfigError("scenario carries no Tsybakov constants")
-    if not scenario.excluded:
-        raise ScenarioError("theorem verification needs a nonempty excluded set")
-    members = members_of_J(scenario)
-    if not members:
-        raise ScenarioError("troubled set is empty; construct a scenario with members")
+    members, rng, draws = _troubled_trials(scenario, trials, seed)
     tsy = scenario.tsybakov
     if not check_tsybakov(scenario, tsy.C, tsy.lam, tsy.t0, restrict_to_troubled=True):
         raise AssumptionError(
@@ -511,26 +522,10 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
         )
     bound = 1.0 - tsy.C * worst_t**tsy.lam
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = _conditional_counts(scenario, members, trials, rng)
-    support_all = np.ones(scenario.c, dtype=bool)
-    support_reduced = np.ones(scenario.c, dtype=bool)
-    support_reduced[list(scenario.excluded)] = False
-    hits = 0
-    for i, count in zip(members, counts):
-        if count == 0:
-            continue
-        eta = scenario.points[i].eta
-        star = bayes_label(eta)
-        eta_reduced = reduced_posterior(eta, scenario.excluded)
-        hits += _count_hits(
-            sample_simplex_ball(
-                rng, eta_reduced, scenario.epsilon_prime, support_reduced, count
-            ),
-            star,
-            support_all,
-        )
-
+    hits = sum(
+        _phi_hits(rng, scenario, eta, star, scenario.epsilon_prime, count)
+        for eta, star, count in draws
+    )
     empirical = hits / trials
     return Theorem2Report(
         empirical_consistency=empirical,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reduxpll import theory
+from reduxpll.cli import main
 from reduxpll.errors import (
     AssumptionError,
     ConfigError,
@@ -158,6 +159,89 @@ def test_malformed_scenario_raises_parse_error(tmp_path):
     path.write_text(json.dumps({"points": []}))
     with pytest.raises(ParseError):
         theory.TheoryScenario.from_json(path)
+
+
+def _bundled_doc(name):
+    return json.loads((resources.files("reduxpll.scenarios") / f"{name}.json").read_text())
+
+
+def _misspell_tsybakov(doc):
+    doc["tsybakv"] = doc.pop("tsybakov")
+
+
+def _unknown_point_key(doc):
+    doc["points"][0]["label"] = 0
+
+
+def _unknown_tsybakov_key(doc):
+    doc["tsybakov"]["t1"] = 0.5
+
+
+def _too_many_labels(doc):
+    doc["labels"] = 7
+
+
+def _ragged_rows(doc):
+    del doc["labels"]  # so the rows reach validate()
+    doc["points"][1]["eta"].append(0.0)
+
+
+def _nan_weight(doc):
+    doc["points"][0]["weight"] = float("nan")
+
+
+def _nan_eta(doc):
+    doc["points"][0]["eta"][2] = float("nan")
+
+
+def _nan_tsybakov_constant(doc):
+    doc["tsybakov"]["C"] = float("nan")
+
+
+SCENARIO_DEFECTS = {
+    "misspelled-key": (_misspell_tsybakov, ParseError),
+    "unknown-point-key": (_unknown_point_key, ParseError),
+    "unknown-tsybakov-key": (_unknown_tsybakov_key, ParseError),
+    "labels-off-eta-length": (_too_many_labels, ParseError),
+    "ragged-rows": (_ragged_rows, ScenarioError),
+    "nan-weight": (_nan_weight, ScenarioError),
+    "nan-eta": (_nan_eta, ScenarioError),
+    "nan-tsybakov-constant": (_nan_tsybakov_constant, ScenarioError),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SCENARIO_DEFECTS))
+@pytest.mark.parametrize("name", ["theorem1-4class", "theorem2-tsybakov"])
+def test_malformed_scenario_documents_are_rejected(tmp_path, capsys, name, defect):
+    mutate, error = SCENARIO_DEFECTS[defect]
+    doc = _bundled_doc(name)
+    mutate(doc)
+    with pytest.raises(error):
+        theory.TheoryScenario.from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-theory", "--scenario", str(path), "--trials", "100"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_empty_excluded_set_is_rejected(tmp_path, capsys):
+    scen = make_scenario(
+        [[0.45, 0.40, 0.10, 0.05]], [1.0], set(), tau=0.2, eps=0.1, eps_p=0.002,
+        tsy=(20.0, 1.0, 1.0),
+    )
+    for check in (
+        scen.validate,
+        lambda: theory.verify_theorem1(scen, 100, seed=0),
+        lambda: theory.verify_theorem2(scen, 100, seed=0),
+    ):
+        with pytest.raises(ScenarioError, match="excluded set is empty"):
+            check()
+    doc = _bundled_doc("theorem1-4class")
+    doc["excluded"] = []
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-theory", "--scenario", str(path), "--trials", "100"]) == 2
+    assert "excluded set is empty" in capsys.readouterr().err
 
 
 def test_scenario_validation_rejects_bad_budgets():
@@ -416,6 +500,18 @@ def test_theorem1_requires_nonempty_troubled_set():
         theory.verify_theorem1(scen, 100, seed=0)
 
 
+def test_verifiers_reject_troubled_points_without_weight():
+    # point 0 is the only troubled point; point 1 carries all the weight
+    scen = make_scenario(
+        [[0.45, 0.40, 0.10, 0.05], [0.7, 0.15, 0.1, 0.05]], [0.0, 1.0], {1},
+        tau=0.2, eps=0.1, eps_p=0.0025, tsy=(20.0, 1.0, 1.0),
+    )
+    assert theory.members_of_J(scen) == [0]
+    for verifier in (theory.verify_theorem1, theory.verify_theorem2):
+        with pytest.raises(ScenarioError, match="carries no weight"):
+            verifier(scen, 100, seed=0)
+
+
 def test_theorem1_rejects_nonpositive_trials():
     scen = theory.load_builtin_scenario("theorem1-4class")
     with pytest.raises(ConfigError):
@@ -474,6 +570,12 @@ def test_theorem2_requires_tsybakov_constants():
     )
     with pytest.raises(ConfigError):
         theory.verify_theorem2(bare, 100, seed=0)
+    # asked for before the troubled set, which is empty here
+    untroubled = make_scenario(
+        [[0.7, 0.15, 0.1, 0.05]], [1.0], {1}, tau=0.1, eps=0.1, eps_p=0.001
+    )
+    with pytest.raises(ConfigError):
+        theory.verify_theorem2(untroubled, 100, seed=0)
 
 
 def test_theorem2_rejects_constants_failing_margin_condition():
