@@ -81,6 +81,8 @@ def _build_config(args) -> training.TrainConfig:
             raise ParseError(f"{cfg_path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"{cfg_path}: invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(f"{cfg_path}: a config file holds one JSON object")
     for key in ("method", "alpha", "beta1", "beta2", "beta3", "batch_size", "epochs", "patience"):
         value = getattr(args, key, None)
         if value is not None:

@@ -564,6 +564,8 @@ def check_tsybakov(
         raise ScenarioError("no points to evaluate the margin condition on")
     margins = np.array([margin(scenario.points[i].eta) for i in idx])
     weights = scenario.weights()[idx]
+    if weights.sum() <= 0.0:
+        raise ScenarioError("the points to evaluate the margin condition on carry no weight")
     weights = weights / weights.sum()
     grid = t0 * np.arange(1, 101) / 100.0
     cdf = (weights[None, :] * (margins[None, :] <= grid[:, None])).sum(axis=1)

@@ -1,21 +1,20 @@
 """Training loop: one-pass batch step, meta-learned weighting, checkpoints.
 
-Each mini-batch makes one pass:
+Each mini-batch makes one pass, one private function per phase:
 
 1. run the predictor forward on the batch once; its tape supplies the
    features (the penultimate activation), the inner step of the
    hypergradient and the committed step below,
-2. update the stacked branch head (the `c` one-layer branches as one
-   `(c, d, c)` weight stack) toward the stored reduction rows with momentum
-   SGD, then refresh all rows at once from the updated head,
-3. update the meta net by the exact hypergradient of a validation
+2. `_update_branches`: a momentum step of the stacked branch head (the `c`
+   one-layer branches as one `(c, d, c)` weight stack) toward the stored
+   reduction rows; `_reduction_rows`: all rows at once from the updated head,
+3. `_update_meta`: a meta step by the exact hypergradient of a validation
    mini-batch loss through one plain trial step of the predictor toward the
    meta-weighted reduction targets; the trial step exists only inside
-   `nets.hypergradient`, and the predictor is verified bit-identical after
-   this phase,
-4. recompute weights/targets with the updated meta net and combine them
-   with the stored basic targets,
-5. commit a momentum step toward the combined targets; finally refresh the
+   `nets.hypergradient`, and the predictor is verified bit-identical after,
+4. `_mix_targets`: weights/targets from the updated meta net, combined with
+   the stored basic targets,
+5. `_commit`: a momentum step toward the combined targets; `_refresh`: the
    stored basic targets from the updated predictor.
 
 The two baselines are special cases of the same step, not separate paths:
@@ -38,12 +37,13 @@ Each lane has its own streams.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -79,6 +79,18 @@ class TrainConfig:
     meta_hidden_sizes: tuple[int, ...] = (32, 32)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a float field takes ints unchanged, so their config hash stays
+            kinds = {"int": int, "float": (int, float)}.get(f.type)
+            if kinds and (not isinstance(value, kinds) or isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be a {f.type}, got {value!r}")
+            if f.type == "float" and not -np.inf < value < np.inf:
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for name in ("hidden_sizes", "meta_hidden_sizes"):
+            sizes = getattr(self, name)
+            if not isinstance(sizes, tuple) or any(type(v) is not int or v < 1 for v in sizes):
+                raise ConfigError(f"{name} must list positive layer widths, got {sizes!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -113,8 +125,8 @@ class TrainConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         doc = dict(doc)
         for key in ("hidden_sizes", "meta_hidden_sizes"):
-            if key in doc:
-                doc[key] = tuple(int(v) for v in doc[key])
+            if isinstance(doc.get(key), list):
+                doc[key] = tuple(doc[key])
         return cls(**doc)
 
     def config_hash(self) -> str:
@@ -304,39 +316,86 @@ def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
 
 def _branch_probs(head: nets.MlpParams, z: np.ndarray) -> np.ndarray:
     """All branch outputs on features z (m, d) as one (c, m, c) stack."""
-    probs = nets.softmax(
-        np.matmul(z[..., None, :, :], head.weights[0]) + head.biases[0][..., None, :]
-    )
-    if not np.isfinite(probs).all():
-        raise NumericError(
-            "branch head produced non-finite probabilities",
-            lanes=nets.nonfinite_lanes(probs, 3),
-        )
-    return probs
+    return nets.forward(head, z[..., None, :, :])[0]
 
 
 def _branch_grad(z: np.ndarray, probs: np.ndarray, targets: np.ndarray) -> nets.Gradient:
-    """Per-branch mean cross-entropy gradient, in one buffer laid out like the head's.
+    """Per-branch `nets.backward_ce` gradient, in one buffer laid out like the head's."""
+    layout = nets.empty((z.shape[-1], probs.shape[-1]))
+    return nets.backward_ce(nets.GradTape(layout, [z[..., None, :, :]], probs), probs, targets)[1]
 
-    Runs the checks of `nets.backward_ce` on every branch: simplex targets and
-    a finite loss.
-    """
-    nets.check_simplex_rows(targets, "branch target")
-    m = z.shape[-2]
-    terms = np.maximum(probs, nets.CE_CLAMP)
-    np.log(terms, out=terms)
-    terms *= targets
-    # each term is bounded or NaN, so the sum is finite iff every term is
-    if not np.isfinite(np.add.reduce(terms, axis=None)):
-        raise NumericError(
-            "non-finite branch cross-entropy loss", lanes=nets.nonfinite_lanes(terms, 3)
-        )
-    d_a = probs - targets
-    d_a /= m
-    grad = nets.empty((z.shape[-1], probs.shape[-1]), d_a.shape[:-2])
-    np.matmul(z.swapaxes(-1, -2)[..., None, :, :], d_a, out=grad.weights[0])
-    np.add.reduce(d_a, axis=-2, out=grad.biases[0])
-    return grad
+
+def _reduction_targets(U: np.ndarray, gamma: nets.MlpParams, feats: np.ndarray):
+    """Meta-weighted reduction targets on `feats` and their VJP back to gamma."""
+    w, tape = nets.forward(gamma, feats)
+
+    def vjp(d_targets):
+        return nets.backward_probs_vjp(tape, np.einsum("...ir,...ijr->...ij", d_targets, U))
+
+    return pseudo.reduction_pseudo(w, U), vjp
+
+
+def _update_branches(state: TrainerState, z: np.ndarray, rows, config: TrainConfig) -> None:
+    """Momentum step of the head; branch j's targets are row j of the stored rows."""
+    head = state.bundle.omegas
+    grad = _branch_grad(z, _branch_probs(head, z), state.pls.U[rows].swapaxes(-3, -2))
+    state.bundle.omegas, state.omega_buf = _momentum_step(
+        head, grad, state.omega_buf, config.beta1, config.momentum
+    )
+
+
+def _reduction_rows(head: nets.MlpParams, z: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The batch's (m, c, c) reduction rows from the head's outputs on z."""
+    return pseudo.reduction_matrix(_branch_probs(head, z), S)
+
+
+def _update_meta(state, val_ds, x, inner_forward, U, config, epoch, batch_idx) -> None:
+    """Meta step by the hypergradient of a sampled validation batch loss."""
+    theta = state.bundle.theta
+    theta_snapshot = theta.flat.copy()  # a copy: the check watches theta's own buffer
+    val_idx = np.stack([
+        lane.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
+        for lane in state.lanes
+    ])
+    val_targets = one_hot(np.asarray(val_ds.true_labels)[val_idx], val_ds.c)
+    hyper = nets.hypergradient(
+        theta, state.bundle.gamma, x, val_ds.features[val_idx], val_targets, config.beta2,
+        functools.partial(_reduction_targets, U), inner_forward=inner_forward,
+    )
+    state.bundle.gamma = nets.sgd_step(state.bundle.gamma, hyper, config.beta3)
+    # the trial step must leave no trace: theta is bit-identical to before
+    if not np.array_equal(state.bundle.theta.flat, theta_snapshot):
+        raise ContractViolation(f"rollback drifted at epoch {epoch}, batch {batch_idx}")
+    state.rollback_checks += 1
+
+
+def _mix_targets(state: TrainerState, rows, x, q, U, method: str) -> np.ndarray:
+    """q mixed with the reduction rows U, weighted by the meta net or uniformly."""
+    if method == "reduxpll":
+        w = pseudo.meta_weights(state.bundle.gamma, x)
+    else:
+        w = np.full(q.shape, 1.0 / q.shape[-1])
+    v = pseudo.reduction_pseudo(w, U)
+    state.pls.U[rows] = U
+    state.pls.w[rows] = w
+    state.pls.v[rows] = v
+    return pseudo.combine(q, v, state.pls.alpha[:, None, None])
+
+
+def _commit(state: TrainerState, tape, probs, q, config: TrainConfig) -> np.ndarray:
+    """The predictor's momentum step toward the targets q; returns each lane's loss."""
+    loss, grad = nets.backward_ce(tape, probs, q)
+    state.bundle.theta, state.theta_buf = _momentum_step(
+        state.bundle.theta, grad, state.theta_buf, config.beta2, config.momentum
+    )
+    return loss
+
+
+def _refresh(state: TrainerState, rows, x, S, q) -> None:
+    """Store the targets q and the basic targets of the updated predictor."""
+    refreshed, _ = nets.forward(state.bundle.theta, x)
+    state.pls.mu[rows] = pseudo.basic_pseudo(refreshed, S)
+    state.pls.q[rows] = q
 
 
 def _batch_step(
@@ -352,83 +411,19 @@ def _batch_step(
     rows = (np.arange(len(idx))[:, None], idx)  # lane s, instance idx[s, i]
     x = train_ds.features[idx]
     S = train_ds.candidates[idx]
-    c = train_ds.c
-    theta = state.bundle.theta
     # the batch's only forward of theta on x: its tape serves the features,
     # the hypergradient's inner step and the committed step
-    probs, tape = nets.forward(theta, x)
+    probs, tape = nets.forward(state.bundle.theta, x)
     q = state.pls.mu[rows]  # stored basic targets from the previous refresh
-
     if config.method != "proden":
         z = tape.inputs[-1]
-
-        # branch updates toward the stored (previous-refresh) reduction rows;
-        # branch j's targets are row j of each instance's matrix
-        head = state.bundle.omegas
-        U_old = state.pls.U[rows].swapaxes(-3, -2)
-        grad_head = _branch_grad(z, _branch_probs(head, z), U_old)
-        head, state.omega_buf = _momentum_step(
-            head, grad_head, state.omega_buf, config.beta1, config.momentum
-        )
-        state.bundle.omegas = head
-
-        U_new = pseudo.reduction_matrix(_branch_probs(head, z), S)
-
+        _update_branches(state, z, rows, config)
+        U = _reduction_rows(state.bundle.omegas, z, S)
         if config.method == "reduxpll":
-            # a copy, since the check watches theta's own buffer
-            theta_snapshot = theta.flat.copy()
-
-            # meta update through a trial step on a sampled validation batch
-            val_idx = np.stack([
-                lane.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
-                for lane in state.lanes
-            ])
-            val_x = val_ds.features[val_idx]
-            val_targets = one_hot(np.asarray(val_ds.true_labels)[val_idx], c)
-
-            def pseudo_label_fn(gamma_params, feats):
-                w_probs, w_tape = nets.forward(gamma_params, feats)
-                targets = pseudo.reduction_pseudo(w_probs, U_new)
-
-                def vjp(d_targets):
-                    d_w = np.einsum("...ir,...ijr->...ij", d_targets, U_new)
-                    return nets.backward_probs_vjp(w_tape, d_w)
-
-                return targets, vjp
-
-            hyper = nets.hypergradient(
-                theta, state.bundle.gamma, x, val_x, val_targets, config.beta2,
-                pseudo_label_fn, inner_forward=(probs, tape),
-            )
-            gamma_new = nets.sgd_step(state.bundle.gamma, hyper, config.beta3)
-            state.bundle.gamma = gamma_new
-
-            # the trial step must leave no trace: theta is bit-identical to before
-            if not np.array_equal(state.bundle.theta.flat, theta_snapshot):
-                raise ContractViolation(
-                    f"rollback drifted at epoch {epoch}, batch {batch_idx}"
-                )
-            state.rollback_checks += 1
-            # recompute weights with the updated meta net
-            w2 = pseudo.meta_weights(gamma_new, x)
-        else:  # reduxpll-uniform-w
-            w2 = np.full(S.shape, 1.0 / c)
-        v2 = pseudo.reduction_pseudo(w2, U_new)
-        q = pseudo.combine(q, v2, state.pls.alpha[:, None, None])
-        state.pls.U[rows] = U_new
-        state.pls.w[rows] = w2
-        state.pls.v[rows] = v2
-
-    loss, grad = nets.backward_ce(tape, probs, q)
-    theta_new, state.theta_buf = _momentum_step(
-        theta, grad, state.theta_buf, config.beta2, config.momentum
-    )
-    state.bundle.theta = theta_new
-
-    # refresh stored pseudo-label state for the batch
-    refreshed, _ = nets.forward(theta_new, x)
-    state.pls.mu[rows] = pseudo.basic_pseudo(refreshed, S)
-    state.pls.q[rows] = q
+            _update_meta(state, val_ds, x, (probs, tape), U, config, epoch, batch_idx)
+        q = _mix_targets(state, rows, x, q, U, config.method)
+    loss = _commit(state, tape, probs, q, config)
+    _refresh(state, rows, x, S, q)
     return loss
 
 

@@ -114,14 +114,30 @@ def test_config_file_with_flag_override(dataset_dir, tmp_path):
     assert summary["alpha"] == 0.7
 
 
-def test_config_file_with_unknown_key_is_rejected(dataset_dir, tmp_path):
+BAD_CONFIG_DOCS = [
+    {"learning_rate": 1.0},
+    {"epochs": "ten"},
+    {"epochs": True},
+    {"batch_size": 64.5},
+    {"hidden_sizes": 5},
+    {"hidden_sizes": [0]},
+    {"alpha": "0.3"},
+    {"momentum": None},
+    {"beta3": float("nan")},
+]
+
+
+def test_config_file_with_unknown_key_is_rejected(dataset_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"learning_rate": 1.0}))
-    code = main(
-        ["train", "--dataset", str(dataset_dir), "--config", str(cfg),
-         "--out", str(tmp_path / "run")]
-    )
-    assert code == 2
+    argv = ["train", "--dataset", str(dataset_dir), "--config", str(cfg),
+            "--out", str(tmp_path / "run")]
+    for doc in BAD_CONFIG_DOCS:
+        cfg.write_text(json.dumps(doc))
+        assert main(argv) == 2, doc
+    capsys.readouterr()
+    cfg.write_text(json.dumps([1, 2]))  # a document that is not an object
+    assert main(argv) == 2
+    assert str(cfg) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["{not json", "[5]"])

@@ -86,15 +86,23 @@ def test_a_sweep_lane_equals_a_fit_at_its_alpha(small_dataset):
         assert _bundles_equal(lane.final_bundle, alone.final_bundle)
 
 
-@pytest.mark.parametrize("method", training.METHODS)
-def test_numeric_error_in_one_lane_names_that_lanes_seed(small_dataset, method):
+# each net, for the methods that run it; a poisoned theta keeps the bare method id
+POISONED_NETS = (
+    [pytest.param(method, "theta", id=method) for method in training.METHODS]
+    + [pytest.param(m, "omegas", id=f"{m}-omegas") for m in ("reduxpll", "reduxpll-uniform-w")]
+    + [pytest.param("reduxpll", "gamma", id="reduxpll-gamma")]
+)
+
+
+@pytest.mark.parametrize("method, net", POISONED_NETS)
+def test_numeric_error_in_one_lane_names_that_lanes_seed(small_dataset, method, net):
     configs = [training.TrainConfig(method=method, seed=seed, epochs=1) for seed in (3, 5, 7)]
     state = training.init_lanes(small_dataset[0], configs)
-    theta = state.bundle.theta
-    poisoned = theta.weights[0].copy()
+    params = getattr(state.bundle, net)
+    poisoned = params.weights[0].copy()
     poisoned[1] = np.nan  # lane 1 only, seed 5
     state.bundle = replace(
-        state.bundle, theta=nets.MlpParams((poisoned, *theta.weights[1:]), theta.biases)
+        state.bundle, **{net: nets.MlpParams((poisoned, *params.weights[1:]), params.biases)}
     )
     with pytest.raises(NumericError) as err:
         training.train_epoch(state, small_dataset, configs[0])

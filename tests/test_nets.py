@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from reduxpll import nets
+from reduxpll import nets, training
 from reduxpll.errors import ContractViolation, DimensionError, NumericError
 
 from conftest import ce_value, fd_gradient, random_simplex_rows, rel_error, zero_net
@@ -350,19 +352,8 @@ def test_forward_jvp_matches_directional_finite_difference(seed):
 
 
 def _meta_pseudo_label_fn(U):
-    """Targets = softmax(g(x)) @ U with the exact VJP, as the trainer wires it."""
-
-    def fn(gamma, x):
-        w, tape = nets.forward(gamma, x)
-        targets = np.einsum("ij,ijr->ir", w, U)
-
-        def vjp(d_targets):
-            d_w = np.einsum("ir,ijr->ij", d_targets, U)
-            return nets.backward_probs_vjp(tape, d_w)
-
-        return targets, vjp
-
-    return fn
+    """Targets = softmax(g(x)) @ U with the exact VJP: the trainer's own map."""
+    return functools.partial(training._reduction_targets, U)
 
 
 def _random_reduction_stack(rng, m, c):

@@ -630,3 +630,9 @@ def test_tsybakov_validates_inputs():
         theory.check_tsybakov(scen, 1.0, 1.0, 0.0)
     with pytest.raises(ContractViolation):
         theory.check_tsybakov(scen, -1.0, 1.0, 0.5)
+    # the troubled point carries no weight, the other point all of it
+    weightless = make_scenario(
+        [[0.5, 0.4, 0.1], [0.9, 0.05, 0.05]], [0.0, 1.0], {1}, tau=1.0, eps=0.5, eps_p=0.01
+    )
+    with pytest.raises(ScenarioError, match="carry no weight"):
+        theory.check_tsybakov(weightless, 2.0, 1.0, 1.0, restrict_to_troubled=True)

@@ -30,6 +30,21 @@ def test_config_validation_rejects_bad_values():
         training.TrainConfig(patience=0).validate()
     with pytest.raises(ConfigError, match="non-negative"):
         training.TrainConfig(seed=-1).validate()
+    for bad in (
+        dict(epochs="ten"), dict(epochs=True), dict(batch_size=64.5), dict(seed=None),
+        dict(alpha="0.3"), dict(momentum=None), dict(beta1=False),
+        dict(hidden_sizes=5), dict(hidden_sizes=(0,)), dict(meta_hidden_sizes=(32, -1)),
+        dict(hidden_sizes=(32.0,)), dict(beta3=float("nan")), dict(beta1=float("inf")),
+        dict(alpha=10**400),
+    ):
+        with pytest.raises(ConfigError):
+            training.TrainConfig(**bad).validate()
+    with pytest.raises(ConfigError, match="hidden_sizes"):
+        training.TrainConfig.from_dict({"hidden_sizes": 5}).validate()
+    # an int in a float field is taken unchanged, so its config hash stays
+    ints = training.TrainConfig.from_dict({"alpha": 0, "momentum": 0})
+    ints.validate()
+    assert ints.to_dict()["alpha"] == 0 and isinstance(ints.to_dict()["alpha"], int)
 
 
 def test_config_hash_tracks_content():
@@ -118,6 +133,22 @@ def test_rollback_verified_every_batch_over_five_epochs(small_dataset):
     for _ in range(cfg.epochs):
         state, _ = training.train_epoch(state, small_dataset, cfg)
     assert state.rollback_checks == cfg.epochs * batches_per_epoch
+
+
+@pytest.mark.parametrize("method", training.METHODS)
+def test_each_method_runs_only_its_phases(small_dataset, method):
+    cfg = training.TrainConfig(method=method, epochs=1)
+    state = training.init_lanes(small_dataset[0], [cfg])
+    omegas, gamma = state.bundle.omegas.flat.copy(), state.bundle.gamma.flat.copy()
+    state, _ = training.train_epoch(state, small_dataset, cfg)
+    branches_ran = not np.array_equal(state.bundle.omegas.flat, omegas)
+    meta_ran = not np.array_equal(state.bundle.gamma.flat, gamma)
+    assert branches_ran == (method != "proden")
+    assert meta_ran == (method == "reduxpll")
+    assert (state.rollback_checks > 0) == meta_ran
+    if method == "proden":
+        for arr in (state.pls.U, state.pls.w, state.pls.v):
+            assert not arr.flags.writeable and not arr.any()
 
 
 def test_best_checkpoint_dominates_final_epoch(small_dataset):
