@@ -92,6 +92,18 @@ def _build_config(args) -> training.TrainConfig:
     return config
 
 
+def _make_out_dir(path) -> Path:
+    """Create the --out directory `path` (or one under it) with its parents."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(
+            f"--out {out_dir}: cannot create the directory ({exc.strerror})"
+        ) from None
+    return out_dir
+
+
 def _split_dataset(ds: data.PllDataset, split_seed: int):
     return data.split(ds, data.SplitSpec(seed=split_seed))
 
@@ -181,8 +193,7 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--q must be at least 2, got {args.q}")
     if not 0.0 < args.ambiguity <= 1.0:
         raise UsageError(f"--ambiguity must be in (0, 1], got {args.ambiguity}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     ds = data.gen_gaussian_mixture(args.c, args.q, args.n, args.separation, args.seed)
     ds = data.corrupt_instance_dependent(ds, args.ambiguity, args.seed)
     data.validate_dataset(ds, require_posterior=True)
@@ -200,8 +211,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"--seeds must be positive, got {args.seeds}")
     ds, csv_path, _ = _load_dataset(args.dataset)
     config = _build_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     parts = _split_dataset(ds, args.split_seed)
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     per_seed = _run_lanes(parts, [replace(config, seed=s) for s in seeds], [out_dir] * len(seeds))
@@ -232,13 +242,12 @@ def cmd_sweep_alpha(args) -> int:
         raise UsageError(f"--alphas lists a value twice: {','.join(map(str, alphas))}")
     ds, csv_path, _ = _load_dataset(args.dataset)
     base_config = _build_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     parts = _split_dataset(ds, args.split_seed)
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     alpha_dirs = [out_dir / f"alpha_{alpha:g}" for alpha in alphas]
     for alpha_dir in alpha_dirs:
-        alpha_dir.mkdir(exist_ok=True)
+        _make_out_dir(alpha_dir)
     # the whole alpha x seed grid is one lane stack, alpha-major
     per_lane = _run_lanes(
         parts,
@@ -299,8 +308,12 @@ def cmd_verify_theory(args) -> int:
         report["theorem2"] = {"skipped": "scenario carries no Tsybakov constants"}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        out = Path(args.out)
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(text)
+        except OSError as exc:
+            raise UsageError(f"--out {out}: cannot write the report ({exc.strerror})") from None
     print(text, end="")
     t1 = report["theorem1"]
     ok1 = t1["holds"]
@@ -321,8 +334,7 @@ def _read_metrics_series(run_dir: Path) -> dict[int, list[dict]]:
 
 
 def cmd_report(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     md = ["# Run report", ""]
     for run in args.runs:
         run_dir = Path(run)

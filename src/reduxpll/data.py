@@ -151,6 +151,8 @@ class GaussianMixture:
             raise ConfigError(f"need at least 3 classes, got {c}")
         if q < 2:
             raise ConfigError(f"hub layout needs at least 2 feature dims, got {q}")
+        if not np.isfinite(separation):
+            raise ConfigError(f"separation must be finite, got {separation}")
         means = np.zeros((c, q))
         angles = 2.0 * np.pi * np.arange(c - 1) / (c - 1)
         means[: c - 1, 0] = separation * np.cos(angles)
@@ -168,13 +170,17 @@ class GaussianMixture:
         return self.means.shape[1]
 
     def posterior(self, x) -> np.ndarray:
-        """Exact class posterior rows (density share) for (n, q) or (q,) inputs."""
+        """Exact class posterior rows (density share) for (n, q) or (q,) inputs.
+
+        Raises FloatingPointError when a squared distance overflows.
+        """
         x_arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        d2 = ((x_arr[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)
-        log_density = -0.5 * d2 / self.scales[None, :] ** 2 - self.q * np.log(
-            self.scales
-        )[None, :]
-        log_density -= log_density.max(axis=1, keepdims=True)
+        with np.errstate(over="raise", invalid="raise"):
+            d2 = ((x_arr[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)
+            log_density = -0.5 * d2 / self.scales[None, :] ** 2 - self.q * np.log(
+                self.scales
+            )[None, :]
+            log_density -= log_density.max(axis=1, keepdims=True)
         e = np.exp(log_density)
         post = e / e.sum(axis=1, keepdims=True)
         return post[0] if np.asarray(x).ndim == 1 else post
@@ -221,7 +227,12 @@ def gen_gaussian_mixture(
         raise ConfigError(f"seed must be non-negative, got {seed}")
     mixture = GaussianMixture.ring_with_hub(c, q, separation)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return mixture.sample(n, rng)
+    try:
+        return mixture.sample(n, rng)
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"separation {separation} overflows the mixture posterior ({exc})"
+        ) from None
 
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and the 128-bit

@@ -307,21 +307,52 @@ def sample_simplex_ball(
     rejected carries into the next round, so memory does not grow with
     `count`. Rejected rows stay in the block and may hold NaN. Accepted rows
     come out in round order, not in the order of their first draw.
+
+    Raises ContractViolation, before any draw, for a negative or non-finite
+    radius, a non-finite center, an empty support or a negative count.
     """
+    if not (np.isfinite(radius) and radius >= 0.0):
+        raise ContractViolation(f"ball radius must be finite and nonnegative, got {radius}")
+    if not np.isfinite(center).all():
+        raise ContractViolation(f"ball center must be finite, got {center}")
+    if not support.any():
+        raise ContractViolation("ball support is empty")
+    if count < 0:
+        raise ContractViolation(f"ball row count must be nonnegative, got {count}")
     c = center.size
-    lo = np.clip(center - radius, 0.0, 1.0)[support]
-    hi = np.clip(center + radius, 0.0, 1.0)[support]
-    n_sup = lo.size
+    columns = np.flatnonzero(support).tolist()
+    lo = np.clip(center - radius, 0.0, 1.0)
+    width = np.clip(center + radius, 0.0, 1.0) - lo
     bound = radius + BALL_SLACK
     need = count
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         rejected = 0
         for start in range(0, need, BALL_BLOCK):
             k = min(BALL_BLOCK, need - start)
-            draw = np.zeros((k, c))
-            draw[:, support] = rng.uniform(lo, hi, size=(k, n_sup))
-            # a row reduction, not column adds: numpy sums 8 or more entries pairwise
-            total = np.add.reduce(draw, axis=1)
+            # rng.uniform(lo, hi) makes lo + (hi - lo) * next_double; the same
+            # map in place on standard doubles gives its bits at under half the
+            # cost. The draw stays a `uniform` call: bench/tracer.py counts rows there.
+            # The canvas takes the draw as a temporary, so across a yield the
+            # generator holds no block besides the one it yields.
+            if len(columns) == c:
+                draw = rng.uniform(size=(k, c))
+            else:
+                draw = np.zeros((k, c))
+                draw[:, support] = rng.uniform(size=(k, len(columns)))
+            # one column at a time: broadcasting along rows of c entries costs more
+            for j in columns:
+                col = draw[:, j]
+                col *= width[j]
+                col += lo[j]
+            if c < 8:
+                # numpy's reduce adds fewer than 8 entries left to right, so
+                # column adds give its bits; a zero column adds nothing
+                total = draw[:, columns[0]].copy()
+                for j in columns[1:]:
+                    total += draw[:, j]
+            else:
+                # numpy sums 8 or more entries pairwise
+                total = np.add.reduce(draw, axis=1)
             ok = total > 0.0
             # a row summing to 0 is all zeros: it divides to NaN and `ok` rejects it
             with np.errstate(invalid="ignore"):

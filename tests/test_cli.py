@@ -289,3 +289,27 @@ def test_generate_writes_the_pinned_benchmark_dataset(tmp_path):
     assert data.file_checksum(tmp_path / "dataset.csv") == (
         "0fbeebba2ea51b91f56b63fa041d4efe80525fedd0b6f58e1bdfdd93d55723f6"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["generate", "--n", "100"], "file"),
+        (["train", "--method", "proden"], "file"),
+        (["sweep-alpha", "--alphas", "0.5"], "file"),
+        (["report", "--runs", "run"], "file/x"),
+        (["verify-theory", "--scenario", "theorem1-4class", "--trials", "100"], "dir"),
+    ],
+    ids=["generate", "train", "sweep-alpha", "report", "verify-theory"],
+)
+def test_an_out_path_that_cannot_be_written_is_a_usage_error(
+    tmp_path, capsys, dataset_dir, argv, target
+):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    if argv[0] in ("train", "sweep-alpha"):
+        argv = [*argv, "--dataset", str(dataset_dir), *FAST_TRAIN]
+    out = tmp_path / target
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: cannot ") and err.count("\n") == 1

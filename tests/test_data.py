@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reduxpll import data
+from reduxpll.cli import main
 from reduxpll.errors import ConfigError, DataError, ParseError
 
 
@@ -51,6 +52,16 @@ def test_mean_posterior_matches_uniform_class_prior():
 def test_generator_rejects_tiny_n():
     with pytest.raises(ConfigError):
         data.gen_gaussian_mixture(5, 2, 3, 2.5, seed=0)
+
+
+@pytest.mark.parametrize("separation", ["1e308", "1e160", "inf", "nan"])
+def test_separation_that_overflows_the_posterior_is_a_config_error(tmp_path, capsys, separation):
+    # the suite turns numpy's RuntimeWarnings into errors, so an overflow warns nowhere
+    with pytest.raises(ConfigError, match="separation"):
+        data.gen_gaussian_mixture(5, 2, 100, float(separation), seed=0)
+    argv = ["generate", "--n", "100", "--separation", separation, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: separation ")
 
 
 # -- corruption -----------------------------------------------------------------

@@ -319,18 +319,69 @@ def _sorted_rows(rows):
     return rows[np.lexsort(rows.T[::-1])]
 
 
-@pytest.mark.parametrize("block", [1, 7, 4096])
-def test_ball_blocks_yield_the_one_shot_rows_and_draws(monkeypatch, block):
+def _check_one_shot_rows_and_draws(monkeypatch, block, center, radius, support):
     monkeypatch.setattr(theory, "BALL_BLOCK", block)
-    support = np.ones(REJECTING_CENTER.size, bool)
     ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
-    expect = reference_ball(ref_rng, REJECTING_CENTER, REJECTING_RADIUS, support, 300)
-    blocks = list(theory.sample_simplex_ball(rng, REJECTING_CENTER, REJECTING_RADIUS, support, 300))
+    expect = reference_ball(ref_rng, center, radius, support, 300)
+    blocks = list(theory.sample_simplex_ball(rng, center, radius, support, 300))
     assert max(len(b) for b, _ in blocks) <= block
+    # the ball rejects some draws, so more than one round runs
+    assert sum(len(b) for b, _ in blocks) > 300
     rows = np.concatenate([b[ok] for b, ok in blocks])
     assert np.array_equal(_sorted_rows(rows), _sorted_rows(expect))
     # both consumed the same doubles: the streams are in the same state
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_ball_blocks_yield_the_one_shot_rows_and_draws(monkeypatch, block):
+    support = np.ones(REJECTING_CENTER.size, bool)
+    _check_one_shot_rows_and_draws(monkeypatch, block, REJECTING_CENTER, REJECTING_RADIUS, support)
+
+
+# (center, radius, support) on each side of numpy's pairwise-sum threshold of
+# 8 entries, and one with an unsupported label; REJECTING_CENTER has 9
+SHORT_BALLS = {
+    "8-labels": (np.array([0.72] + [0.04] * 7), 0.04, np.ones(8, bool)),
+    "7-labels": (np.array([0.7] + [0.05] * 6), 0.05, np.ones(7, bool)),
+    "4-labels-one-unsupported": (
+        np.array([0.6, 0.0, 0.3, 0.1]), 0.1, np.array([True, False, True, True])
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("ball", sorted(SHORT_BALLS))
+def test_short_and_partial_balls_yield_the_one_shot_rows_and_draws(monkeypatch, ball, block):
+    _check_one_shot_rows_and_draws(monkeypatch, block, *SHORT_BALLS[ball])
+
+
+BAD_BALL_ARGS = {
+    "negative-radius": dict(radius=-0.1),
+    "nan-radius": dict(radius=float("nan")),
+    "inf-radius": dict(radius=float("inf")),
+    "nan-center": dict(center=np.array([0.5, np.nan, 0.2])),
+    "empty-support": dict(support=np.zeros(3, bool)),
+    "negative-count": dict(count=-1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BALL_ARGS))
+def test_ball_rejects_bad_arguments_before_any_draw(case):
+    args = dict(center=np.array([0.5, 0.3, 0.2]), radius=0.1, support=np.ones(3, bool), count=10)
+    args.update(BAD_BALL_ARGS[case])
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ContractViolation, match="ball"):
+        list(theory.sample_simplex_ball(rng, **args))
+    assert rng.bit_generator.state == before
+
+
+def test_verifier_radius_overrides_are_checked():
+    scen = theory.load_builtin_scenario("theorem1-4class")
+    for radii in (dict(f_radius=-0.1), dict(phi_radius=float("nan"))):
+        with pytest.raises(ContractViolation, match="radius"):
+            theory.verify_theorem1(scen, 100, seed=0, **radii)
 
 
 def _rejecting_scenario():
