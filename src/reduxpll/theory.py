@@ -330,8 +330,9 @@ def sample_simplex_ball(
         for start in range(0, need, BALL_BLOCK):
             k = min(BALL_BLOCK, need - start)
             # rng.uniform(lo, hi) makes lo + (hi - lo) * next_double; the same
-            # map in place on standard doubles gives its bits at under half the
-            # cost. The draw stays a `uniform` call: bench/tracer.py counts rows there.
+            # map in place on standard doubles gives its bits for less than its
+            # broadcasting costs. The draw stays a `uniform` call: bench/tracer.py
+            # counts rows there.
             # The canvas takes the draw as a temporary, so across a yield the
             # generator holds no block besides the one it yields.
             if len(columns) == c:
