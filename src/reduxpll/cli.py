@@ -11,18 +11,18 @@ k contiguous chunks that run in parallel processes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import data, theory, training
+from . import METHODS, data
 from .errors import DataError, NumericError, ParseError, ReduxPllError, UsageError
 
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -48,10 +48,14 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _load_dataset(path_arg: str) -> tuple[data.PllDataset, Path, dict | None]:
-    """Accept either a dataset directory (csv + manifest) or a bare csv path."""
+def _load_dataset(path_arg: str) -> tuple[data.PllDataset, str]:
+    """Load a dataset directory (csv + manifest) or a bare csv path.
+
+    Returns the dataset and the sha256 of its csv. Each of `checksum`, `n`,
+    `c` and `q` that the manifest holds must match the file and the dataset.
+    """
     path = Path(path_arg)
-    manifest = None
+    manifest = {}
     if path.is_dir():
         csv_path = path / "dataset.csv"
         manifest_path = path / "manifest.json"
@@ -66,12 +70,29 @@ def _load_dataset(path_arg: str) -> tuple[data.PllDataset, Path, dict | None]:
         csv_path = path
     if not csv_path.exists():
         raise DataError(f"no dataset at {csv_path}")
-    c = manifest.get("c") if manifest else None
-    return data.load_csv(csv_path, c=c), csv_path, manifest
+    for key, kind in (("checksum", str), ("n", int), ("c", int), ("q", int)):
+        if key in manifest and type(manifest[key]) is not kind:
+            noun = "a string" if kind is str else "an integer"
+            raise DataError(f"{manifest_path}: {key} must be {noun}, got {manifest[key]!r}")
+
+    def expect(key, value):
+        if manifest.get(key, value) != value:
+            raise DataError(
+                f"{manifest_path}: {key} is {manifest[key]!r} but {csv_path} has {value!r}"
+            )
+
+    checksum = data.file_checksum(csv_path)
+    expect("checksum", checksum)
+    ds = data.load_csv(csv_path, c=manifest.get("c"))
+    for key in ("n", "c", "q"):
+        expect(key, getattr(ds, key))
+    return ds, checksum
 
 
 def _build_config(args) -> training.TrainConfig:
     """defaults < config file < explicit CLI flags."""
+    from . import training
+
     doc = {}
     if getattr(args, "config", None):
         cfg_path = Path(args.config)
@@ -92,16 +113,33 @@ def _build_config(args) -> training.TrainConfig:
     return config
 
 
-def _make_out_dir(path) -> Path:
-    """Create the --out directory `path` (or one under it) with its parents."""
+def _make_out_dir(path, made: list[Path]) -> Path:
+    """Create the --out directory `path` (or one under it) with its parents.
+
+    Appends to `made` each directory that did not exist before, parents first.
+    """
     out_dir = Path(path)
+    missing = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(
             f"--out {out_dir}: cannot create the directory ({exc.strerror})"
         ) from None
+    finally:
+        made.extend(p for p in reversed(missing) if p.is_dir())
     return out_dir
+
+
+def _check_report_target(out: Path) -> None:
+    """Reject a report path that cannot become a file, before any work is done."""
+    if out.is_dir():
+        reason = "Is a directory"
+    elif not next(p for p in out.parents if p.exists()).is_dir():
+        reason = "Not a directory"
+    else:
+        return
+    raise UsageError(f"--out {out}: cannot write the report ({reason})")
 
 
 def _split_dataset(ds: data.PllDataset, split_seed: int):
@@ -110,6 +148,8 @@ def _split_dataset(ds: data.PllDataset, split_seed: int):
 
 def _fit_lane_chunk(payload):
     """Worker for one chunk of lanes (top level so process pools can pickle it)."""
+    from . import training
+
     ds_parts, lanes = payload
     results = training.fit_lanes(
         ds_parts,
@@ -146,6 +186,8 @@ def _run_lanes(ds_parts, configs, out_dirs) -> list[dict]:
     payloads = [(ds_parts, lanes[a:b]) for a, b in zip(bounds, bounds[1:])]
     if len(payloads) == 1:
         return _fit_lane_chunk(payloads[0])
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
         return [row for chunk in pool.map(_fit_lane_chunk, payloads) for row in chunk]
 
@@ -160,7 +202,7 @@ def _summarize(per_seed: list[dict]) -> dict:
     }
 
 
-def _write_run_manifest(out_dir: Path, *, config, dataset_csv, seeds, method) -> None:
+def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, method) -> None:
     artifacts = {}
     for p in sorted(out_dir.iterdir()):
         if p.name == "run_manifest.json" or not p.is_file():
@@ -168,7 +210,7 @@ def _write_run_manifest(out_dir: Path, *, config, dataset_csv, seeds, method) ->
         artifacts[p.name] = data.file_checksum(p)
     manifest = {
         "config_hash": config.config_hash(),
-        "dataset_checksum": data.file_checksum(dataset_csv),
+        "dataset_checksum": dataset_checksum,
         "seeds": list(seeds),
         "method": method,
         "output_dir": str(out_dir),
@@ -193,7 +235,7 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--q must be at least 2, got {args.q}")
     if not 0.0 < args.ambiguity <= 1.0:
         raise UsageError(f"--ambiguity must be in (0, 1], got {args.ambiguity}")
-    out_dir = _make_out_dir(args.out)
+    out_dir = _make_out_dir(args.out, args.made_dirs)
     ds = data.gen_gaussian_mixture(args.c, args.q, args.n, args.separation, args.seed)
     ds = data.corrupt_instance_dependent(ds, args.ambiguity, args.seed)
     data.validate_dataset(ds, require_posterior=True)
@@ -209,9 +251,9 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     if args.seeds <= 0:
         raise UsageError(f"--seeds must be positive, got {args.seeds}")
-    ds, csv_path, _ = _load_dataset(args.dataset)
+    ds, dataset_checksum = _load_dataset(args.dataset)
     config = _build_config(args)
-    out_dir = _make_out_dir(args.out)
+    out_dir = _make_out_dir(args.out, args.made_dirs)
     parts = _split_dataset(ds, args.split_seed)
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     per_seed = _run_lanes(parts, [replace(config, seed=s) for s in seeds], [out_dir] * len(seeds))
@@ -225,7 +267,7 @@ def cmd_train(args) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     _write_run_manifest(
-        out_dir, config=config, dataset_csv=csv_path, seeds=seeds, method=config.method
+        out_dir, config=config, dataset_checksum=dataset_checksum, seeds=seeds, method=config.method
     )
     print(
         f"{config.method}: test accuracy {summary['mean_test_accuracy']:.4f} "
@@ -240,14 +282,14 @@ def cmd_sweep_alpha(args) -> int:
     alphas = DEFAULT_ALPHA_GRID if args.alphas is None else tuple(args.alphas)
     if len(set(alphas)) != len(alphas):
         raise UsageError(f"--alphas lists a value twice: {','.join(map(str, alphas))}")
-    ds, csv_path, _ = _load_dataset(args.dataset)
+    ds, dataset_checksum = _load_dataset(args.dataset)
     base_config = _build_config(args)
-    out_dir = _make_out_dir(args.out)
+    out_dir = _make_out_dir(args.out, args.made_dirs)
     parts = _split_dataset(ds, args.split_seed)
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     alpha_dirs = [out_dir / f"alpha_{alpha:g}" for alpha in alphas]
     for alpha_dir in alpha_dirs:
-        _make_out_dir(alpha_dir)
+        _make_out_dir(alpha_dir, args.made_dirs)
     # the whole alpha x seed grid is one lane stack, alpha-major
     per_lane = _run_lanes(
         parts,
@@ -278,7 +320,7 @@ def cmd_sweep_alpha(args) -> int:
     _write_run_manifest(
         out_dir,
         config=base_config,
-        dataset_csv=csv_path,
+        dataset_checksum=dataset_checksum,
         seeds=seeds,
         method=base_config.method,
     )
@@ -289,6 +331,10 @@ def cmd_sweep_alpha(args) -> int:
 def cmd_verify_theory(args) -> int:
     if args.trials <= 0:
         raise UsageError(f"--trials must be positive, got {args.trials}")
+    if args.out:
+        _check_report_target(Path(args.out))
+    from . import theory
+
     name = args.scenario
     if name in theory.builtin_scenario_names():
         scenario = theory.load_builtin_scenario(name)
@@ -334,7 +380,7 @@ def _read_metrics_series(run_dir: Path) -> dict[int, list[dict]]:
 
 
 def cmd_report(args) -> int:
-    out_dir = _make_out_dir(args.out)
+    out_dir = _make_out_dir(args.out, args.made_dirs)
     md = ["# Run report", ""]
     for run in args.runs:
         run_dir = Path(run)
@@ -390,7 +436,7 @@ def cmd_report(args) -> int:
 
 def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--method", choices=training.METHODS)
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta1", type=float)
     p.add_argument("--beta2", type=float)
@@ -451,19 +497,32 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    A command that fails removes the --out directories it created that are
+    still empty, deepest first; a tree or an older directory stays.
+    """
+    made: list[Path] = []
+    code = None
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        args.made_dirs = made
+        code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except ReduxPllError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    finally:
+        if code != 0:
+            for path in reversed(made):
+                with contextlib.suppress(OSError):
+                    os.rmdir(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -49,11 +49,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import nets, pseudo
+from . import METHODS, nets, pseudo
 from .data import PllDataset, validate_dataset
 from .errors import ConfigError, ContractViolation, NumericError
-
-METHODS = ("reduxpll", "reduxpll-uniform-w", "proden")
 
 # purpose-keyed RNG streams spawned from the run seed
 _STREAMS = {"theta_init": 0, "omega_init": 1, "gamma_init": 2, "shuffle": 3, "val": 4}

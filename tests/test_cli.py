@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reduxpll import data
+from reduxpll import data, theory
 from reduxpll.cli import main
 
 FAST_TRAIN = ["--epochs", "4", "--batch-size", "64"]
@@ -313,3 +313,102 @@ def test_an_out_path_that_cannot_be_written_is_a_usage_error(
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {out}: cannot ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", "--n", "100", "--separation", "1e308"], 2),
+        (["train", "--batch-size", "5000"], 2),
+        (["sweep-alpha", "--alphas", "0.3,0.5"], 1),  # fails after making alpha_*/
+        (["report", "--runs", "missing"], 2),
+    ],
+    ids=["generate", "train", "sweep-alpha", "report"],
+)
+def test_a_failed_command_removes_the_empty_out_directories_it_made(
+    tmp_path, monkeypatch, dataset_dir, argv, code
+):
+    if argv[0] == "sweep-alpha":
+        monkeypatch.setenv("REDUXPLL_THREADS", "two")
+    if argv[0] in ("train", "sweep-alpha"):
+        argv = [argv[0], "--dataset", str(dataset_dir), *FAST_TRAIN, *argv[1:]]
+    (tmp_path / "old").mkdir()
+    out = tmp_path / "old" / "new" / "deeper"
+    assert main([*argv, "--out", str(out)]) == code
+    # a directory that existed before the command stays, empty or not
+    assert [p.name for p in tmp_path.iterdir()] == ["old"]
+    assert list((tmp_path / "old").iterdir()) == []
+    assert main([*argv, "--out", str(tmp_path / "old")]) == code
+    assert list((tmp_path / "old").iterdir()) == []
+
+
+def test_a_failed_command_keeps_an_out_directory_that_holds_files(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics_seed0.jsonl").write_text(
+        json.dumps({"bayes_consistency": None, "pseudo_label_drift": 0.0}) + "\n"
+    )
+    out = tmp_path / "new" / "rep"
+    # the first run's series is written before the missing run fails
+    assert main(["report", "--runs", str(run), "missing", "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["run_series.csv"]
+
+
+@pytest.mark.parametrize("target", ["dir", "file/report.json", "file/x/report.json"])
+def test_verify_theory_checks_out_before_any_verifier_runs(
+    tmp_path, capsys, monkeypatch, target
+):
+    def verifier_ran(*args, **kwargs):
+        raise AssertionError("a verifier ran")
+
+    monkeypatch.setattr(theory, "verify_theorem1", verifier_ran)
+    monkeypatch.setattr(theory, "verify_theorem2", verifier_ran)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    out = tmp_path / target
+    argv = ["verify-theory", "--scenario", "theorem1-4class", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: --out {out}: cannot write the report (")
+
+
+def _copy_dataset(src: Path, dst: Path) -> Path:
+    dst.mkdir()
+    for name in ("dataset.csv", "manifest.json"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def test_a_truncated_dataset_csv_is_a_data_error(dataset_dir, tmp_path, capsys):
+    ds_dir = _copy_dataset(dataset_dir, tmp_path / "ds")
+    csv_path = ds_dir / "dataset.csv"
+    lines = csv_path.read_bytes().splitlines(keepends=True)
+    csv_path.write_bytes(b"".join(lines[:-1]))  # one row short, still a valid csv
+    argv = ["train", "--dataset", str(ds_dir), "--method", "proden", *FAST_TRAIN]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert "checksum is " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("c", 6, "c is 6 but"),
+        ("n", 399, "n is 399 but"),
+        ("q", 3, "q is 3 but"),
+        ("checksum", "0" * 64, "checksum is '000"),
+        ("c", "5", "c must be an integer, got '5'"),
+        ("n", True, "n must be an integer, got True"),
+        ("q", 2.0, "q must be an integer, got 2.0"),
+        ("checksum", None, "checksum must be a string, got None"),
+    ],
+)
+def test_a_dataset_that_disagrees_with_its_manifest_is_a_data_error(
+    dataset_dir, tmp_path, capsys, field, value, message
+):
+    ds_dir = _copy_dataset(dataset_dir, tmp_path / "ds")
+    manifest = json.loads((ds_dir / "manifest.json").read_text())
+    manifest[field] = value
+    (ds_dir / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["train", "--dataset", str(ds_dir), "--method", "proden", *FAST_TRAIN]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err

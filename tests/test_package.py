@@ -1,0 +1,104 @@
+"""The package's lazy API and the modules each CLI command loads."""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import reduxpll
+
+SUBMODULES = ("cli", "data", "errors", "nets", "pseudo", "theory", "training")
+
+# loaded by none of `from reduxpll import cli`, `generate` and `verify-theory`
+HEAVY = (
+    "reduxpll.nets",
+    "reduxpll.pseudo",
+    "reduxpll.training",
+    "concurrent.futures.process",
+    "multiprocessing",
+)
+
+# prints, after each argv list in turn, which of the watched modules are loaded
+PROBE = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+watched = json.loads(sys.argv[2])
+from reduxpll import cli
+seen = [sorted(set(watched) & set(sys.modules))]
+for argv in json.loads(sys.argv[3]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    seen.append(sorted(set(watched) & set(sys.modules)))
+print(json.dumps(seen))
+"""
+
+
+def _loaded_after(*commands):
+    watched = [*HEAVY, "reduxpll.theory"]
+    src = Path(reduxpll.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(src), json.dumps(watched), json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return [set(names) for names in json.loads(proc.stdout)]
+
+
+def test_cli_and_generate_load_no_training_theory_or_pool_code(tmp_path):
+    generate = ["generate", "--n", "50", "--out", str(tmp_path / "ds")]
+    after_import, after_generate = _loaded_after(generate)
+    assert after_import == set()
+    assert after_generate == set()
+
+
+def test_verify_theory_loads_theory_and_no_training_code():
+    argv = ["verify-theory", "--scenario", "theorem1-4class", "--trials", "1000"]
+    _, after = _loaded_after(argv)
+    assert after == {"reduxpll.theory"}
+
+
+def test_every_public_name_resolves_to_the_object_its_module_defines():
+    for name in reduxpll.__all__:
+        value = getattr(reduxpll, name)
+        if name in ("METHODS", "__version__"):
+            continue
+        assert value.__module__.startswith("reduxpll."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert reduxpll.METHODS is reduxpll.training.METHODS
+
+
+def test_dir_lists_the_public_names_and_submodules():
+    assert set(reduxpll.__all__) | set(SUBMODULES) <= set(dir(reduxpll))
+
+
+def test_import_loads_no_submodule_and_each_resolves_as_an_attribute():
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import reduxpll; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('reduxpll.')); "
+        "names = [getattr(reduxpll, m).__name__ for m in json.loads(sys.argv[2])]; "
+        "print(json.dumps([loaded, names]))"
+    )
+    src = Path(reduxpll.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src), json.dumps(SUBMODULES)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded, names = json.loads(proc.stdout)
+    assert loaded == []
+    assert names == [f"reduxpll.{m}" for m in SUBMODULES]
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        reduxpll.nope
+    with pytest.raises(ImportError):
+        from reduxpll import nope  # noqa: F401
+
+
+def test_star_import_binds_the_whole_list():
+    namespace = {}
+    exec("from reduxpll import *", namespace)
+    assert set(reduxpll.__all__) <= set(namespace)
+    assert namespace["fit_lanes"] is reduxpll.training.fit_lanes
