@@ -4,8 +4,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
 failure. All outputs are byte-identical across repeated invocations with the
 same flags; wall-clock timestamps appear only in run manifests. A command's
 runs (the seeds of `train`, the alpha x seed grid of `sweep-alpha`) train in
-lockstep as one lane stack; with REDUXPLL_THREADS=k > 1 the stack splits into
-k contiguous chunks that run in parallel processes.
+lockstep as one lane stack.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -44,8 +44,22 @@ def _seed(text: str) -> int:
     return value
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read the file ({exc})") from None
+
+
+def _parse_object(text: str, where) -> dict:
+    """The JSON object in `text`; anything else is a ParseError naming `where`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    return doc
 
 
 def _load_dataset(path_arg: str) -> tuple[data.PllDataset, str]:
@@ -60,12 +74,7 @@ def _load_dataset(path_arg: str) -> tuple[data.PllDataset, str]:
         csv_path = path / "dataset.csv"
         manifest_path = path / "manifest.json"
         if manifest_path.exists():
-            try:
-                manifest = json.loads(manifest_path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
-            if not isinstance(manifest, dict):
-                raise ParseError(f"{manifest_path}: expected a JSON object")
+            manifest = _parse_object(_read_text(manifest_path), manifest_path)
     else:
         csv_path = path
     if not csv_path.exists():
@@ -95,15 +104,7 @@ def _build_config(args) -> training.TrainConfig:
 
     doc = {}
     if getattr(args, "config", None):
-        cfg_path = Path(args.config)
-        try:
-            doc = json.loads(cfg_path.read_text())
-        except OSError as exc:
-            raise ParseError(f"{cfg_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{cfg_path}: invalid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ParseError(f"{cfg_path}: a config file holds one JSON object")
+        doc = _parse_object(_read_text(Path(args.config)), args.config)
     for key in ("method", "alpha", "beta1", "beta2", "beta3", "batch_size", "epochs", "patience"):
         value = getattr(args, key, None)
         if value is not None:
@@ -142,20 +143,19 @@ def _check_report_target(out: Path) -> None:
     raise UsageError(f"--out {out}: cannot write the report ({reason})")
 
 
-def _split_dataset(ds: data.PllDataset, split_seed: int):
-    return data.split(ds, data.SplitSpec(seed=split_seed))
+def _run_lanes(ds_parts, configs, out_dirs) -> list[dict]:
+    """Fit every config as one lane stack, logging lane k under out_dirs[k].
 
-
-def _fit_lane_chunk(payload):
-    """Worker for one chunk of lanes (top level so process pools can pickle it)."""
+    Returns one summary row per config, in config order.
+    """
     from . import training
 
-    ds_parts, lanes = payload
+    lanes = list(zip(configs, out_dirs))
     results = training.fit_lanes(
         ds_parts,
-        [cfg for cfg, _ in lanes],
-        metrics_paths=[str(out / f"metrics_seed{cfg.seed}.jsonl") for cfg, out in lanes],
-        checkpoint_paths=[str(out / f"checkpoint_seed{cfg.seed}.npz") for cfg, out in lanes],
+        configs,
+        metrics_paths=[out / f"metrics_seed{cfg.seed}.jsonl" for cfg, out in lanes],
+        checkpoint_paths=[out / f"checkpoint_seed{cfg.seed}.npz" for cfg, out in lanes],
     )
     return [
         {
@@ -167,29 +167,6 @@ def _fit_lane_chunk(payload):
         }
         for result in results
     ]
-
-
-def _run_lanes(ds_parts, configs, out_dirs) -> list[dict]:
-    """Fit every config as one lane stack, logging lane k under out_dirs[k].
-
-    With REDUXPLL_THREADS=k > 1 the lanes split into k contiguous chunks, one
-    per pool worker. Results come back in config order either way.
-    """
-    lanes = [(config, Path(out)) for config, out in zip(configs, out_dirs)]
-    raw = os.environ.get("REDUXPLL_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"REDUXPLL_THREADS must be an integer, got {raw!r}") from None
-    chunks = max(1, min(threads, len(lanes)))
-    bounds = [len(lanes) * i // chunks for i in range(chunks + 1)]
-    payloads = [(ds_parts, lanes[a:b]) for a, b in zip(bounds, bounds[1:])]
-    if len(payloads) == 1:
-        return _fit_lane_chunk(payloads[0])
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        return [row for chunk in pool.map(_fit_lane_chunk, payloads) for row in chunk]
 
 
 def _summarize(per_seed: list[dict]) -> dict:
@@ -214,7 +191,7 @@ def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, metho
         "seeds": list(seeds),
         "method": method,
         "output_dir": str(out_dir),
-        "created_at": _utc_now(),
+        "created_at": datetime.now(timezone.utc).isoformat(),
         "artifacts": artifacts,
     }
     (out_dir / "run_manifest.json").write_text(
@@ -254,7 +231,7 @@ def cmd_train(args) -> int:
     ds, dataset_checksum = _load_dataset(args.dataset)
     config = _build_config(args)
     out_dir = _make_out_dir(args.out, args.made_dirs)
-    parts = _split_dataset(ds, args.split_seed)
+    parts = data.split(ds, data.SplitSpec(seed=args.split_seed))
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     per_seed = _run_lanes(parts, [replace(config, seed=s) for s in seeds], [out_dir] * len(seeds))
     summary = {
@@ -285,11 +262,9 @@ def cmd_sweep_alpha(args) -> int:
     ds, dataset_checksum = _load_dataset(args.dataset)
     base_config = _build_config(args)
     out_dir = _make_out_dir(args.out, args.made_dirs)
-    parts = _split_dataset(ds, args.split_seed)
+    parts = data.split(ds, data.SplitSpec(seed=args.split_seed))
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    alpha_dirs = [out_dir / f"alpha_{alpha:g}" for alpha in alphas]
-    for alpha_dir in alpha_dirs:
-        _make_out_dir(alpha_dir, args.made_dirs)
+    alpha_dirs = [_make_out_dir(out_dir / f"alpha_{alpha:g}", args.made_dirs) for alpha in alphas]
     # the whole alpha x seed grid is one lane stack, alpha-major
     per_lane = _run_lanes(
         parts,
@@ -367,19 +342,39 @@ def cmd_verify_theory(args) -> int:
     return 0 if (ok1 and ok2) else 2
 
 
-def _read_metrics_series(run_dir: Path) -> dict[int, list[dict]]:
+def _number(doc: dict, key: str, where, *, nullable: bool = False):
+    """doc[key], which must be a number (or null, when `nullable`)."""
+    if key not in doc:
+        raise ParseError(f"{where}: no {key} field")
+    if not (type(doc[key]) in (int, float) or (nullable and doc[key] is None)):
+        raise ParseError(f"{where}: {key} must be a number, got {doc[key]!r}")
+    return doc[key]
+
+
+def _read_metrics_series(run_dir: Path) -> dict[int, list[tuple]]:
+    """Per seed, the (bayes_consistency, pseudo_label_drift) of each logged epoch."""
     files = sorted(run_dir.glob("metrics_seed*.jsonl"))
     if not files:
         raise DataError(f"no metrics files (metrics_seed*.jsonl) under {run_dir}")
     series = {}
     for path in files:
-        seed = int(path.stem.replace("metrics_seed", ""))
-        lines = [json.loads(line) for line in path.read_text().splitlines() if line]
-        series[seed] = lines
+        seed = path.stem.removeprefix("metrics_seed")
+        if not (seed.isascii() and seed.isdigit()) or seed != str(int(seed)):
+            raise ParseError(f"{path}: expected a name metrics_seed<seed>.jsonl")
+        series[int(seed)] = points = []
+        for number, line in enumerate(_read_text(path).splitlines(), start=1):
+            if line:
+                where = f"{path}:{number}"
+                epoch = _parse_object(line, where)
+                consistency = _number(epoch, "bayes_consistency", where, nullable=True)
+                points.append((consistency, _number(epoch, "pseudo_label_drift", where)))
     return series
 
 
 def cmd_report(args) -> int:
+    names = [Path(run).name for run in args.runs]
+    if len(set(names)) != len(names):
+        raise UsageError(f"--runs lists a directory name twice: {' '.join(names)}")
     out_dir = _make_out_dir(args.out, args.made_dirs)
     md = ["# Run report", ""]
     for run in args.runs:
@@ -388,20 +383,16 @@ def cmd_report(args) -> int:
             raise DataError(f"run directory {run_dir} does not exist")
         series = _read_metrics_series(run_dir)
         name = run_dir.name
-        max_epoch = max(len(v) for v in series.values())
         rows = []
-        for e in range(1, max_epoch + 1):
-            cons = [
-                s[e - 1]["bayes_consistency"]
-                for s in series.values()
-                if len(s) >= e and s[e - 1]["bayes_consistency"] is not None
-            ]
-            drift = [s[e - 1]["pseudo_label_drift"] for s in series.values() if len(s) >= e]
+        # epoch e averages the seeds that logged it
+        for e, points in enumerate(itertools.zip_longest(*series.values()), start=1):
+            logged = [point for point in points if point is not None]
+            cons = [c for c, _ in logged if c is not None]
             rows.append(
                 {
                     "epoch": e,
                     "bayes_consistency": float(np.mean(cons)) if cons else "",
-                    "pseudo_label_drift": float(np.mean(drift)) if drift else "",
+                    "pseudo_label_drift": float(np.mean([d for _, d in logged])),
                 }
             )
         series_path = out_dir / f"{name}_series.csv"
@@ -415,7 +406,11 @@ def cmd_report(args) -> int:
         md.append("")
         summary_path = run_dir / "summary.json"
         if summary_path.exists():
-            summary = json.loads(summary_path.read_text())
+            summary = _parse_object(_read_text(summary_path), summary_path)
+            for key in ("mean_test_accuracy", "std_test_accuracy"):
+                _number(summary, key, summary_path)
+            if not isinstance(summary.get("seeds", []), list):
+                raise ParseError(f"{summary_path}: seeds must be a list, got {summary['seeds']!r}")
             md.append(
                 f"- method `{summary.get('method', '?')}`: test accuracy "
                 f"{summary['mean_test_accuracy']:.4f} ± {summary['std_test_accuracy']:.4f} "

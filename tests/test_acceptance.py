@@ -181,10 +181,10 @@ def benchmark_runs(default_dataset):
     t0 = time.time()
     runs = {}
     for method in training.METHODS:
-        runs[method] = [
-            training.fit(default_dataset, training.TrainConfig(method=method, seed=seed))
-            for seed in range(5)
-        ]
+        # one lane stack per method: tests/test_lanes.py asserts that each lane
+        # is byte-identical to a `fit` of its config alone
+        configs = [training.TrainConfig(method=method, seed=seed) for seed in range(5)]
+        runs[method] = training.fit_lanes(default_dataset, configs)
     runs["_elapsed"] = time.time() - t0
     return runs
 

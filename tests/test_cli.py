@@ -200,21 +200,6 @@ def test_verify_theory_zero_trials_is_usage_error():
     assert main(["verify-theory", "--scenario", "theorem1-4class", "--trials", "0"]) == 1
 
 
-def test_parallel_seed_execution_matches_sequential(dataset_dir, tmp_path, monkeypatch):
-    # three seeds: one stack of three lanes, or pool chunks of two and one
-    flags = ["train", "--dataset", str(dataset_dir), "--method", "reduxpll",
-             "--seeds", "3", *FAST_TRAIN]
-    seq_out, par_out = tmp_path / "seq", tmp_path / "par"
-    monkeypatch.setenv("REDUXPLL_THREADS", "1")
-    assert main([*flags, "--out", str(seq_out)]) == 0
-    monkeypatch.setenv("REDUXPLL_THREADS", "2")
-    assert main([*flags, "--out", str(par_out)]) == 0
-    names = [f"{kind}_seed{s}.{ext}" for s in range(3)
-             for kind, ext in (("metrics", "jsonl"), ("checkpoint", "npz"))]
-    for name in [*names, "summary.json"]:
-        assert (seq_out / name).read_bytes() == (par_out / name).read_bytes(), name
-
-
 def test_report_aggregates_runs_and_flags_missing_metrics(dataset_dir, tmp_path):
     runs = []
     for method in ("proden", "reduxpll"):
@@ -238,16 +223,6 @@ def test_report_aggregates_runs_and_flags_missing_metrics(dataset_dir, tmp_path)
     empty.mkdir()
     code = main(["report", "--runs", str(empty), "--out", str(report_dir)])
     assert code == 2
-
-
-def test_non_integer_thread_count_is_usage_error(dataset_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REDUXPLL_THREADS", "two")
-    code = main(
-        ["train", "--dataset", str(dataset_dir), "--method", "proden",
-         "--seeds", "2", "--out", str(tmp_path / "run"), *FAST_TRAIN]
-    )
-    assert code == 1
-    assert "REDUXPLL_THREADS" in capsys.readouterr().err
 
 
 def test_generate_one_feature_dimension_is_usage_error(tmp_path):
@@ -320,16 +295,14 @@ def test_an_out_path_that_cannot_be_written_is_a_usage_error(
     [
         (["generate", "--n", "100", "--separation", "1e308"], 2),
         (["train", "--batch-size", "5000"], 2),
-        (["sweep-alpha", "--alphas", "0.3,0.5"], 1),  # fails after making alpha_*/
+        (["sweep-alpha", "--alphas", "0.3,0.5", "--batch-size", "5000"], 2),  # after alpha_*/
         (["report", "--runs", "missing"], 2),
     ],
     ids=["generate", "train", "sweep-alpha", "report"],
 )
 def test_a_failed_command_removes_the_empty_out_directories_it_made(
-    tmp_path, monkeypatch, dataset_dir, argv, code
+    tmp_path, dataset_dir, argv, code
 ):
-    if argv[0] == "sweep-alpha":
-        monkeypatch.setenv("REDUXPLL_THREADS", "two")
     if argv[0] in ("train", "sweep-alpha"):
         argv = [argv[0], "--dataset", str(dataset_dir), *FAST_TRAIN, *argv[1:]]
     (tmp_path / "old").mkdir()
@@ -352,6 +325,55 @@ def test_a_failed_command_keeps_an_out_directory_that_holds_files(tmp_path):
     # the first run's series is written before the missing run fails
     assert main(["report", "--runs", str(run), "missing", "--out", str(out)]) == 2
     assert [p.name for p in out.iterdir()] == ["run_series.csv"]
+
+
+EPOCH_LINE = json.dumps({"bayes_consistency": 0.5, "pseudo_label_drift": 0.1})
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("metrics_seed0.jsonl", EPOCH_LINE + "\n{nope\n", ":2: invalid JSON"),
+        ("metrics_seed0.jsonl", "[1, 2]\n", ":1: expected a JSON object"),
+        ("metrics_seedx.jsonl", EPOCH_LINE + "\n", ": expected a name"),
+        ("metrics_seed01.jsonl", EPOCH_LINE + "\n", ": expected a name"),
+        ("metrics_seed0.jsonl", EPOCH_LINE + "\n\xff\n", ": cannot read the file"),
+        ("metrics_seed0.jsonl", '{"pseudo_label_drift": 0.1}\n', ":1: no bayes_consistency"),
+        ("metrics_seed0.jsonl", '{"bayes_consistency": null}\n', ":1: no pseudo_label_drift"),
+        ("metrics_seed0.jsonl", '{"bayes_consistency": 0.5, "pseudo_label_drift": "x"}\n',
+         ":1: pseudo_label_drift must be a number"),
+        ("summary.json", "{nope", ": invalid JSON"),
+        ("summary.json", '{"mean_test_accuracy": 0.9}', ": no std_test_accuracy"),
+        ("summary.json", '{"mean_test_accuracy": 0.9, "std_test_accuracy": 0.0, "seeds": 3}',
+         ": seeds must be a list"),
+    ],
+    ids=["bad-json", "not-object", "bad-seed-name", "zero-padded-seed", "not-utf8",
+         "no-consistency", "no-drift", "drift-text", "summary-bad-json", "summary-no-std",
+         "summary-seeds-int"],
+)
+def test_report_names_the_file_and_line_of_a_malformed_run_file(
+    tmp_path, capsys, name, text, where
+):
+    run = tmp_path / "run"
+    run.mkdir()
+    if name == "summary.json":
+        (run / "metrics_seed0.jsonl").write_text(EPOCH_LINE + "\n")
+    (run / name).write_bytes(text.encode("latin-1"))  # "\xff": one byte, not UTF-8
+    assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
+    assert f"{run / name}{where}" in capsys.readouterr().err
+
+
+def test_report_rejects_two_runs_with_the_same_directory_name(tmp_path, capsys):
+    runs = []
+    for parent in ("a", "b"):
+        run = tmp_path / parent / "rx"
+        run.mkdir(parents=True)
+        (run / "metrics_seed0.jsonl").write_text(EPOCH_LINE + "\n")
+        runs.append(str(run))
+    out = tmp_path / "rep"
+    assert main(["report", "--runs", *runs, "--out", str(out)]) == 1
+    assert "--runs lists a directory name twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["dir", "file/report.json", "file/x/report.json"])

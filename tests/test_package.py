@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,12 +37,13 @@ print(json.dumps(seen))
 """
 
 
-def _loaded_after(*commands):
+def _loaded_after(*commands, env=None):
     watched = [*HEAVY, "reduxpll.theory"]
     src = Path(reduxpll.__file__).parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(src), json.dumps(watched), json.dumps(commands)],
         capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, **(env or {})},
     )
     return [set(names) for names in json.loads(proc.stdout)]
 
@@ -51,6 +53,16 @@ def test_cli_and_generate_load_no_training_theory_or_pool_code(tmp_path):
     after_import, after_generate = _loaded_after(generate)
     assert after_import == set()
     assert after_generate == set()
+
+
+def test_train_runs_its_lanes_in_its_own_process(tmp_path):
+    # no code reads REDUXPLL_THREADS: it must not split the lanes over a process pool
+    generate = ["generate", "--n", "200", "--out", str(tmp_path / "ds")]
+    train = ["train", "--dataset", str(tmp_path / "ds"), "--seeds", "2",
+             "--epochs", "2", "--batch-size", "64", "--out", str(tmp_path / "run")]
+    *_, after_train = _loaded_after(generate, train, env={"REDUXPLL_THREADS": "2"})
+    assert "reduxpll.training" in after_train
+    assert after_train.isdisjoint({"concurrent.futures.process", "multiprocessing"})
 
 
 def test_verify_theory_loads_theory_and_no_training_code():
