@@ -138,10 +138,8 @@ class GaussianMixture:
     scales: np.ndarray  # (c,)
 
     @classmethod
-    def ring_with_hub(
-        cls, c: int, q: int, separation: float, hub_scale: float = 2.0
-    ) -> "GaussianMixture":
-        """c-1 unit-scale components on a circle plus one broad hub at the origin.
+    def ring_with_hub(cls, c: int, q: int, separation: float) -> "GaussianMixture":
+        """c-1 unit-scale components on a circle plus one hub of scale 2 at the origin.
 
         The hub's density spreads over every ring class, so its label is a
         plausible candidate throughout the feature space; this is the
@@ -158,7 +156,7 @@ class GaussianMixture:
         means[: c - 1, 0] = separation * np.cos(angles)
         means[: c - 1, 1] = separation * np.sin(angles)
         scales = np.ones(c)
-        scales[c - 1] = hub_scale
+        scales[c - 1] = 2.0
         return cls(means=means, scales=scales)
 
     @property

@@ -227,8 +227,9 @@ def forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, GradTape]
     return probs, GradTape(params=params, inputs=inputs, probs=probs)
 
 
-def check_simplex_rows(mat: np.ndarray, what: str, tol: float = SIMPLEX_TOL) -> None:
+def check_simplex_rows(mat: np.ndarray, what: str) -> None:
     mat = _as_rows(np.asarray(mat, dtype=np.float64))
+    tol = SIMPLEX_TOL
     if _least(mat) < -tol or _greatest(np.abs(np.add.reduce(mat, axis=-1) - 1.0)) > tol:
         raise ContractViolation(f"{what} rows are off the probability simplex (tol {tol})")
 
@@ -324,58 +325,41 @@ def forward_jvp(tape: GradTape, tangent: Gradient) -> np.ndarray:
     return dh - np.add.reduce(tape.probs * dh, axis=-1, keepdims=True)
 
 
-# Maps (gamma, inner features) to a batch of inner targets plus a VJP pulling
-# an upstream gradient on those targets back to gamma-shaped parameters.
-PseudoLabelFn = Callable[
-    [MlpParams, np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], Gradient]]
-]
-
-
 def hypergradient(
-    theta: MlpParams,
-    gamma: MlpParams,
-    inner_batch: np.ndarray,
+    tape_in: GradTape,
+    targets: np.ndarray,
+    targets_vjp: Callable[[np.ndarray], Gradient],
     outer_batch: np.ndarray,
     outer_targets: np.ndarray,
     beta2: float,
-    pseudo_label_fn: PseudoLabelFn,
-    *,
-    inner_forward: tuple[np.ndarray, GradTape] | None = None,
 ) -> Gradient:
     """Exact gradient of the post-step validation loss with respect to gamma.
 
-    The inner step is theta+ = theta - beta2 * grad_theta CE(f(x_in), V(gamma))
-    and the outer loss is CE(f(x_out; theta+), y_out). Because the inner CE
-    gradient is linear in the targets V, the full chain rule collapses to
+    `tape_in` is the caller's `forward(theta, x_in)` tape (theta is its
+    `params`), `targets` are the inner targets V(gamma) on x_in and
+    `targets_vjp` pulls a gradient on them back to gamma. The inner step is
+    theta+ = theta - beta2 * grad_theta CE(f(x_in), V) and the outer loss is
+    CE(f(x_out; theta+), y_out). Because the inner CE gradient is linear in
+    the targets V, the full chain rule collapses to
 
         d L_out / d gamma = -beta2 * (dV/dgamma)^T B,
         B_ij = -(1/m) * d/ds log p_ij(theta + s*u) |_{s=0},  u = grad L_out(theta+),
 
     which is one reverse pass for u, one forward-mode pass for B, and one VJP
-    through the pseudo-label map. No truncation: the second-order cross term
-    is the whole computation.
-
-    Theta runs forward on the inner batch once: that tape serves both the
-    inner step and the forward-mode pass. `inner_forward` is the caller's
-    `forward(theta, inner_batch)` result; when given, it is that tape.
+    through the target map. No truncation: the second-order cross term is the
+    whole computation. The tape serves both the inner step and the
+    forward-mode pass, so theta does not run forward on x_in here.
     """
-    inner_batch = _as_rows(np.asarray(inner_batch, dtype=np.float64))
-    m = inner_batch.shape[-2]
-    targets, vjp = pseudo_label_fn(gamma, inner_batch)
-
-    probs_in, tape_in = (
-        forward(theta, inner_batch) if inner_forward is None else inner_forward
-    )
-    _, g_inner = backward_ce(tape_in, probs_in, targets)
-    theta_plus = sgd_step(theta, g_inner, beta2)
+    _, g_inner = backward_ce(tape_in, tape_in.probs, targets)
+    theta_plus = sgd_step(tape_in.params, g_inner, beta2)
 
     probs_out, tape_out = forward(theta_plus, outer_batch)
     _, u = backward_ce(tape_out, probs_out, outer_targets)
 
     d_logprobs = forward_jvp(tape_in, u)
     sensitivity = np.negative(d_logprobs, out=d_logprobs)
-    sensitivity /= m
-    vjp_gamma = vjp(sensitivity)
+    sensitivity /= tape_in.probs.shape[-2]
+    vjp_gamma = targets_vjp(sensitivity)
     flat = -beta2 * vjp_gamma.flat
     if not np.isfinite(flat).all():
         raise NumericError(

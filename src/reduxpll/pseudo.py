@@ -190,11 +190,10 @@ class PseudoLabelState:
             q = mu.copy()
         return cls(mu=mu, U=U, w=w, v=v, q=q, alpha=alpha)
 
-    def validate(
-        self, candidates: np.ndarray, tol: float = 1e-9, *, check_reduction: bool = True
-    ) -> None:
+    def validate(self, candidates: np.ndarray, *, check_reduction: bool = True) -> None:
         """Cheap invariant sweep over every instance; raises on violation."""
         s = np.asarray(candidates, dtype=bool)
+        tol = nets.SIMPLEX_TOL
         targets = [("mu", self.mu), ("q", self.q)]
         if check_reduction:
             targets.append(("v", self.v))

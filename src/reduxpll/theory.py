@@ -123,7 +123,8 @@ class TheoryScenario:
                 _reject_unknown_keys("point", p, "eta", "weight")
                 points.append(
                     ScenarioPoint(
-                        eta=np.asarray(p["eta"], dtype=np.float64), weight=float(p["weight"])
+                        eta=np.array([_number(v, "eta entry") for v in p["eta"]]),
+                        weight=_number(p["weight"], "weight"),
                     )
                 )
             if "labels" in doc and any(p.eta.size != doc["labels"] for p in points):
@@ -133,18 +134,23 @@ class TheoryScenario:
                 t = doc["tsybakov"]
                 _reject_unknown_keys("tsybakov", t, "C", "lambda", "t0")
                 tsy = TsybakovConstants(
-                    C=float(t["C"]), lam=float(t["lambda"]), t0=float(t["t0"])
+                    C=_number(t["C"], "tsybakov C"),
+                    lam=_number(t["lambda"], "tsybakov lambda"),
+                    t0=_number(t["t0"], "tsybakov t0"),
                 )
+            excluded = doc["excluded"]
+            if not isinstance(excluded, list) or any(not _is_json_int(j) for j in excluded):
+                raise ParseError(f"excluded must be a list of integers, got {excluded!r}")
             scenario = cls(
                 points=points,
-                excluded=frozenset(int(j) for j in doc["excluded"]),
-                tau=float(doc["tau"]),
-                epsilon=float(doc["epsilon"]),
-                epsilon_prime=float(doc["epsilon_prime"]),
+                excluded=frozenset(excluded),
+                tau=_number(doc["tau"], "tau"),
+                epsilon=_number(doc["epsilon"], "epsilon"),
+                epsilon_prime=_number(doc["epsilon_prime"], "epsilon_prime"),
                 tsybakov=tsy,
                 name=str(doc.get("name", name)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed scenario document: {exc}") from exc
         scenario.validate()
         return scenario
@@ -159,6 +165,17 @@ class TheoryScenario:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(doc, name=path.stem)
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """`value` as a float if it is a JSON number (a bool is not one)."""
+    if not (_is_json_int(value) or isinstance(value, float)):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _reject_unknown_keys(what: str, doc: dict, *known: str) -> None:

@@ -37,7 +37,6 @@ Each lane has its own streams.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -347,18 +346,17 @@ def _reduction_rows(head: nets.MlpParams, z: np.ndarray, S: np.ndarray) -> np.nd
     return pseudo.reduction_matrix(_branch_probs(head, z), S)
 
 
-def _update_meta(state, val_ds, x, inner_forward, U, config, epoch, batch_idx) -> None:
-    """Meta step by the hypergradient of a sampled validation batch loss."""
-    theta = state.bundle.theta
-    theta_snapshot = theta.flat.copy()  # a copy: the check watches theta's own buffer
+def _update_meta(state, val_ds, x, tape, U, config, epoch, batch_idx) -> None:
+    """Meta step by the hypergradient of a validation batch loss; `tape` is theta's on x."""
+    theta_snapshot = state.bundle.theta.flat.copy()  # a copy: the check watches theta's own buffer
     val_idx = np.stack([
         lane.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
         for lane in state.lanes
     ])
     val_targets = one_hot(np.asarray(val_ds.true_labels)[val_idx], val_ds.c)
+    targets, targets_vjp = _reduction_targets(U, state.bundle.gamma, x)
     hyper = nets.hypergradient(
-        theta, state.bundle.gamma, x, val_ds.features[val_idx], val_targets, config.beta2,
-        functools.partial(_reduction_targets, U), inner_forward=inner_forward,
+        tape, targets, targets_vjp, val_ds.features[val_idx], val_targets, config.beta2
     )
     state.bundle.gamma = nets.sgd_step(state.bundle.gamma, hyper, config.beta3)
     # the trial step must leave no trace: theta is bit-identical to before
@@ -418,7 +416,7 @@ def _batch_step(
         _update_branches(state, z, rows, config)
         U = _reduction_rows(state.bundle.omegas, z, S)
         if config.method == "reduxpll":
-            _update_meta(state, val_ds, x, (probs, tape), U, config, epoch, batch_idx)
+            _update_meta(state, val_ds, x, tape, U, config, epoch, batch_idx)
         q = _mix_targets(state, rows, x, q, U, config.method)
     loss = _commit(state, tape, probs, q, config)
     _refresh(state, rows, x, S, q)
@@ -554,6 +552,8 @@ def fit_lanes(
     for part, name in ((val_ds, "validation"), (test_ds, "test")):
         if part.true_labels is None:
             raise ConfigError(f"{name} split needs true labels")
+        if part.n == 0:
+            raise ConfigError(f"{name} split is empty")
     if config.batch_size > train_ds.n:
         raise ConfigError(
             f"batch_size {config.batch_size} exceeds training set size {train_ds.n}"

@@ -95,7 +95,9 @@ def test_criterion_2_gradient_suite():
 
             return t, vjp
 
-        hyper = nets.hypergradient(theta, gamma, x_in, x_out, y_out, beta2, plfn)
+        _, tape_in = nets.forward(theta, x_in)
+        targets, vjp = plfn(gamma, x_in)
+        hyper = nets.hypergradient(tape_in, targets, vjp, x_out, y_out, beta2)
 
         def outer_loss(flat, theta=theta, gamma=gamma, x_in=x_in, x_out=x_out,
                        y_out=y_out, beta2=beta2, plfn=plfn):

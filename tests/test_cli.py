@@ -315,6 +315,26 @@ def test_a_failed_command_removes_the_empty_out_directories_it_made(
     assert list((tmp_path / "old").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "generate_flags, message",
+    [
+        (["--n", "5"], "test split is empty"),  # splits 4/1/0
+        (["--c", "3", "--n", "3"], "validation split is empty"),  # splits 3/0/0
+    ],
+)
+def test_an_empty_validation_or_test_split_exits_2(
+    tmp_path, capsys, generate_flags, message
+):
+    ds_dir = tmp_path / "ds"
+    assert main(["generate", *generate_flags, "--out", str(ds_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    argv = ["train", "--dataset", str(ds_dir), "--epochs", "2", "--batch-size", "1"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_a_failed_command_keeps_an_out_directory_that_holds_files(tmp_path):
     run = tmp_path / "run"
     run.mkdir()

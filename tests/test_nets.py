@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -161,6 +159,24 @@ def test_ce_rejects_off_simplex_targets():
         nets.backward_ce(tape, probs, bad)
 
 
+def test_ce_rejects_targets_of_another_shape():
+    # without the check a (1, c) row broadcasts against the (m, c) batch and gives a loss
+    rng = np.random.default_rng(0)
+    params = nets.init_mlp([3, 4], rng)
+    probs, tape = nets.forward(params, rng.random((5, 3)))
+    with pytest.raises(DimensionError, match=r"targets shape \(1, 4\) != probs shape \(5, 4\)"):
+        nets.backward_ce(tape, probs, np.full((1, 4), 0.25))
+
+
+def test_probs_vjp_rejects_an_upstream_gradient_of_another_shape():
+    # without the check a (1, c) row broadcasts against the (m, c) batch
+    rng = np.random.default_rng(0)
+    params = nets.init_mlp([3, 4], rng)
+    _, tape = nets.forward(params, rng.random((5, 3)))
+    with pytest.raises(DimensionError, match=r"d_probs shape \(1, 4\) != probs shape \(5, 4\)"):
+        nets.backward_probs_vjp(tape, rng.standard_normal((1, 4)))
+
+
 @pytest.mark.parametrize("lanes", [None, 3])
 def test_ce_rejects_targets_with_a_negative_entry(lanes):
     # every row sums to 1, and one entry of the last row of the last lane is -0.2
@@ -299,16 +315,11 @@ def test_batch_functions_write_only_buffers_they_made():
     y_out = np.eye(3)[rng.integers(0, 3, (2, 7))]
     d_probs = rng.standard_normal((2, 6, 3))
     U = _random_reduction_stack(rng, 12, 3).reshape(2, 6, 3, 3)
-
-    def fn(gamma_params, feats):
-        w, tape = nets.forward(gamma_params, feats)
-        return np.einsum("...ij,...ijr->...ir", w, U), lambda d: nets.backward_probs_vjp(
-            tape, np.einsum("...ir,...ijr->...ij", d, U)
-        )
+    meta_targets, meta_vjp = training._reduction_targets(U, gamma, x)
 
     probs, tape = nets.forward(theta, x)
     watched = [x, x_out, targets, y_out, d_probs, U, theta.flat, gamma.flat, tangent.flat]
-    watched += [probs, tape.probs, *tape.inputs]
+    watched += [meta_targets, probs, tape.probs, *tape.inputs]
     before = [a.copy() for a in watched]
 
     def unchanged():
@@ -319,10 +330,7 @@ def test_batch_functions_write_only_buffers_they_made():
         lambda: nets.backward_ce(tape, probs, targets),
         lambda: nets.backward_probs_vjp(tape, d_probs),
         lambda: nets.forward_jvp(tape, tangent),
-        lambda: nets.hypergradient(theta, gamma, x, x_out, y_out, 0.3, fn),
-        lambda: nets.hypergradient(
-            theta, gamma, x, x_out, y_out, 0.3, fn, inner_forward=(probs, tape)
-        ),
+        lambda: nets.hypergradient(tape, meta_targets, meta_vjp, x_out, y_out, 0.3),
     ):
         call()
         assert unchanged()
@@ -351,14 +359,16 @@ def test_forward_jvp_matches_directional_finite_difference(seed):
     assert rel_error(d_logprobs.ravel(), numeric.ravel()) < 1e-6
 
 
-def _meta_pseudo_label_fn(U):
-    """Targets = softmax(g(x)) @ U with the exact VJP: the trainer's own map."""
-    return functools.partial(training._reduction_targets, U)
-
-
 def _random_reduction_stack(rng, m, c):
     U = rng.random((m, c, c)) + 1e-3
     return U / U.sum(axis=2, keepdims=True)
+
+
+def _meta_hypergradient(theta, gamma, x_in, x_out, y_out, beta2, U):
+    """The trainer's meta step: theta's tape on x_in and targets softmax(g(x_in)) @ U."""
+    _, tape = nets.forward(theta, x_in)
+    targets, vjp = training._reduction_targets(U, gamma, x_in)
+    return nets.hypergradient(tape, targets, vjp, x_out, y_out, beta2)
 
 
 def test_hypergradient_zero_when_beta2_zero():
@@ -368,8 +378,8 @@ def test_hypergradient_zero_when_beta2_zero():
     x_in = rng.standard_normal((4, 3))
     x_out = rng.standard_normal((4, 3))
     y_out = np.eye(3)[rng.integers(0, 3, 4)]
-    fn = _meta_pseudo_label_fn(_random_reduction_stack(rng, 4, 3))
-    grad = nets.hypergradient(theta, gamma, x_in, x_out, y_out, 0.0, fn)
+    U = _random_reduction_stack(rng, 4, 3)
+    grad = _meta_hypergradient(theta, gamma, x_in, x_out, y_out, 0.0, U)
     assert np.all(nets.to_flat(grad) == 0.0)
 
 
@@ -381,11 +391,9 @@ def test_hypergradient_zero_when_targets_ignore_gamma():
     x_out = rng.standard_normal((4, 3))
     y_out = np.eye(3)[rng.integers(0, 3, 4)]
     fixed = np.full((4, 3), 1.0 / 3.0)
+    _, tape = nets.forward(theta, x_in)
 
-    def fn(gamma_params, x):
-        return fixed, lambda d: zero_net(gamma_params)
-
-    grad = nets.hypergradient(theta, gamma, x_in, x_out, y_out, 0.1, fn)
+    grad = nets.hypergradient(tape, fixed, lambda d: zero_net(gamma), x_out, y_out, 0.1)
     assert np.all(nets.to_flat(grad) == 0.0)
 
 
@@ -398,14 +406,12 @@ def test_hypergradient_matches_finite_differences(seed):
     x_out = rng.standard_normal((6, 3))
     y_out = np.eye(3)[rng.integers(0, 3, 6)]
     U = _random_reduction_stack(rng, 5, 3)
-    fn = _meta_pseudo_label_fn(U)
     beta2 = 0.2
 
-    grad = nets.hypergradient(theta, gamma, x_in, x_out, y_out, beta2, fn)
+    grad = _meta_hypergradient(theta, gamma, x_in, x_out, y_out, beta2, U)
 
     def outer_loss(gamma_flat):
-        g = nets.from_flat(gamma, gamma_flat)
-        targets, _ = fn(g, x_in)
+        targets, _ = training._reduction_targets(U, nets.from_flat(gamma, gamma_flat), x_in)
         probs_in, tape_in = nets.forward(theta, x_in)
         _, g_inner = nets.backward_ce(tape_in, probs_in, targets)
         theta_plus = nets.sgd_step(theta, g_inner, beta2)
@@ -416,33 +422,24 @@ def test_hypergradient_matches_finite_differences(seed):
     assert rel_error(nets.to_flat(grad), numeric) < 1e-4
 
 
-def test_hypergradient_reuses_caller_forward_bit_for_bit():
-    rng = np.random.default_rng(8)
-    theta = nets.init_mlp([3, 4, 3], rng)
-    gamma = nets.init_mlp([3, 4, 3], rng)
-    x_in = rng.standard_normal((5, 3))
-    x_out = rng.standard_normal((6, 3))
-    y_out = np.eye(3)[rng.integers(0, 3, 6)]
-    fn = _meta_pseudo_label_fn(_random_reduction_stack(rng, 5, 3))
-    own = nets.hypergradient(theta, gamma, x_in, x_out, y_out, 0.2, fn)
-    probs, tape = nets.forward(theta, x_in)
-    shared = nets.hypergradient(
-        theta, gamma, x_in, x_out, y_out, 0.2, fn, inner_forward=(probs, tape)
-    )
-    assert np.array_equal(nets.to_flat(own), nets.to_flat(shared))
-    # the tape is still good for the caller's own backward afterwards
-    _, grad = nets.backward_ce(tape, probs, np.full((5, 3), 1.0 / 3.0))
-    assert np.all(np.isfinite(nets.to_flat(grad)))
-
-
 def test_hypergradient_raises_on_nonfinite():
+    """Finite tape and targets, a VJP that overflows in lane 1 of 2: the guard names lane 1."""
     rng = np.random.default_rng(7)
-    theta = nets.init_mlp([3, 4, 3], rng)
-    gamma = nets.init_mlp([3, 4, 3], rng)
-    bad_weights = tuple(w * np.nan for w in gamma.weights)
-    gamma_bad = nets.MlpParams(bad_weights, gamma.biases)
-    x = rng.standard_normal((4, 3))
-    y = np.eye(3)[rng.integers(0, 3, 4)]
-    fn = _meta_pseudo_label_fn(_random_reduction_stack(rng, 4, 3))
-    with pytest.raises((NumericError, ContractViolation)):
-        nets.hypergradient(theta, gamma_bad, x, x, y, 0.1, fn)
+    theta = nets.stack([nets.init_mlp([3, 4, 3], rng) for _ in range(2)])
+    gamma = nets.stack([nets.init_mlp([3, 4, 3], rng) for _ in range(2)])
+    x = rng.standard_normal((2, 4, 3))
+    y = np.eye(3)[rng.integers(0, 3, (2, 4))]
+    U = _random_reduction_stack(rng, 8, 3).reshape(2, 4, 3, 3)
+    _, tape = nets.forward(theta, x)
+    targets, vjp = training._reduction_targets(U, gamma, x)
+
+    def overflowing_vjp(d_targets):
+        grad = vjp(d_targets)
+        with np.errstate(over="ignore"):
+            grad.flat[1] *= 1e300
+            grad.flat[1] *= 1e300
+        return grad
+
+    with pytest.raises(NumericError, match="non-finite hypergradient") as err:
+        nets.hypergradient(tape, targets, overflowing_vjp, x, y, 0.1)
+    assert err.value.lanes == [1]

@@ -198,6 +198,17 @@ def _nan_tsybakov_constant(doc):
     doc["tsybakov"]["C"] = float("nan")
 
 
+def _replace(*path, new):
+    """A defect that replaces doc[path[0]][path[1]]... by new(its old value)."""
+
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = new(doc[path[-1]])
+
+    return mutate
+
+
 SCENARIO_DEFECTS = {
     "misspelled-key": (_misspell_tsybakov, ParseError),
     "unknown-point-key": (_unknown_point_key, ParseError),
@@ -207,6 +218,17 @@ SCENARIO_DEFECTS = {
     "nan-weight": (_nan_weight, ScenarioError),
     "nan-eta": (_nan_eta, ScenarioError),
     "nan-tsybakov-constant": (_nan_tsybakov_constant, ScenarioError),
+    # wrong JSON types, each of which int() or float() would turn into a value
+    "excluded-string": (_replace("excluded", new=lambda old: "12"), ParseError),
+    "excluded-float": (_replace("excluded", new=lambda old: [1.7]), ParseError),
+    "excluded-bool": (_replace("excluded", new=lambda old: [True]), ParseError),
+    "string-tau": (_replace("tau", new=str), ParseError),
+    "string-epsilon": (_replace("epsilon", new=str), ParseError),
+    "string-epsilon-prime": (_replace("epsilon_prime", new=str), ParseError),
+    "string-weight": (_replace("points", 0, "weight", new=str), ParseError),
+    "string-eta-entry": (_replace("points", 0, "eta", 2, new=str), ParseError),
+    "string-tsybakov-constant": (_replace("tsybakov", "C", new=str), ParseError),
+    "integer-too-large-for-a-float": (_replace("tau", new=lambda old: 10**400), ParseError),
 }
 
 

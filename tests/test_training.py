@@ -394,6 +394,15 @@ def test_resume_requires_labels_and_validates_datasets(small_dataset):
         training.fit((train_ds, bare_val, test_ds), training.TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("part, name", [(1, "validation"), (2, "test")])
+def test_an_empty_validation_or_test_split_is_a_config_error(small_dataset, part, name):
+    # an empty validation split crashed the meta step; an empty test split gave NaN accuracy
+    parts = list(small_dataset)
+    parts[part] = parts[part].subset(np.empty(0, dtype=int))
+    with pytest.raises(ConfigError, match=f"{name} split is empty"):
+        training.fit(tuple(parts), training.TrainConfig(method="reduxpll", epochs=1))
+
+
 def test_rollback_check_fails_when_the_hypergradient_mutates_theta(
     small_dataset, monkeypatch
 ):
