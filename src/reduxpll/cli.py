@@ -23,12 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import METHODS, data
-from .errors import DataError, NumericError, ParseError, ReduxPllError, UsageError
+from .errors import ConfigError, DataError, NumericError, ParseError, ReduxPllError, UsageError
 
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # a flag is spelled out: `--alpha` must not be read as `--alphas`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
@@ -44,6 +48,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _alphas(text: str) -> list[float]:
+    """argparse type for --alphas: comma-separated numbers."""
+    try:
+        return [float(token) for token in text.split(",")]
+    except ValueError as exc:  # float() names the token it cannot read
+        raise argparse.ArgumentTypeError(f"invalid alpha list {text!r} ({exc})") from None
+
+
 def _read_text(path: Path) -> str:
     try:
         return path.read_text()
@@ -53,8 +65,10 @@ def _read_text(path: Path) -> str:
 
 def _parse_object(text: str, where) -> dict:
     """The JSON object in `text`; anything else is a ParseError naming `where`."""
+    def constant(token):
+        raise ParseError(f"{where}: {token} is not a JSON number")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -105,6 +119,9 @@ def _build_config(args) -> training.TrainConfig:
     doc = {}
     if getattr(args, "config", None):
         doc = _parse_object(_read_text(Path(args.config)), args.config)
+    for key, flags in (("seed", "--seed-base and --seeds"), ("alpha", "--alphas")):
+        if key in doc and (key == "seed" or args.command == "sweep-alpha"):
+            raise ConfigError(f"{args.config}: {key} is set by {flags}, not by the config file")
     for key in ("method", "alpha", "beta1", "beta2", "beta3", "batch_size", "epochs", "patience"):
         value = getattr(args, key, None)
         if value is not None:
@@ -179,7 +196,7 @@ def _summarize(per_seed: list[dict]) -> dict:
     }
 
 
-def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, method) -> None:
+def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds) -> None:
     artifacts = {}
     for p in sorted(out_dir.iterdir()):
         if p.name == "run_manifest.json" or not p.is_file():
@@ -189,7 +206,7 @@ def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, metho
         "config_hash": config.config_hash(),
         "dataset_checksum": dataset_checksum,
         "seeds": list(seeds),
-        "method": method,
+        "method": config.method,
         "output_dir": str(out_dir),
         "created_at": datetime.now(timezone.utc).isoformat(),
         "artifacts": artifacts,
@@ -243,9 +260,7 @@ def cmd_train(args) -> int:
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
-    _write_run_manifest(
-        out_dir, config=config, dataset_checksum=dataset_checksum, seeds=seeds, method=config.method
-    )
+    _write_run_manifest(out_dir, config=config, dataset_checksum=dataset_checksum, seeds=seeds)
     print(
         f"{config.method}: test accuracy {summary['mean_test_accuracy']:.4f} "
         f"± {summary['std_test_accuracy']:.4f} over {len(seeds)} seed(s)"
@@ -256,23 +271,23 @@ def cmd_train(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     if args.seeds <= 0:
         raise UsageError(f"--seeds must be positive, got {args.seeds}")
-    alphas = DEFAULT_ALPHA_GRID if args.alphas is None else tuple(args.alphas)
-    if len(set(alphas)) != len(alphas):
-        raise UsageError(f"--alphas lists a value twice: {','.join(map(str, alphas))}")
+    names = [f"alpha_{alpha:g}" for alpha in args.alphas]  # alphas of one name share its files
+    if len(set(names)) != len(names):
+        raise UsageError(f"--alphas writes a directory twice: {' '.join(names)}")
     ds, dataset_checksum = _load_dataset(args.dataset)
     base_config = _build_config(args)
     out_dir = _make_out_dir(args.out, args.made_dirs)
     parts = data.split(ds, data.SplitSpec(seed=args.split_seed))
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    alpha_dirs = [_make_out_dir(out_dir / f"alpha_{alpha:g}", args.made_dirs) for alpha in alphas]
+    alpha_dirs = [_make_out_dir(out_dir / name, args.made_dirs) for name in names]
     # the whole alpha x seed grid is one lane stack, alpha-major
     per_lane = _run_lanes(
         parts,
-        [replace(base_config, alpha=alpha, seed=s) for alpha in alphas for s in seeds],
+        [replace(base_config, alpha=alpha, seed=s) for alpha in args.alphas for s in seeds],
         [alpha_dir for alpha_dir in alpha_dirs for _ in seeds],
     )
     rows = []
-    for i, alpha in enumerate(alphas):
+    for i, alpha in enumerate(args.alphas):
         summary = _summarize(per_lane[i * len(seeds) : (i + 1) * len(seeds)])
         rows.append(
             {
@@ -292,13 +307,7 @@ def cmd_sweep_alpha(args) -> int:
         writer.writeheader()
         for i, row in enumerate(rows):
             writer.writerow({**row, "best": i == best_idx})
-    _write_run_manifest(
-        out_dir,
-        config=base_config,
-        dataset_checksum=dataset_checksum,
-        seeds=seeds,
-        method=base_config.method,
-    )
+    _write_run_manifest(out_dir, config=base_config, dataset_checksum=dataset_checksum, seeds=seeds)
     print(f"wrote {sweep_path}; best alpha {rows[best_idx]['alpha']:g}")
     return 0
 
@@ -432,7 +441,6 @@ def cmd_report(args) -> int:
 def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--method", choices=METHODS)
-    p.add_argument("--alpha", type=float)
     p.add_argument("--beta1", type=float)
     p.add_argument("--beta2", type=float)
     p.add_argument("--beta3", type=float)
@@ -461,18 +469,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one method over several seeds")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--alpha", type=float)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep-alpha", help="summary accuracy per mixing weight")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--alphas",
-        type=lambda s: [float(tok) for tok in s.split(",")],
-        default=None,
-        help="comma-separated grid (default 0.1..0.9)",
-    )
+    p.add_argument("--alphas", type=_alphas, default=DEFAULT_ALPHA_GRID,
+                   help="comma-separated grid (default 0.1..0.9)")
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep_alpha)
 

@@ -602,19 +602,15 @@ def write_manifest(path, ds: PllDataset, csv_path, *, ambiguity=None, seed=None)
 # Splitting
 # ---------------------------------------------------------------------------
 
+# the train/val/test shares of every split
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    train: float = 0.8
-    val: float = 0.1
-    test: float = 0.1
     seed: int = 0
 
     def validate(self) -> None:
-        fracs = (self.train, self.val, self.test)
-        if any(f <= 0 for f in fracs):
-            raise ConfigError(f"split fractions must be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {fracs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -663,16 +659,15 @@ def _allocate_stratified(class_counts: list[int], fracs) -> list[list[int]]:
 
 
 def split(ds: PllDataset, spec: SplitSpec) -> tuple[PllDataset, PllDataset, PllDataset]:
-    """Deterministic disjoint train/val/test split, stratified by true label."""
+    """Deterministic disjoint `SPLIT_FRACTIONS` split, stratified by true label."""
     spec.validate()
-    fracs = (spec.train, spec.val, spec.test)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     if ds.true_labels is not None:
         class_ids = sorted(np.unique(np.asarray(ds.true_labels)).tolist())
         groups = [np.nonzero(np.asarray(ds.true_labels) == cid)[0] for cid in class_ids]
     else:
         groups = [np.arange(ds.n)]
-    alloc = _allocate_stratified([g.size for g in groups], fracs)
+    alloc = _allocate_stratified([g.size for g in groups], SPLIT_FRACTIONS)
     parts: list[list[np.ndarray]] = [[], [], []]
     for g, seats in zip(groups, alloc):
         order = g[rng.permutation(g.size)]

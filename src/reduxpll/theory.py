@@ -545,7 +545,7 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
         raise ConfigError("scenario carries no Tsybakov constants")
     members, rng, draws = _troubled_trials(scenario, trials, seed)
     tsy = scenario.tsybakov
-    if not check_tsybakov(scenario, tsy.C, tsy.lam, tsy.t0, restrict_to_troubled=True):
+    if not check_tsybakov(scenario, tsy.C, tsy.lam, tsy.t0):
         raise AssumptionError(
             "margin condition fails on the troubled subset for the supplied constants"
         )
@@ -588,33 +588,24 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
     )
 
 
-def check_tsybakov(
-    scenario: TheoryScenario,
-    C: float,
-    lam: float,
-    t0: float,
-    *,
-    restrict_to_troubled: bool = False,
-) -> bool:
+def check_tsybakov(scenario: TheoryScenario, C: float, lam: float, t0: float) -> bool:
     """Grid check that the margin CDF is dominated by C * t^lambda up to t0.
 
-    Evaluates P(margin <= t) on a grid of 100 points in (0, t0] against the
-    stated envelope (with fp-dust slack). With restrict_to_troubled the CDF is
-    conditional on the troubled subset, which is the form the consistency
-    bound actually uses.
+    Evaluates P(margin <= t), conditional on the troubled subset (the form
+    the consistency bound uses), on a grid of 100 points in (0, t0] against
+    the stated envelope (with fp-dust slack).
     """
     if not 0.0 < t0 <= 1.0:
         raise ContractViolation(f"t0 must be in (0, 1], got {t0}")
     if C <= 0 or lam <= 0:
         raise ContractViolation(f"C and lambda must be positive, got {C}, {lam}")
-    idx = members_of_J(scenario) if restrict_to_troubled else range(len(scenario.points))
-    idx = list(idx)
+    idx = members_of_J(scenario)
     if not idx:
-        raise ScenarioError("no points to evaluate the margin condition on")
+        raise ScenarioError("no troubled points to evaluate the margin condition on")
     margins = np.array([margin(scenario.points[i].eta) for i in idx])
     weights = scenario.weights()[idx]
     if weights.sum() <= 0.0:
-        raise ScenarioError("the points to evaluate the margin condition on carry no weight")
+        raise ScenarioError("the troubled points carry no weight")
     weights = weights / weights.sum()
     grid = t0 * np.arange(1, 101) / 100.0
     cdf = (weights[None, :] * (margins[None, :] <= grid[:, None])).sum(axis=1)

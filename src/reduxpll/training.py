@@ -293,6 +293,13 @@ def _take_bundle(bundle: ModelBundle, lanes) -> ModelBundle:
     )
 
 
+def _take_lanes(arr: np.ndarray, keep: list[int]) -> np.ndarray:
+    """arr[keep]; an array that shares one row over its lanes stays a view of it."""
+    if arr.strides[0] == 0:  # proden's zero reduction side, never allocated
+        return np.broadcast_to(arr[0], (len(keep), *arr.shape[1:]))
+    return arr[keep]
+
+
 def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
     """The stack of the lanes at `keep`, in that order."""
     pls = state.pls
@@ -301,8 +308,8 @@ def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
         theta_buf=state.theta_buf[keep],
         omega_buf=state.omega_buf[keep],
         pls=pseudo.PseudoLabelState(
-            mu=pls.mu[keep], U=pls.U[keep], w=pls.w[keep], v=pls.v[keep], q=pls.q[keep],
-            alpha=pls.alpha[keep],
+            mu=pls.mu[keep], U=_take_lanes(pls.U, keep), w=_take_lanes(pls.w, keep),
+            v=_take_lanes(pls.v, keep), q=pls.q[keep], alpha=pls.alpha[keep],
         ),
         prev_q=state.prev_q[keep],
         lanes=[state.lanes[k] for k in keep],

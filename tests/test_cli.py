@@ -140,6 +140,47 @@ def test_config_file_with_unknown_key_is_rejected(dataset_dir, tmp_path, capsys)
     assert str(cfg) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, doc, flag",
+    [
+        ("train", {"seed": 5}, "--seed-base and --seeds"),
+        ("sweep-alpha", {"seed": 5}, "--seed-base and --seeds"),
+        ("sweep-alpha", {"alpha": 0.5}, "--alphas"),
+    ],
+    ids=["train-seed", "sweep-seed", "sweep-alpha"],
+)
+def test_a_config_file_may_not_set_what_the_command_sets_for_each_run(
+    dataset_dir, tmp_path, capsys, command, doc, flag
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    argv = [command, "--dataset", str(dataset_dir), "--config", str(cfg), *FAST_TRAIN]
+    if command == "sweep-alpha":
+        argv += ["--alphas", "0.3"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"is set by {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["sweep-alpha", "--alphas", "0.3", "--alpha", "0.9"], "--alpha 0.9"),  # not --alphas
+        (["train", "--batch", "64"], "--batch 64"),  # flags are spelled out
+    ],
+    ids=["sweep-alpha", "abbreviated"],
+)
+def test_a_flag_the_command_does_not_define_is_a_usage_error(
+    dataset_dir, tmp_path, capsys, argv, unknown
+):
+    out = tmp_path / "run"
+    argv = [*argv, "--dataset", str(dataset_dir), "--epochs", "4", "--out", str(out)]
+    assert main(argv) == 1
+    assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["{not json", "[5]"])
 def test_malformed_dataset_manifest_is_a_parse_error(dataset_dir, tmp_path, capsys, text):
     ds_dir = tmp_path / "ds"
@@ -177,6 +218,27 @@ def test_sweep_alpha_rejects_a_repeated_alpha(dataset_dir, tmp_path, capsys):
     assert code == 1
     assert "twice" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        ("0.3,0.3000001", "--alphas writes a directory twice: alpha_0.3 alpha_0.3"),
+        ("0.3,x", "invalid alpha list '0.3,x' (could not convert string to float: 'x')"),
+    ],
+    ids=["same-directory", "bad-token"],
+)
+def test_sweep_alpha_rejects_alphas_it_cannot_run_apart(
+    dataset_dir, tmp_path, capsys, alphas, message
+):
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep-alpha", "--dataset", str(dataset_dir), "--alphas", alphas,
+         "--out", str(out), *FAST_TRAIN]
+    )
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_theory_builtin_scenario_passes(tmp_path):
@@ -362,14 +424,18 @@ EPOCH_LINE = json.dumps({"bayes_consistency": 0.5, "pseudo_label_drift": 0.1})
         ("metrics_seed0.jsonl", '{"bayes_consistency": null}\n', ":1: no pseudo_label_drift"),
         ("metrics_seed0.jsonl", '{"bayes_consistency": 0.5, "pseudo_label_drift": "x"}\n',
          ":1: pseudo_label_drift must be a number"),
+        ("metrics_seed0.jsonl", '{"bayes_consistency": NaN, "pseudo_label_drift": Infinity}\n',
+         ":1: NaN is not a JSON number"),
         ("summary.json", "{nope", ": invalid JSON"),
         ("summary.json", '{"mean_test_accuracy": 0.9}', ": no std_test_accuracy"),
         ("summary.json", '{"mean_test_accuracy": 0.9, "std_test_accuracy": 0.0, "seeds": 3}',
          ": seeds must be a list"),
+        ("summary.json", '{"mean_test_accuracy": NaN, "std_test_accuracy": 0.0}',
+         ": NaN is not a JSON number"),
     ],
     ids=["bad-json", "not-object", "bad-seed-name", "zero-padded-seed", "not-utf8",
-         "no-consistency", "no-drift", "drift-text", "summary-bad-json", "summary-no-std",
-         "summary-seeds-int"],
+         "no-consistency", "no-drift", "drift-text", "nan-metric", "summary-bad-json",
+         "summary-no-std", "summary-seeds-int", "summary-nan"],
 )
 def test_report_names_the_file_and_line_of_a_malformed_run_file(
     tmp_path, capsys, name, text, where

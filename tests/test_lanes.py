@@ -52,11 +52,12 @@ def test_each_lane_writes_the_files_of_its_single_run(small_dataset, tmp_path):
         assert (lanes / name).read_bytes() == (alone / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("method", training.METHODS)
 def test_lanes_that_stop_early_at_different_epochs_each_equal_their_own_fit(
-    small_dataset, tmp_path
+    small_dataset, tmp_path, method
 ):
     configs = [
-        training.TrainConfig(method="reduxpll", seed=seed, epochs=12, patience=2)
+        training.TrainConfig(method=method, seed=seed, epochs=12, patience=2)
         for seed in range(4)
     ]
     results = training.fit_lanes(
@@ -75,6 +76,13 @@ def test_lanes_that_stop_early_at_different_epochs_each_equal_their_own_fit(
         assert _bundles_equal(lane.final_bundle, alone.final_bundle)
         assert (tmp_path / f"lane{config.seed}.npz").read_bytes() == ckpt.read_bytes()
         assert training.load_checkpoint(ckpt, small_dataset[0], config).epoch == len(alone.history)
+
+
+def test_a_proden_stack_that_drops_a_lane_keeps_its_zero_arrays_unallocated(small_dataset):
+    configs = [training.TrainConfig(method="proden", seed=seed) for seed in range(3)]
+    state = training._keep_lanes(training.init_lanes(small_dataset[0], configs), [0, 2])
+    for arr in (state.pls.U, state.pls.w, state.pls.v):
+        assert arr.shape[0] == 2 and not arr.flags.writeable and not arr.any()
 
 
 def test_a_sweep_lane_equals_a_fit_at_its_alpha(small_dataset):

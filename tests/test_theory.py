@@ -693,8 +693,8 @@ def test_tsybakov_single_point_weight_threshold():
 
 def test_tsybakov_scaling_c_never_breaks_a_pass():
     scen = theory.load_builtin_scenario("theorem2-tsybakov")
-    assert theory.check_tsybakov(scen, 1.0, 1.0, 1.0, restrict_to_troubled=True)
-    assert theory.check_tsybakov(scen, 10.0, 1.0, 1.0, restrict_to_troubled=True)
+    assert theory.check_tsybakov(scen, 1.0, 1.0, 1.0)
+    assert theory.check_tsybakov(scen, 10.0, 1.0, 1.0)
 
 
 def test_tsybakov_validates_inputs():
@@ -708,4 +708,4 @@ def test_tsybakov_validates_inputs():
         [[0.5, 0.4, 0.1], [0.9, 0.05, 0.05]], [0.0, 1.0], {1}, tau=1.0, eps=0.5, eps_p=0.01
     )
     with pytest.raises(ScenarioError, match="carry no weight"):
-        theory.check_tsybakov(weightless, 2.0, 1.0, 1.0, restrict_to_troubled=True)
+        theory.check_tsybakov(weightless, 2.0, 1.0, 1.0)
