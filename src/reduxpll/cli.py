@@ -196,12 +196,19 @@ def _summarize(per_seed: list[dict]) -> dict:
     }
 
 
-def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds) -> None:
-    artifacts = {}
-    for p in sorted(out_dir.iterdir()):
-        if p.name == "run_manifest.json" or not p.is_file():
-            continue
-        artifacts[p.name] = data.file_checksum(p)
+def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, alphas=None) -> None:
+    """The run's identity and the checksum of every file under `out_dir`,
+    keyed by its POSIX path relative to `out_dir`.
+
+    A sweep passes the alpha grid it ran: the manifest lists it, and the
+    config hash is that of the config document with the grid as its alpha.
+    """
+    manifest_path = out_dir / "run_manifest.json"
+    artifacts = {
+        p.relative_to(out_dir).as_posix(): data.file_checksum(p)
+        for p in sorted(out_dir.rglob("*"))
+        if p.is_file() and p != manifest_path
+    }
     manifest = {
         "config_hash": config.config_hash(),
         "dataset_checksum": dataset_checksum,
@@ -211,9 +218,12 @@ def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds) -> No
         "created_at": datetime.now(timezone.utc).isoformat(),
         "artifacts": artifacts,
     }
-    (out_dir / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    if alphas is not None:
+        from .training import _doc_hash
+
+        manifest["alphas"] = list(alphas)
+        manifest["config_hash"] = _doc_hash({**config.to_dict(), "alpha": list(alphas)})
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +317,10 @@ def cmd_sweep_alpha(args) -> int:
         writer.writeheader()
         for i, row in enumerate(rows):
             writer.writerow({**row, "best": i == best_idx})
-    _write_run_manifest(out_dir, config=base_config, dataset_checksum=dataset_checksum, seeds=seeds)
+    _write_run_manifest(
+        out_dir, config=base_config, dataset_checksum=dataset_checksum, seeds=seeds,
+        alphas=args.alphas,
+    )
     print(f"wrote {sweep_path}; best alpha {rows[best_idx]['alpha']:g}")
     return 0
 

@@ -9,7 +9,8 @@ Each net (and each gradient) is one contiguous fp64 buffer, `flat`, laid out
 W0, b0, W1, b1, ...; its `weights`/`biases` are views into it, so an optimizer
 step, a snapshot or a checkpoint row is one array operation. All functions
 are pure: a function writes only buffers it has just made, before it hands
-them on, so one forward's tape can serve any number of backward passes.
+them on, so one forward's tape can serve any number of backward passes (a
+tape keeps the tanh slopes it computes for them, once each).
 `to_flat` and `from_flat` share the buffer instead of copying it, so a caller
 that keeps a buffer to compare later (the training loop's check that a
 hypergradient left its predictor untouched) keeps a copy.
@@ -26,7 +27,7 @@ one net.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,13 +71,10 @@ class MlpParams:
         # sums, gradients fed only to sgd_step) never need their layers
         if name not in ("weights", "biases"):
             raise AttributeError(name)
-        flat = self.flat
+        flat, layers = self.flat, _layout(self.sizes)
         lead = flat.shape[:-1]
-        weights, biases = [], []
-        for w_cols, w_shape, b_cols in _layout(self.sizes):
-            weights.append(flat[..., w_cols].reshape(lead + w_shape))
-            biases.append(flat[..., b_cols])
-        self.weights, self.biases = tuple(weights), tuple(biases)
+        self.weights = tuple([flat[..., cols].reshape(lead + shape) for cols, shape, _ in layers])
+        self.biases = tuple([flat[..., cols] for _, _, cols in layers])
         return getattr(self, name)
 
 
@@ -117,13 +115,28 @@ def empty(sizes: Sequence[int], lead: tuple[int, ...] = ()) -> MlpParams:
     return _wrap(np.empty((*lead, _n_params(sizes))), sizes)
 
 
-@dataclass(frozen=True)
 class GradTape:
-    """Cached forward activations for one batch; reusable by any number of backwards."""
+    """Cached forward activations for one batch; reusable by any number of backwards.
 
-    params: "MlpParams"
-    inputs: list[np.ndarray]  # inputs[i] is what layer i consumed
-    probs: np.ndarray
+    `inputs[i]` is what layer i of `params` consumed: for i > 0, the tanh
+    activation h of layer i - 1, whose slope 1 - h*h every backward and JVP
+    through that layer needs; `_slope(i)` computes it on first use and keeps it.
+    """
+
+    __slots__ = ("params", "inputs", "probs", "_slopes")
+
+    def __init__(self, params: MlpParams, inputs: list[np.ndarray], probs: np.ndarray):
+        self.params, self.inputs, self.probs = params, inputs, probs
+        self._slopes = {}
+
+    def _slope(self, i: int) -> np.ndarray:
+        slope = self._slopes.get(i)
+        if slope is None:
+            x = self.inputs[i]
+            slope = x * x
+            np.subtract(1.0, slope, out=slope)
+            self._slopes[i] = slope
+        return slope
 
 
 def init_mlp(sizes: Sequence[int], rng: np.random.Generator) -> MlpParams:
@@ -177,11 +190,6 @@ def from_flat(template: MlpParams, flat: np.ndarray) -> MlpParams:
     return _wrap(flat, template.sizes)
 
 
-def _as_rows(x: np.ndarray) -> np.ndarray:
-    """`x` with at least two axes, the same array when it has them."""
-    return x if x.ndim >= 2 else np.atleast_2d(x)
-
-
 def _least(arr: np.ndarray) -> float:
     """The least entry of `arr` that is not NaN (inf if there is none).
 
@@ -196,21 +204,64 @@ def _greatest(arr: np.ndarray) -> float:
     return np.fmax.reduce(arr, axis=None, initial=-np.inf)
 
 
+# Reductions over the label (last) axis. numpy sums fewer than 8 entries left
+# to right from 0.0, so below this many labels a chain of column adds gives
+# the bits of np.add.reduce (and a chain of np.maximum those of
+# np.maximum.reduce); from 8 entries it sums pairwise.
+_COLUMN_LABELS = 8
+# A reduction over 5 labels costs about 25 ns a row for a sum and 75 ns for a
+# maximum, a column call 1-2 us up to a few hundred rows, and the sum's chain
+# makes one call more (its 0.0 start). From these row counts, measured at
+# c = 5, the column chain costs less.
+_SUM_COLUMN_ROWS = 512
+_MAX_COLUMN_ROWS = 128
+
+
+def _by_columns(arr: np.ndarray, min_rows: int) -> bool:
+    """Whether a reduction over the labels of `arr` goes column by column."""
+    c = arr.shape[-1]
+    return 2 <= c < _COLUMN_LABELS and arr.size >= min_rows * c
+
+
+def _row_sum(arr: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """`np.add.reduce(arr, axis=-1, keepdims=keepdims)`, bit for bit."""
+    if not _by_columns(arr, _SUM_COLUMN_ROWS):
+        return np.add.reduce(arr, axis=-1, keepdims=keepdims)
+    total = arr[..., 0] + 0.0  # numpy's start: 0.0 + (-0.0) is 0.0
+    for j in range(1, arr.shape[-1]):
+        total += arr[..., j]
+    return total[..., None] if keepdims else total
+
+
+def _row_max(arr: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """`np.maximum.reduce(arr, axis=-1, keepdims=keepdims)`, bit for bit."""
+    if not _by_columns(arr, _MAX_COLUMN_ROWS):
+        return np.maximum.reduce(arr, axis=-1, keepdims=keepdims)
+    top = np.maximum(arr[..., 0], arr[..., 1])
+    for j in range(2, arr.shape[-1]):
+        np.maximum(top, arr[..., j], out=top)
+    return top[..., None] if keepdims else top
+
+
+def _sum_gap(arr: np.ndarray) -> float:
+    """max |row sum - 1| over the rows of `arr` whose sum is not NaN (-inf if none)."""
+    return _greatest(np.abs(_row_sum(arr) - 1.0))
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    z = logits - _row_max(logits, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    z /= _row_sum(z, keepdims=True)
     return np.maximum(z, PROB_FLOOR, out=z)
 
 
 def forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, GradTape]:
-    """Run the net on a (m, in_dim) batch; returns simplex rows and their tape."""
-    x = _as_rows(np.asarray(batch, dtype=np.float64))
+    """Run the net on a (..., m, in_dim) fp64 batch; returns simplex rows and their tape."""
     in_dim = params.sizes[0]
-    if x.shape[-1] != in_dim:
-        raise DimensionError(f"batch has {x.shape[-1]} features, net expects {in_dim}")
+    if batch.shape[-1] != in_dim:
+        raise DimensionError(f"batch has {batch.shape[-1]} features, net expects {in_dim}")
     inputs = []
-    h = x
+    h = batch
     last = len(params.sizes) - 2
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
@@ -219,19 +270,47 @@ def forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, GradTape]
         if i != last:
             np.tanh(h, out=h)
     probs = softmax(h)
-    if not np.isfinite(probs).all():
+    # softmax rows lie in [PROB_FLOOR, 1] or are NaN: the sum is NaN or finite
+    if not math.isfinite(np.add.reduce(probs, axis=None)):
         raise NumericError(
             "forward pass produced non-finite probabilities",
             lanes=nonfinite_lanes(probs, 2),
         )
-    return probs, GradTape(params=params, inputs=inputs, probs=probs)
+    return probs, GradTape(params, inputs, probs)
 
 
 def check_simplex_rows(mat: np.ndarray, what: str) -> None:
-    mat = _as_rows(np.asarray(mat, dtype=np.float64))
     tol = SIMPLEX_TOL
-    if _least(mat) < -tol or _greatest(np.abs(np.add.reduce(mat, axis=-1) - 1.0)) > tol:
+    if _least(mat) < -tol or _sum_gap(mat) > tol:
         raise ContractViolation(f"{what} rows are off the probability simplex (tol {tol})")
+
+
+def _ce_logit_grad(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(probs - targets) / m, the cross-entropy gradient at the logits, checked.
+
+    The simplex check skips NaN entries (its reductions do), so NaN targets
+    pass it; they are caught here as a non-finite gradient, which for targets
+    that pass the check is exactly when the loss is non-finite.
+    """
+    if targets.shape != probs.shape:
+        raise DimensionError(
+            f"targets shape {targets.shape} != probs shape {probs.shape}"
+        )
+    check_simplex_rows(targets, "cross-entropy target")
+    d_logits = probs - targets
+    d_logits /= probs.shape[-2]
+    # probs are softmax rows and the rows that pass the check are bounded, so
+    # the sum cannot overflow: it is not finite exactly when an entry is not
+    if not math.isfinite(np.add.reduce(d_logits, axis=None)):
+        raise NumericError(
+            "non-finite cross-entropy gradient", lanes=nonfinite_lanes(d_logits, 2)
+        )
+    return d_logits
+
+
+def ce_gradient(tape: GradTape, targets: np.ndarray) -> Gradient:
+    """The parameter gradient of `backward_ce`'s loss at the tape's probs, without the loss."""
+    return _backward_layers(tape, _ce_logit_grad(tape.probs, targets))
 
 
 def backward_ce(
@@ -243,36 +322,22 @@ def backward_ce(
     the log. The softmax+CE gradient shortcut (p - t)/m is used at the output.
     The loss is a float for one net and one value per lane for a stack.
     """
-    probs = _as_rows(np.asarray(probs))
-    targets = _as_rows(np.asarray(targets, dtype=np.float64))
-    if targets.shape != probs.shape:
-        raise DimensionError(
-            f"targets shape {targets.shape} != probs shape {probs.shape}"
-        )
-    check_simplex_rows(targets, "cross-entropy target")
+    d_logits = _ce_logit_grad(probs, targets)
     m = probs.shape[-2]
     terms = np.maximum(probs, CE_CLAMP)
     np.log(terms, out=terms)
     terms *= targets
-    loss = -np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1) / m
-    if not np.isfinite(loss).all():
-        raise NumericError(
-            f"non-finite cross-entropy loss ({loss.tolist()!r})",
-            lanes=nonfinite_lanes(loss, 0),
-        )
+    loss = np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1) / -m
     loss = float(loss) if loss.ndim == 0 else loss
-    d_logits = probs - targets
-    d_logits /= m
     return loss, _backward_layers(tape, d_logits)
 
 
 def backward_probs_vjp(tape: GradTape, d_probs: np.ndarray) -> Gradient:
     """Parameter gradient for an arbitrary upstream gradient on the softmax output."""
     p = tape.probs
-    d_probs = _as_rows(np.asarray(d_probs))
     if d_probs.shape != p.shape:
         raise DimensionError(f"d_probs shape {d_probs.shape} != probs shape {p.shape}")
-    d_logits = d_probs - np.add.reduce(d_probs * p, axis=-1, keepdims=True)
+    d_logits = d_probs - _row_sum(d_probs * p, keepdims=True)
     d_logits *= p
     return _backward_layers(tape, d_logits)
 
@@ -287,9 +352,7 @@ def _backward_layers(tape: GradTape, d_out: np.ndarray) -> Gradient:
         np.add.reduce(d_a, axis=-2, out=grad.biases[i])
         if i > 0:
             d_a = d_a @ params.weights[i].swapaxes(-1, -2)
-            slope = x * x
-            np.subtract(1.0, slope, out=slope)
-            d_a *= slope
+            d_a *= tape._slope(i)
     return grad
 
 
@@ -308,21 +371,17 @@ def forward_jvp(tape: GradTape, tangent: Gradient) -> np.ndarray:
     activations come from the tape, so no layer of the net runs again.
     """
     params, inputs = tape.params, tape.inputs
-    dh = np.zeros_like(inputs[0])
     last = len(params.sizes) - 2
     for i in range(last + 1):
         da = inputs[i] @ tangent.weights[i]
-        da += dh @ params.weights[i]
+        if i:  # the batch itself does not move
+            da += dh @ params.weights[i]
         da += tangent.biases[i][..., None, :]
-        if i == last:
-            dh = da
-        else:
-            h = inputs[i + 1]  # post-tanh activation of layer i
-            dh = h * h
-            np.subtract(1.0, dh, out=dh)
-            dh *= da
+        if i != last:
+            da *= tape._slope(i + 1)  # through the tanh of layer i
+        dh = da
     # d log p_j = da_j - sum_k p_k da_k
-    return dh - np.add.reduce(tape.probs * dh, axis=-1, keepdims=True)
+    return dh - _row_sum(tape.probs * dh, keepdims=True)
 
 
 def hypergradient(
@@ -350,18 +409,17 @@ def hypergradient(
     whole computation. The tape serves both the inner step and the
     forward-mode pass, so theta does not run forward on x_in here.
     """
-    _, g_inner = backward_ce(tape_in, tape_in.probs, targets)
+    g_inner = ce_gradient(tape_in, targets)
     theta_plus = sgd_step(tape_in.params, g_inner, beta2)
 
-    probs_out, tape_out = forward(theta_plus, outer_batch)
-    _, u = backward_ce(tape_out, probs_out, outer_targets)
+    _, tape_out = forward(theta_plus, outer_batch)
+    u = ce_gradient(tape_out, outer_targets)
 
-    d_logprobs = forward_jvp(tape_in, u)
-    sensitivity = np.negative(d_logprobs, out=d_logprobs)
-    sensitivity /= tape_in.probs.shape[-2]
+    sensitivity = forward_jvp(tape_in, u)
+    sensitivity /= -tape_in.probs.shape[-2]  # -(x / m), bit for bit
     vjp_gamma = targets_vjp(sensitivity)
     flat = -beta2 * vjp_gamma.flat
-    if not np.isfinite(flat).all():
+    if not np.logical_and.reduce(np.isfinite(flat), axis=None):
         raise NumericError(
             "non-finite hypergradient "
             f"(|targets|max={np.abs(targets).max():.3g}, "

@@ -28,9 +28,14 @@ from .errors import ConfigError, ContractViolation
 DEFAULT_ALPHA = 0.3
 
 
+def _as_rows(x: np.ndarray) -> np.ndarray:
+    """`x` with at least two axes, the same array when it has them."""
+    return x if x.ndim >= 2 else np.atleast_2d(x)
+
+
 def _as_batch(x, dtype=np.float64):
     arr = np.asarray(x, dtype=dtype)
-    return nets._as_rows(arr), arr.ndim == 1
+    return _as_rows(arr), arr.ndim == 1
 
 
 @functools.cache
@@ -44,7 +49,7 @@ def _off_diagonal(c: int) -> np.ndarray:
 def _masked_renormalize(probs: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:
     """Zero outside mask, renormalize inside it; a row with no mass is an error."""
     masked = np.where(mask, probs, 0.0)
-    denom = np.add.reduce(masked, axis=-1, keepdims=True)
+    denom = nets._row_sum(masked, keepdims=True)
     if nets._least(denom) <= 0.0:
         # softmax outputs are floored at PROB_FLOOR, so training never gets here
         bad = int((denom <= 0.0).sum())
@@ -79,20 +84,35 @@ def reduction_row(probs, candidates, excluded_label: int) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def reduction_matrix(branch_probs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def reduction_mask(candidates) -> np.ndarray:
+    """The (m, c, c) supports of the reduction rows: row j is S minus label j.
+
+    Raises when one of them is empty, i.e. on a one-label candidate set.
+    """
+    s = _as_rows(np.asarray(candidates, dtype=bool))
+    mask = s[..., None, :] & _off_diagonal(s.shape[-1])
+    nonempty = np.logical_or.reduce(mask, axis=-1)
+    if not np.logical_and.reduce(nonempty, axis=None):
+        empty = np.argwhere(~nonempty)
+        raise ContractViolation(
+            f"candidate set reduces to nothing when excluding label {empty[0, -1]}"
+        )
+    return mask
+
+
+def reduction_matrix(
+    branch_probs: np.ndarray, candidates=None, *, mask: np.ndarray | None = None
+) -> np.ndarray:
     """Stack all reduction rows: branch_probs is (c, m, c), result is (m, c, c).
 
     Row j of each instance's matrix is branch j's output renormalized over the
     candidates minus label j, i.e. `reduction_row(branch_probs[j], S, j)`,
     computed for every j at once. Lanes are leading axes of both arguments.
+    A caller that holds `reduction_mask(candidates)` passes it as `mask`
+    instead of the candidates.
     """
-    s = nets._as_rows(np.asarray(candidates, dtype=bool))
-    mask = s[..., None, :] & _off_diagonal(branch_probs.shape[-3])
-    if not mask.any(axis=-1).all():
-        empty = np.argwhere(~mask.any(axis=-1))
-        raise ContractViolation(
-            f"candidate set reduces to nothing when excluding label {empty[0, -1]}"
-        )
+    if mask is None:
+        mask = reduction_mask(candidates)
     return _masked_renormalize(branch_probs.swapaxes(-3, -2), mask, "reduction_matrix")
 
 
@@ -111,7 +131,7 @@ def combine(mu, v, alpha) -> np.ndarray:
     `alpha` may be an array broadcasting against the rows, e.g. one weight
     per lane shaped (S, 1, 1).
     """
-    if not np.logical_and(0.0 <= alpha, alpha <= 1.0).all():
+    if not np.logical_and.reduce(np.logical_and(0.0 <= alpha, alpha <= 1.0), axis=None):
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     return alpha * np.asarray(mu, dtype=np.float64) + (1.0 - alpha) * np.asarray(
         v, dtype=np.float64
@@ -120,9 +140,9 @@ def combine(mu, v, alpha) -> np.ndarray:
 
 def meta_weights(gamma: nets.MlpParams, x) -> np.ndarray:
     """Per-instance branch weights from the meta net (softmax output rows)."""
-    x_arr = np.asarray(x, dtype=np.float64)
+    x_arr, squeeze = _as_batch(x)
     probs, _ = nets.forward(gamma, x_arr)
-    return probs[0] if x_arr.ndim == 1 else probs
+    return probs[0] if squeeze else probs
 
 
 def uniform_over(mask) -> np.ndarray:
@@ -197,28 +217,33 @@ class PseudoLabelState:
         targets = [("mu", self.mu), ("q", self.q)]
         if check_reduction:
             targets.append(("v", self.v))
-        # one reduction per check, with the verdict of np.any(x > tol) etc.
-        least, greatest = nets._least, nets._greatest
+        # one reduction per check, with the verdict of np.any(x > tol) etc.;
+        # x * outside is x off S and ±0 (or NaN, which the reductions skip) on
+        # S, and a float mask multiplies without a cast. Masked products go
+        # one run's rows at a time, which keeps the temporaries at one run's size.
+        least, greatest, sum_gap = nets._least, nets._greatest, nets._sum_gap
+        n, c = s.shape
+        outside = (~s).astype(np.float64)
         for name, arr in targets:
-            if greatest(np.abs(np.add.reduce(arr, axis=-1) - 1.0)) > tol:
+            if sum_gap(arr) > tol:
                 raise ContractViolation(f"{name} rows do not sum to 1 within {tol}")
             if least(arr) < -tol:
                 raise ContractViolation(f"{name} has negative entries beyond {tol}")
-            if greatest(np.abs(arr[..., ~s])) > tol:
-                raise ContractViolation(f"{name} puts mass outside the candidate sets")
+            for run in arr.reshape(-1, n, c):
+                off = run * outside
+                if greatest(np.abs(off, out=off)) > tol:
+                    raise ContractViolation(f"{name} puts mass outside the candidate sets")
         if not check_reduction:
             return
         w = self.w
-        if greatest(np.abs(np.add.reduce(w, axis=-1) - 1.0)) > tol or least(w) < -tol:
+        if sum_gap(w) > tol or least(w) < -tol:
             raise ContractViolation("w rows are off the simplex")
-        n, c = s.shape
-        outside = ~s[:, None, :]
-        diagonal = np.arange(c)
-        # one run's rows at a time keeps the temporaries at one run's size
+        outside = outside[:, None, :]
         for U in self.U.reshape(-1, n, c, c):
-            if greatest(np.abs(np.add.reduce(U, axis=-1) - 1.0)) > tol:
+            if sum_gap(U) > tol:
                 raise ContractViolation("U rows do not sum to 1")
-            if greatest(np.abs(U[:, diagonal, diagonal])) > tol:
+            if greatest(np.abs(U.diagonal(axis1=-2, axis2=-1))) > tol:
                 raise ContractViolation("U rows put mass on their own excluded label")
-            if greatest(np.abs(U * outside)) > tol:
+            off = U * outside
+            if greatest(np.abs(off, out=off)) > tol:
                 raise ContractViolation("U rows put mass outside the candidate sets")

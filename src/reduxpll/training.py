@@ -37,6 +37,7 @@ Each lane has its own streams.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -44,7 +45,7 @@ import os
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -220,9 +221,10 @@ def _stream(seed: int, purpose: str) -> np.random.Generator:
 
 
 def _momentum_step(params, grad, buf, lr, momentum):
-    """buf' = momentum*buf + grad; params' = params - lr*buf' (all fresh arrays)."""
-    new_buf = momentum * buf + grad.flat
-    return nets.sgd_step(params, nets.from_flat(params, new_buf), lr), new_buf
+    """buf = momentum*buf + grad, in place; returns params - lr*buf in a fresh buffer."""
+    buf *= momentum
+    buf += grad.flat
+    return nets.sgd_step(params, nets.from_flat(params, buf), lr)
 
 
 def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
@@ -323,10 +325,18 @@ def _branch_probs(head: nets.MlpParams, z: np.ndarray) -> np.ndarray:
     return nets.forward(head, z[..., None, :, :])[0]
 
 
+@functools.cache
+def _head_layout(d: int, c: int) -> nets.MlpParams:
+    """One branch's layout, a read-only template whose values are never read."""
+    layout = nets.empty((d, c))
+    layout.flat.flags.writeable = False
+    return layout
+
+
 def _branch_grad(z: np.ndarray, probs: np.ndarray, targets: np.ndarray) -> nets.Gradient:
-    """Per-branch `nets.backward_ce` gradient, in one buffer laid out like the head's."""
-    layout = nets.empty((z.shape[-1], probs.shape[-1]))
-    return nets.backward_ce(nets.GradTape(layout, [z[..., None, :, :]], probs), probs, targets)[1]
+    """Per-branch `nets.ce_gradient`, in one buffer laid out like the head's."""
+    tape = nets.GradTape(_head_layout(z.shape[-1], probs.shape[-1]), [z[..., None, :, :]], probs)
+    return nets.ce_gradient(tape, targets)
 
 
 def _reduction_targets(U: np.ndarray, gamma: nets.MlpParams, feats: np.ndarray):
@@ -343,31 +353,37 @@ def _update_branches(state: TrainerState, z: np.ndarray, rows, config: TrainConf
     """Momentum step of the head; branch j's targets are row j of the stored rows."""
     head = state.bundle.omegas
     grad = _branch_grad(z, _branch_probs(head, z), state.pls.U[rows].swapaxes(-3, -2))
-    state.bundle.omegas, state.omega_buf = _momentum_step(
+    state.bundle.omegas = _momentum_step(
         head, grad, state.omega_buf, config.beta1, config.momentum
     )
 
 
-def _reduction_rows(head: nets.MlpParams, z: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The batch's (m, c, c) reduction rows from the head's outputs on z."""
-    return pseudo.reduction_matrix(_branch_probs(head, z), S)
+def _reduction_rows(head: nets.MlpParams, z: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The batch's (m, c, c) reduction rows from the head's outputs on z.
+
+    `support` is the batch's `pseudo.reduction_mask`.
+    """
+    return pseudo.reduction_matrix(_branch_probs(head, z), mask=support)
 
 
-def _update_meta(state, val_ds, x, tape, U, config, epoch, batch_idx) -> None:
-    """Meta step by the hypergradient of a validation batch loss; `tape` is theta's on x."""
+def _update_meta(state, val_ds, val_targets, x, tape, U, config, epoch, batch_idx) -> None:
+    """Meta step by the hypergradient of a validation batch loss; `tape` is theta's on x.
+
+    `val_targets` are the one-hot rows of the validation labels.
+    """
     theta_snapshot = state.bundle.theta.flat.copy()  # a copy: the check watches theta's own buffer
-    val_idx = np.stack([
+    val_idx = np.array([
         lane.rngs["val"].integers(0, val_ds.n, size=config.batch_size)
         for lane in state.lanes
     ])
-    val_targets = one_hot(np.asarray(val_ds.true_labels)[val_idx], val_ds.c)
     targets, targets_vjp = _reduction_targets(U, state.bundle.gamma, x)
     hyper = nets.hypergradient(
-        tape, targets, targets_vjp, val_ds.features[val_idx], val_targets, config.beta2
+        tape, targets, targets_vjp, val_ds.features.take(val_idx, axis=0),
+        val_targets.take(val_idx, axis=0), config.beta2,
     )
     state.bundle.gamma = nets.sgd_step(state.bundle.gamma, hyper, config.beta3)
     # the trial step must leave no trace: theta is bit-identical to before
-    if not np.array_equal(state.bundle.theta.flat, theta_snapshot):
+    if not np.logical_and.reduce(state.bundle.theta.flat == theta_snapshot, axis=None):
         raise ContractViolation(f"rollback drifted at epoch {epoch}, batch {batch_idx}")
     state.rollback_checks += 1
 
@@ -388,7 +404,7 @@ def _mix_targets(state: TrainerState, rows, x, q, U, method: str) -> np.ndarray:
 def _commit(state: TrainerState, tape, probs, q, config: TrainConfig) -> np.ndarray:
     """The predictor's momentum step toward the targets q; returns each lane's loss."""
     loss, grad = nets.backward_ce(tape, probs, q)
-    state.bundle.theta, state.theta_buf = _momentum_step(
+    state.bundle.theta = _momentum_step(
         state.bundle.theta, grad, state.theta_buf, config.beta2, config.momentum
     )
     return loss
@@ -401,19 +417,38 @@ def _refresh(state: TrainerState, rows, x, S, q) -> None:
     state.pls.q[rows] = q
 
 
+class _FitArrays(NamedTuple):
+    """What every batch of a fit reads from its datasets, made once per fit."""
+
+    support: np.ndarray | None  # (n, c, c) `pseudo.reduction_mask` of the training rows
+    val_targets: np.ndarray | None  # (n_val, c) one-hot validation labels
+    bayes: np.ndarray | None  # (n,) Bayes label of each training row
+
+
+def _fit_arrays(datasets: tuple[PllDataset, PllDataset, PllDataset], method: str) -> _FitArrays:
+    """The `_FitArrays` of a fit of `method` on `datasets`; only what the method reads."""
+    train_ds, val_ds, _ = datasets
+    return _FitArrays(
+        support=None if method == "proden" else pseudo.reduction_mask(train_ds.candidates),
+        val_targets=one_hot(val_ds.true_labels, val_ds.c) if method == "reduxpll" else None,
+        bayes=None if train_ds.posterior is None else np.asarray(train_ds.posterior).argmax(axis=1),
+    )
+
+
 def _batch_step(
     state: TrainerState,
-    train_ds: PllDataset,
-    val_ds: PllDataset,
+    datasets: tuple[PllDataset, PllDataset, PllDataset],
+    arrays: _FitArrays,
     idx: np.ndarray,
     config: TrainConfig,
     epoch: int,
     batch_idx: int,
 ) -> np.ndarray:
     """One mini-batch in every lane; idx is (S, m), lane s trains on rows idx[s]."""
+    train_ds, val_ds, _ = datasets
     rows = (np.arange(len(idx))[:, None], idx)  # lane s, instance idx[s, i]
-    x = train_ds.features[idx]
-    S = train_ds.candidates[idx]
+    x = train_ds.features.take(idx, axis=0)
+    S = train_ds.candidates.take(idx, axis=0)
     # the batch's only forward of theta on x: its tape serves the features,
     # the hypergradient's inner step and the committed step
     probs, tape = nets.forward(state.bundle.theta, x)
@@ -421,9 +456,9 @@ def _batch_step(
     if config.method != "proden":
         z = tape.inputs[-1]
         _update_branches(state, z, rows, config)
-        U = _reduction_rows(state.bundle.omegas, z, S)
+        U = _reduction_rows(state.bundle.omegas, z, arrays.support.take(idx, axis=0))
         if config.method == "reduxpll":
-            _update_meta(state, val_ds, x, tape, U, config, epoch, batch_idx)
+            _update_meta(state, val_ds, arrays.val_targets, x, tape, U, config, epoch, batch_idx)
         q = _mix_targets(state, rows, x, q, U, config.method)
     loss = _commit(state, tape, probs, q, config)
     _refresh(state, rows, x, S, q)
@@ -447,14 +482,19 @@ def train_epoch(
     state: TrainerState,
     datasets: tuple[PllDataset, PllDataset, PllDataset],
     config: TrainConfig,
+    arrays: _FitArrays | None = None,
 ) -> tuple[TrainerState, list[EpochMetrics]]:
     """Run one full pass over the shuffled training set in every lane.
 
     `config` supplies what the lanes share (method, step sizes, batch size);
-    each lane's seed and alpha are in its own config. Returns the state and
-    each lane's metrics, which are also appended to the lane's history.
+    each lane's seed and alpha are in its own config. `arrays` is the fit's
+    `_fit_arrays(datasets, config.method)`, made here when not given. Returns
+    the state and each lane's metrics, which are also appended to the lane's
+    history.
     """
     train_ds, val_ds, test_ds = datasets
+    if arrays is None:
+        arrays = _fit_arrays(datasets, config.method)
     epoch = state.epoch + 1
     n = train_ds.n
     m = config.batch_size
@@ -463,7 +503,7 @@ def train_epoch(
     for k, start in enumerate(range(0, n, m)):
         idx = perms[:, start : start + m]
         try:
-            losses.append(_batch_step(state, train_ds, val_ds, idx, config, epoch, k))
+            losses.append(_batch_step(state, datasets, arrays, idx, config, epoch, k))
         except NumericError as exc:
             raise _lane_failure(state, exc, f"epoch {epoch}, batch {k}") from exc
     state.pls.validate(train_ds.candidates, check_reduction=config.method != "proden")
@@ -474,9 +514,8 @@ def train_epoch(
     drift = step.sum(axis=-1).mean(axis=-1)
     np.copyto(state.prev_q, state.pls.q)
     consistency = [None] * len(state.lanes)
-    if train_ds.posterior is not None:
-        bayes = np.asarray(train_ds.posterior).argmax(axis=1)
-        consistency = (state.pls.q.argmax(axis=-1) == bayes).mean(axis=-1).tolist()
+    if arrays.bayes is not None:
+        consistency = (state.pls.q.argmax(axis=-1) == arrays.bayes).mean(axis=-1).tolist()
     # one row of batch losses per lane, so each lane's mean sums like one run's
     lane_losses = np.array(losses).T.copy()
     metrics = []
@@ -570,6 +609,7 @@ def fit_lanes(
         state = init_lanes(train_ds, configs, init_bundles)
     else:
         state = load_checkpoint(resume_from, train_ds, config)
+    arrays = _fit_arrays(datasets, config.method)
     ids = list(range(count))  # the config index of each lane still in the stack
     results: list[RunResult | None] = [None] * count
     with contextlib.ExitStack() as files:
@@ -582,7 +622,7 @@ def fit_lanes(
                 fh.writelines(_metrics_line(m) for m in lane.history)
         # only a run resumed from the checkpoint of its early stop starts stopped
         while ids and state.epoch < config.epochs and state.lanes[0].stagnant < config.patience:
-            state, metrics = train_epoch(state, datasets, config)
+            state, metrics = train_epoch(state, datasets, config, arrays)
             finished = []
             for k, (i, lane, lane_metrics) in enumerate(zip(ids, state.lanes, metrics)):
                 if metrics_fhs[i] is not None:

@@ -210,6 +210,30 @@ def test_sweep_alpha_rows_and_best_flag(dataset_dir, tmp_path):
     assert sum(flags) == 1 and flags[int(np.argmax(accs))]
 
 
+def test_sweep_alpha_manifest_covers_every_file_and_the_grid(dataset_dir, tmp_path):
+    from reduxpll import training
+
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep-alpha", "--dataset", str(dataset_dir), "--alphas", "0.3,0.5",
+         "--method", "proden", "--seeds", "1", "--out", str(out), *FAST_TRAIN]
+    )
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    written = sorted(
+        p.relative_to(out).as_posix() for p in out.rglob("*")
+        if p.is_file() and p.name != "run_manifest.json"
+    )
+    assert "alpha_0.3/checkpoint_seed0.npz" in written
+    assert sorted(manifest["artifacts"]) == written
+    for name, checksum in manifest["artifacts"].items():
+        assert data.file_checksum(out / name) == checksum
+    assert manifest["alphas"] == [0.3, 0.5]
+    base = training.TrainConfig(method="proden", epochs=4, batch_size=64)
+    assert manifest["config_hash"] != base.config_hash()
+    assert manifest["config_hash"] == training._doc_hash({**base.to_dict(), "alpha": [0.3, 0.5]})
+
+
 def test_sweep_alpha_rejects_a_repeated_alpha(dataset_dir, tmp_path, capsys):
     code = main(
         ["sweep-alpha", "--dataset", str(dataset_dir), "--alphas", "0.3,0.5,0.3",

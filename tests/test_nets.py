@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduxpll import nets, training
 from reduxpll.errors import ContractViolation, DimensionError, NumericError
@@ -443,3 +445,100 @@ def test_hypergradient_raises_on_nonfinite():
     with pytest.raises(NumericError, match="non-finite hypergradient") as err:
         nets.hypergradient(tape, targets, overflowing_vjp, x, y, 0.1)
     assert err.value.lanes == [1]
+
+
+def _with_a_nan_row(rows, lane):
+    """`rows` with a NaN row in `lane`: it passes the simplex check, whose reductions skip NaN."""
+    bad = rows.copy()
+    bad[lane, 0] = np.nan
+    nets.check_simplex_rows(bad, "test")
+    return bad
+
+
+@pytest.mark.parametrize("nan_in", ["inner", "outer"])
+def test_hypergradient_names_the_lane_of_nan_cross_entropy_targets(nan_in):
+    """NaN inner targets or validation targets in lane 1 of 3 stop at the
+    gradient of their cross-entropy, before any later step sees them."""
+    rng = np.random.default_rng(8)
+    theta = nets.stack([nets.init_mlp([3, 4, 3], rng) for _ in range(3)])
+    gamma = nets.stack([nets.init_mlp([3, 4, 3], rng) for _ in range(3)])
+    x = rng.standard_normal((3, 4, 3))
+    y = np.eye(3)[rng.integers(0, 3, (3, 4))]
+    U = _random_reduction_stack(rng, 12, 3).reshape(3, 4, 3, 3)
+    _, tape = nets.forward(theta, x)
+    targets, vjp = training._reduction_targets(U, gamma, x)
+    if nan_in == "inner":
+        targets = _with_a_nan_row(targets, 1)
+    else:
+        y = _with_a_nan_row(y, 1)
+    with pytest.raises(NumericError, match="non-finite cross-entropy gradient") as err:
+        nets.hypergradient(tape, targets, vjp, x, y, 0.1)
+    assert err.value.lanes == [1]
+
+
+def test_backward_ce_names_the_lane_of_nan_targets():
+    rng = np.random.default_rng(9)
+    theta = nets.stack([nets.init_mlp([3, 4, 3], rng) for _ in range(3)])
+    probs, tape = nets.forward(theta, rng.standard_normal((3, 5, 3)))
+    targets = _with_a_nan_row(random_simplex_rows(rng, 15, 3).reshape(3, 5, 3), 2)
+    with pytest.raises(NumericError, match="non-finite cross-entropy gradient") as err:
+        nets.backward_ce(tape, probs, targets)
+    assert err.value.lanes == [2]
+
+
+# -- reductions over the label axis ---------------------------------------------
+
+# values that test the order of a reduction: signed zeros, ties, non-finite
+_SPECIAL = np.array(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.integers(2, 7),
+    rows=st.sampled_from([1, 7, 64, 127, 128, 129, 511, 512, 513, 700]),
+    lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    special=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_label_axis_reductions_are_numpys_bit_for_bit(c, rows, lead, special, seed):
+    """Row sums and maxima equal numpy's one-call reductions on both sides of
+    the column thresholds, for one net and lane stacks alike."""
+    rng = np.random.default_rng(seed)
+    shape = (*lead, rows, c)
+    arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    pick = rng.random(shape) < special
+    arr[pick] = rng.choice(_SPECIAL, size=int(pick.sum()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for keepdims in (False, True):
+            for ours, numpys in (
+                (nets._row_sum(arr, keepdims), np.add.reduce(arr, axis=-1, keepdims=keepdims)),
+                (nets._row_max(arr, keepdims), np.maximum.reduce(arr, axis=-1, keepdims=keepdims)),
+            ):
+                assert ours.shape == numpys.shape
+                assert ours.tobytes() == numpys.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(600,), (3, 200)])
+def test_column_sums_of_negative_zeros_are_numpys_positive_zero(lead):
+    rows = np.full((*lead, 5), -0.0)
+    assert nets._by_columns(rows, nets._SUM_COLUMN_ROWS)
+    assert nets._row_sum(rows).tobytes() == np.add.reduce(rows, axis=-1).tobytes()
+    assert not np.signbit(nets._row_sum(rows)).any()
+
+
+@pytest.mark.parametrize("c", [8, 9, 12])
+def test_eight_or_more_labels_keep_numpys_pairwise_reduction(c):
+    """numpy sums 8 or more entries pairwise, which a column chain does not."""
+    row = np.ones(c)
+    row[0], row[-1] = 1e16, -1e16
+    arr = np.tile(row, (1000, 1))
+    chain = arr[:, 0] + 0.0
+    for j in range(1, c):
+        chain += arr[:, j]
+    pairwise = np.add.reduce(arr, axis=-1)
+    assert not np.array_equal(chain, pairwise)
+    for min_rows in (nets._SUM_COLUMN_ROWS, nets._MAX_COLUMN_ROWS):
+        assert not nets._by_columns(arr, min_rows)
+    assert nets._row_sum(arr).tobytes() == pairwise.tobytes()

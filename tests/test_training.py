@@ -1,3 +1,4 @@
+import collections
 import gc
 import json
 import warnings
@@ -418,3 +419,41 @@ def test_rollback_check_fails_when_the_hypergradient_mutates_theta(
     with pytest.raises(ContractViolation, match="rollback drifted at epoch 1, batch 0"):
         training.train_epoch(state, small_dataset, cfg)
     assert state.rollback_checks == 0
+
+
+def test_branch_grad_names_the_lane_of_nan_targets():
+    """A NaN row of lane 1's branch targets passes the simplex check and stops
+    at the gradient, named by its lane of the stack."""
+    rng = np.random.default_rng(3)
+    heads = [nets.stack([nets.init_mlp([4, 3], rng) for _ in range(3)]) for _ in range(2)]
+    head = nets.stack(heads)
+    z = np.tanh(rng.standard_normal((2, 5, 4)))
+    probs = training._branch_probs(head, z)
+    targets = probs.copy()
+    targets[1, 2, 0] = np.nan
+    nets.check_simplex_rows(targets, "test")
+    with pytest.raises(NumericError, match="non-finite cross-entropy gradient") as err:
+        training._branch_grad(z, probs, targets)
+    assert err.value.lanes == [1]
+
+
+def test_a_reduxpll_batch_makes_its_fixed_passes(small_dataset, monkeypatch):
+    """7 forwards, one loss backward (the commit), three gradient-only
+    backwards (the branch head, the trial step and the validation loss), one
+    JVP and one VJP."""
+    calls = collections.Counter()
+    for name in ("forward", "backward_ce", "ce_gradient", "forward_jvp", "backward_probs_vjp"):
+
+        def counted(*args, _name=name, _original=getattr(nets, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nets, name, counted)
+    cfg = training.TrainConfig(method="reduxpll", epochs=1)
+    state = training.init_lanes(small_dataset[0], [cfg])
+    arrays = training._fit_arrays(small_dataset, cfg.method)
+    idx = np.arange(cfg.batch_size)[None]
+    training._batch_step(state, small_dataset, arrays, idx, cfg, 1, 0)
+    assert calls == {
+        "forward": 7, "backward_ce": 1, "ce_gradient": 3, "forward_jvp": 1, "backward_probs_vjp": 1,
+    }
