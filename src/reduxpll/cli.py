@@ -196,17 +196,24 @@ def _summarize(per_seed: list[dict]) -> dict:
     }
 
 
-def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, alphas=None) -> None:
-    """The run's identity and the checksum of every file under `out_dir`,
-    keyed by its POSIX path relative to `out_dir`.
+def _alpha_dir(alpha: float) -> str:
+    """The directory under a sweep's --out that holds the runs of `alpha`."""
+    return f"alpha_{alpha:g}"
 
-    A sweep passes the alpha grid it ran: the manifest lists it, and the
-    config hash is that of the config document with the grid as its alpha.
+
+def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, alphas=None) -> None:
+    """The run's identity and the checksum of each file where the command writes.
+
+    Those are the files directly under `out_dir` and, for a sweep, under the
+    `_alpha_dir` of each alpha of its grid; each is keyed by its POSIX path
+    relative to `out_dir`. A sweep also lists its grid under `alphas`: its
+    lanes ran those alphas in place of `config`'s.
     """
     manifest_path = out_dir / "run_manifest.json"
     artifacts = {
         p.relative_to(out_dir).as_posix(): data.file_checksum(p)
-        for p in sorted(out_dir.rglob("*"))
+        for d in [out_dir, *(out_dir / _alpha_dir(a) for a in alphas or ())]
+        for p in sorted(d.iterdir())
         if p.is_file() and p != manifest_path
     }
     manifest = {
@@ -219,10 +226,7 @@ def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, alpha
         "artifacts": artifacts,
     }
     if alphas is not None:
-        from .training import _doc_hash
-
         manifest["alphas"] = list(alphas)
-        manifest["config_hash"] = _doc_hash({**config.to_dict(), "alpha": list(alphas)})
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -281,7 +285,7 @@ def cmd_train(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     if args.seeds <= 0:
         raise UsageError(f"--seeds must be positive, got {args.seeds}")
-    names = [f"alpha_{alpha:g}" for alpha in args.alphas]  # alphas of one name share its files
+    names = [_alpha_dir(alpha) for alpha in args.alphas]  # alphas of one name share its files
     if len(set(names)) != len(names):
         raise UsageError(f"--alphas writes a directory twice: {' '.join(names)}")
     ds, dataset_checksum = _load_dataset(args.dataset)

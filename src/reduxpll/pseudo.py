@@ -84,35 +84,22 @@ def reduction_row(probs, candidates, excluded_label: int) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def reduction_mask(candidates) -> np.ndarray:
-    """The (m, c, c) supports of the reduction rows: row j is S minus label j.
-
-    Raises when one of them is empty, i.e. on a one-label candidate set.
-    """
-    s = _as_rows(np.asarray(candidates, dtype=bool))
-    mask = s[..., None, :] & _off_diagonal(s.shape[-1])
-    nonempty = np.logical_or.reduce(mask, axis=-1)
-    if not np.logical_and.reduce(nonempty, axis=None):
-        empty = np.argwhere(~nonempty)
-        raise ContractViolation(
-            f"candidate set reduces to nothing when excluding label {empty[0, -1]}"
-        )
-    return mask
-
-
-def reduction_matrix(
-    branch_probs: np.ndarray, candidates=None, *, mask: np.ndarray | None = None
-) -> np.ndarray:
+def reduction_matrix(branch_probs: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Stack all reduction rows: branch_probs is (c, m, c), result is (m, c, c).
 
     Row j of each instance's matrix is branch j's output renormalized over the
     candidates minus label j, i.e. `reduction_row(branch_probs[j], S, j)`,
     computed for every j at once. Lanes are leading axes of both arguments.
-    A caller that holds `reduction_mask(candidates)` passes it as `mask`
-    instead of the candidates.
     """
-    if mask is None:
-        mask = reduction_mask(candidates)
+    s = _as_rows(np.asarray(candidates, dtype=bool))
+    mask = s[..., None, :] & _off_diagonal(branch_probs.shape[-3])
+    # S minus label j is empty exactly when S is {j} or empty, so every row
+    # has support when every candidate set has two labels or more
+    if np.minimum.reduce(s.sum(axis=-1), axis=None, initial=2) < 2:
+        empty = np.argwhere(~mask.any(axis=-1))
+        raise ContractViolation(
+            f"candidate set reduces to nothing when excluding label {empty[0, -1]}"
+        )
     return _masked_renormalize(branch_probs.swapaxes(-3, -2), mask, "reduction_matrix")
 
 

@@ -45,7 +45,7 @@ import os
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -358,12 +358,9 @@ def _update_branches(state: TrainerState, z: np.ndarray, rows, config: TrainConf
     )
 
 
-def _reduction_rows(head: nets.MlpParams, z: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """The batch's (m, c, c) reduction rows from the head's outputs on z.
-
-    `support` is the batch's `pseudo.reduction_mask`.
-    """
-    return pseudo.reduction_matrix(_branch_probs(head, z), mask=support)
+def _reduction_rows(head: nets.MlpParams, z: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The batch's (m, c, c) reduction rows from the head's outputs on z."""
+    return pseudo.reduction_matrix(_branch_probs(head, z), S)
 
 
 def _update_meta(state, val_ds, val_targets, x, tape, U, config, epoch, batch_idx) -> None:
@@ -417,35 +414,20 @@ def _refresh(state: TrainerState, rows, x, S, q) -> None:
     state.pls.q[rows] = q
 
 
-class _FitArrays(NamedTuple):
-    """What every batch of a fit reads from its datasets, made once per fit."""
-
-    support: np.ndarray | None  # (n, c, c) `pseudo.reduction_mask` of the training rows
-    val_targets: np.ndarray | None  # (n_val, c) one-hot validation labels
-    bayes: np.ndarray | None  # (n,) Bayes label of each training row
-
-
-def _fit_arrays(datasets: tuple[PllDataset, PllDataset, PllDataset], method: str) -> _FitArrays:
-    """The `_FitArrays` of a fit of `method` on `datasets`; only what the method reads."""
-    train_ds, val_ds, _ = datasets
-    return _FitArrays(
-        support=None if method == "proden" else pseudo.reduction_mask(train_ds.candidates),
-        val_targets=one_hot(val_ds.true_labels, val_ds.c) if method == "reduxpll" else None,
-        bayes=None if train_ds.posterior is None else np.asarray(train_ds.posterior).argmax(axis=1),
-    )
-
-
 def _batch_step(
     state: TrainerState,
-    datasets: tuple[PllDataset, PllDataset, PllDataset],
-    arrays: _FitArrays,
+    train_ds: PllDataset,
+    val_ds: PllDataset,
+    val_targets: np.ndarray,
     idx: np.ndarray,
     config: TrainConfig,
     epoch: int,
     batch_idx: int,
 ) -> np.ndarray:
-    """One mini-batch in every lane; idx is (S, m), lane s trains on rows idx[s]."""
-    train_ds, val_ds, _ = datasets
+    """One mini-batch in every lane; idx is (S, m), lane s trains on rows idx[s].
+
+    `val_targets` are the one-hot rows of val_ds's labels.
+    """
     rows = (np.arange(len(idx))[:, None], idx)  # lane s, instance idx[s, i]
     x = train_ds.features.take(idx, axis=0)
     S = train_ds.candidates.take(idx, axis=0)
@@ -456,9 +438,9 @@ def _batch_step(
     if config.method != "proden":
         z = tape.inputs[-1]
         _update_branches(state, z, rows, config)
-        U = _reduction_rows(state.bundle.omegas, z, arrays.support.take(idx, axis=0))
+        U = _reduction_rows(state.bundle.omegas, z, S)
         if config.method == "reduxpll":
-            _update_meta(state, val_ds, arrays.val_targets, x, tape, U, config, epoch, batch_idx)
+            _update_meta(state, val_ds, val_targets, x, tape, U, config, epoch, batch_idx)
         q = _mix_targets(state, rows, x, q, U, config.method)
     loss = _commit(state, tape, probs, q, config)
     _refresh(state, rows, x, S, q)
@@ -482,19 +464,15 @@ def train_epoch(
     state: TrainerState,
     datasets: tuple[PllDataset, PllDataset, PllDataset],
     config: TrainConfig,
-    arrays: _FitArrays | None = None,
 ) -> tuple[TrainerState, list[EpochMetrics]]:
     """Run one full pass over the shuffled training set in every lane.
 
     `config` supplies what the lanes share (method, step sizes, batch size);
-    each lane's seed and alpha are in its own config. `arrays` is the fit's
-    `_fit_arrays(datasets, config.method)`, made here when not given. Returns
-    the state and each lane's metrics, which are also appended to the lane's
-    history.
+    each lane's seed and alpha are in its own config. Returns the state and
+    each lane's metrics, which are also appended to the lane's history.
     """
     train_ds, val_ds, test_ds = datasets
-    if arrays is None:
-        arrays = _fit_arrays(datasets, config.method)
+    val_targets = one_hot(val_ds.true_labels, val_ds.c)  # for every batch's meta step
     epoch = state.epoch + 1
     n = train_ds.n
     m = config.batch_size
@@ -503,7 +481,7 @@ def train_epoch(
     for k, start in enumerate(range(0, n, m)):
         idx = perms[:, start : start + m]
         try:
-            losses.append(_batch_step(state, datasets, arrays, idx, config, epoch, k))
+            losses.append(_batch_step(state, train_ds, val_ds, val_targets, idx, config, epoch, k))
         except NumericError as exc:
             raise _lane_failure(state, exc, f"epoch {epoch}, batch {k}") from exc
     state.pls.validate(train_ds.candidates, check_reduction=config.method != "proden")
@@ -514,8 +492,9 @@ def train_epoch(
     drift = step.sum(axis=-1).mean(axis=-1)
     np.copyto(state.prev_q, state.pls.q)
     consistency = [None] * len(state.lanes)
-    if arrays.bayes is not None:
-        consistency = (state.pls.q.argmax(axis=-1) == arrays.bayes).mean(axis=-1).tolist()
+    if train_ds.posterior is not None:
+        bayes = np.asarray(train_ds.posterior).argmax(axis=1)
+        consistency = (state.pls.q.argmax(axis=-1) == bayes).mean(axis=-1).tolist()
     # one row of batch losses per lane, so each lane's mean sums like one run's
     lane_losses = np.array(losses).T.copy()
     metrics = []
@@ -609,7 +588,6 @@ def fit_lanes(
         state = init_lanes(train_ds, configs, init_bundles)
     else:
         state = load_checkpoint(resume_from, train_ds, config)
-    arrays = _fit_arrays(datasets, config.method)
     ids = list(range(count))  # the config index of each lane still in the stack
     results: list[RunResult | None] = [None] * count
     with contextlib.ExitStack() as files:
@@ -622,7 +600,7 @@ def fit_lanes(
                 fh.writelines(_metrics_line(m) for m in lane.history)
         # only a run resumed from the checkpoint of its early stop starts stopped
         while ids and state.epoch < config.epochs and state.lanes[0].stagnant < config.patience:
-            state, metrics = train_epoch(state, datasets, config, arrays)
+            state, metrics = train_epoch(state, datasets, config)
             finished = []
             for k, (i, lane, lane_metrics) in enumerate(zip(ids, state.lanes, metrics)):
                 if metrics_fhs[i] is not None:

@@ -210,10 +210,12 @@ def test_sweep_alpha_rows_and_best_flag(dataset_dir, tmp_path):
     assert sum(flags) == 1 and flags[int(np.argmax(accs))]
 
 
-def test_sweep_alpha_manifest_covers_every_file_and_the_grid(dataset_dir, tmp_path):
-    from reduxpll import training
-
+def test_sweep_alpha_manifest_covers_the_files_it_wrote_and_the_grid(dataset_dir, tmp_path):
     out = tmp_path / "sweep"
+    # left by an earlier sweep into the same --out: not this run's files
+    for stale in ("alpha_0.7/checkpoint_seed0.npz", "old/sweep.csv"):
+        (out / stale).parent.mkdir(parents=True)
+        (out / stale).write_text("stale\n")
     code = main(
         ["sweep-alpha", "--dataset", str(dataset_dir), "--alphas", "0.3,0.5",
          "--method", "proden", "--seeds", "1", "--out", str(out), *FAST_TRAIN]
@@ -221,17 +223,31 @@ def test_sweep_alpha_manifest_covers_every_file_and_the_grid(dataset_dir, tmp_pa
     assert code == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     written = sorted(
-        p.relative_to(out).as_posix() for p in out.rglob("*")
+        p.relative_to(out).as_posix()
+        for d in (out, out / "alpha_0.3", out / "alpha_0.5")
+        for p in d.iterdir()
         if p.is_file() and p.name != "run_manifest.json"
     )
     assert "alpha_0.3/checkpoint_seed0.npz" in written
+    assert "alpha_0.5/metrics_seed0.jsonl" in written
     assert sorted(manifest["artifacts"]) == written
     for name, checksum in manifest["artifacts"].items():
         assert data.file_checksum(out / name) == checksum
     assert manifest["alphas"] == [0.3, 0.5]
-    base = training.TrainConfig(method="proden", epochs=4, batch_size=64)
-    assert manifest["config_hash"] != base.config_hash()
-    assert manifest["config_hash"] == training._doc_hash({**base.to_dict(), "alpha": [0.3, 0.5]})
+
+
+def test_train_manifest_covers_only_its_own_files(dataset_dir, tmp_path):
+    out = tmp_path / "results"
+    (out / "earlier_run").mkdir(parents=True)
+    (out / "earlier_run" / "summary.json").write_text("{}\n")
+    code = main(["train", "--dataset", str(dataset_dir), "--method", "proden", "--seeds", "1",
+                 "--out", str(out), *FAST_TRAIN])
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == [
+        "checkpoint_seed0.npz", "metrics_seed0.jsonl", "summary.json",
+    ]
+    assert "alphas" not in manifest
 
 
 def test_sweep_alpha_rejects_a_repeated_alpha(dataset_dir, tmp_path, capsys):

@@ -222,6 +222,23 @@ def test_reduction_matrix_empty_support_names_the_label():
         pseudo.reduction_matrix(probs, S)
 
 
+def test_reduction_matrix_refuses_exactly_the_sets_with_an_empty_row():
+    c = 4
+    probs = np.full((c, 1, c), 1.0 / c)
+    for code in range(2**c):
+        S = np.array([[bool(code >> k & 1) for k in range(c)]])
+        empty = [j for j in range(c) if not np.any(S[0] & (np.arange(c) != j))]
+        if empty:
+            with pytest.raises(ContractViolation, match=f"excluding label {empty[0]}"):
+                pseudo.reduction_matrix(probs, S)
+        else:
+            assert pseudo.reduction_matrix(probs, S).shape == (1, c, c)
+    # lanes: the one-label set of lane 1 is found behind lane 0's full rows
+    S = np.array([[[True, True, True, True]], [[False, False, True, False]]])
+    with pytest.raises(ContractViolation, match="excluding label 2"):
+        pseudo.reduction_matrix(np.full((2, c, 1, c), 1.0 / c), S)
+
+
 def test_reduction_matrix_zero_mass_rows_are_a_contract_violation():
     probs = np.full((3, 2, 3), 1.0 / 3.0)
     probs[0, 1] = [0.0, 0.0, 1.0]  # branch 0 puts no mass on instance 1's row support

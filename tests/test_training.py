@@ -451,9 +451,10 @@ def test_a_reduxpll_batch_makes_its_fixed_passes(small_dataset, monkeypatch):
         monkeypatch.setattr(nets, name, counted)
     cfg = training.TrainConfig(method="reduxpll", epochs=1)
     state = training.init_lanes(small_dataset[0], [cfg])
-    arrays = training._fit_arrays(small_dataset, cfg.method)
+    train_ds, val_ds, _ = small_dataset
+    val_targets = training.one_hot(val_ds.true_labels, val_ds.c)
     idx = np.arange(cfg.batch_size)[None]
-    training._batch_step(state, small_dataset, arrays, idx, cfg, 1, 0)
+    training._batch_step(state, train_ds, val_ds, val_targets, idx, cfg, 1, 0)
     assert calls == {
         "forward": 7, "backward_ce": 1, "ce_gradient": 3, "forward_jvp": 1, "backward_probs_vjp": 1,
     }
