@@ -160,21 +160,20 @@ def _check_report_target(out: Path) -> None:
     raise UsageError(f"--out {out}: cannot write the report ({reason})")
 
 
-def _run_lanes(ds_parts, configs, out_dirs) -> list[dict]:
+def _run_lanes(ds_parts, configs, out_dirs) -> tuple[list[dict], list[Path]]:
     """Fit every config as one lane stack, logging lane k under out_dirs[k].
 
-    Returns one summary row per config, in config order.
+    Returns one summary row per config, in config order, and the files written.
     """
     from . import training
 
     lanes = list(zip(configs, out_dirs))
+    metrics_paths = [out / f"metrics_seed{cfg.seed}.jsonl" for cfg, out in lanes]
+    checkpoint_paths = [out / f"checkpoint_seed{cfg.seed}.npz" for cfg, out in lanes]
     results = training.fit_lanes(
-        ds_parts,
-        configs,
-        metrics_paths=[out / f"metrics_seed{cfg.seed}.jsonl" for cfg, out in lanes],
-        checkpoint_paths=[out / f"checkpoint_seed{cfg.seed}.npz" for cfg, out in lanes],
+        ds_parts, configs, metrics_paths=metrics_paths, checkpoint_paths=checkpoint_paths
     )
-    return [
+    rows = [
         {
             "seed": result.config.seed,
             "best_epoch": result.best_epoch,
@@ -184,6 +183,7 @@ def _run_lanes(ds_parts, configs, out_dirs) -> list[dict]:
         }
         for result in results
     ]
+    return rows, [*metrics_paths, *checkpoint_paths]
 
 
 def _summarize(per_seed: list[dict]) -> dict:
@@ -201,21 +201,17 @@ def _alpha_dir(alpha: float) -> str:
     return f"alpha_{alpha:g}"
 
 
-def _write_run_manifest(out_dir: Path, *, config, dataset_checksum, seeds, alphas=None) -> None:
-    """The run's identity and the checksum of each file where the command writes.
+def _write_run_manifest(
+    out_dir: Path, written, *, config, dataset_checksum, seeds, alphas=None
+) -> None:
+    """The run's identity and the checksum of each file the command wrote.
 
-    Those are the files directly under `out_dir` and, for a sweep, under the
-    `_alpha_dir` of each alpha of its grid; each is keyed by its POSIX path
-    relative to `out_dir`. A sweep also lists its grid under `alphas`: its
-    lanes ran those alphas in place of `config`'s.
+    `written` lists those files, each under `out_dir`; each is keyed by its
+    POSIX path relative to `out_dir`. A sweep also lists its grid under
+    `alphas`: its lanes ran those alphas in place of `config`'s.
     """
     manifest_path = out_dir / "run_manifest.json"
-    artifacts = {
-        p.relative_to(out_dir).as_posix(): data.file_checksum(p)
-        for d in [out_dir, *(out_dir / _alpha_dir(a) for a in alphas or ())]
-        for p in sorted(d.iterdir())
-        if p.is_file() and p != manifest_path
-    }
+    artifacts = {p.relative_to(out_dir).as_posix(): data.file_checksum(p) for p in written}
     manifest = {
         "config_hash": config.config_hash(),
         "dataset_checksum": dataset_checksum,
@@ -264,17 +260,20 @@ def cmd_train(args) -> int:
     out_dir = _make_out_dir(args.out, args.made_dirs)
     parts = data.split(ds, data.SplitSpec(seed=args.split_seed))
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    per_seed = _run_lanes(parts, [replace(config, seed=s) for s in seeds], [out_dir] * len(seeds))
+    configs = [replace(config, seed=s) for s in seeds]
+    per_seed, written = _run_lanes(parts, configs, [out_dir] * len(seeds))
     summary = {
         "method": config.method,
         "alpha": config.alpha,
         "config_hash": config.config_hash(),
         **_summarize(per_seed),
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    summary_path = out_dir / "summary.json"
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_run_manifest(
+        out_dir, [*written, summary_path], config=config, dataset_checksum=dataset_checksum,
+        seeds=seeds,
     )
-    _write_run_manifest(out_dir, config=config, dataset_checksum=dataset_checksum, seeds=seeds)
     print(
         f"{config.method}: test accuracy {summary['mean_test_accuracy']:.4f} "
         f"± {summary['std_test_accuracy']:.4f} over {len(seeds)} seed(s)"
@@ -295,7 +294,7 @@ def cmd_sweep_alpha(args) -> int:
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     alpha_dirs = [_make_out_dir(out_dir / name, args.made_dirs) for name in names]
     # the whole alpha x seed grid is one lane stack, alpha-major
-    per_lane = _run_lanes(
+    per_lane, written = _run_lanes(
         parts,
         [replace(base_config, alpha=alpha, seed=s) for alpha in args.alphas for s in seeds],
         [alpha_dir for alpha_dir in alpha_dirs for _ in seeds],
@@ -322,8 +321,8 @@ def cmd_sweep_alpha(args) -> int:
         for i, row in enumerate(rows):
             writer.writerow({**row, "best": i == best_idx})
     _write_run_manifest(
-        out_dir, config=base_config, dataset_checksum=dataset_checksum, seeds=seeds,
-        alphas=args.alphas,
+        out_dir, [*written, sweep_path], config=base_config, dataset_checksum=dataset_checksum,
+        seeds=seeds, alphas=args.alphas,
     )
     print(f"wrote {sweep_path}; best alpha {rows[best_idx]['alpha']:g}")
     return 0

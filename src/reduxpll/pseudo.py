@@ -153,13 +153,14 @@ class PseudoLabelState:
     """Per-instance pseudo-label storage refreshed batch by batch during training.
 
     A lane stack adds a leading lane axis to every array, and `alpha` holds
-    one value per lane.
+    one value per lane. A method that trains on `mu` alone has no reduction
+    side: its `U`, `w` and `v` are None.
     """
 
     mu: np.ndarray  # (n, c) candidate-renormalized predictor targets
-    U: np.ndarray  # (n, c, c) reduction rows
-    w: np.ndarray  # (n, c) branch weights last used
-    v: np.ndarray  # (n, c) aggregated reduction targets
+    U: np.ndarray | None  # (n, c, c) reduction rows
+    w: np.ndarray | None  # (n, c) branch weights last used
+    v: np.ndarray | None  # (n, c) aggregated reduction targets
     q: np.ndarray  # (n, c) combined training targets
     alpha: float | np.ndarray
 
@@ -173,9 +174,9 @@ class PseudoLabelState:
     ):
         """Uniform start: mu uniform over S, U rows uniform over S minus label.
 
-        with_reduction=False leaves the reduction-side arrays zeroed for
-        methods that train on the basic targets alone. An array of alphas,
-        one per lane, gives a lane stack.
+        with_reduction=False gives no reduction side (U, w and v None) and
+        q = mu, for methods that train on the basic targets alone. An array
+        of alphas, one per lane, gives a lane stack.
         """
         alphas = np.asarray(alpha, dtype=np.float64)
         if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
@@ -184,25 +185,20 @@ class PseudoLabelState:
         n, c = s.shape
         lead = alphas.shape
         mu = np.broadcast_to(uniform_over(s), (*lead, n, c)).copy()
-        if with_reduction:
-            U = np.broadcast_to(init_reduction_matrix(s), (*lead, n, c, c)).copy()
-            w = np.full((*lead, n, c), 1.0 / c)
-            v = reduction_pseudo(w, U)
-            q = combine(mu, v, alphas[..., None, None])
-        else:
-            # read-only zeros that take no memory: such a method never writes them
-            U = np.broadcast_to(0.0, (*lead, n, c, c))
-            w = np.broadcast_to(0.0, (*lead, n, c))
-            v = np.broadcast_to(0.0, (*lead, n, c))
-            q = mu.copy()
+        if not with_reduction:
+            return cls(mu=mu, U=None, w=None, v=None, q=mu.copy(), alpha=alpha)
+        U = np.broadcast_to(init_reduction_matrix(s), (*lead, n, c, c)).copy()
+        w = np.full((*lead, n, c), 1.0 / c)
+        v = reduction_pseudo(w, U)
+        q = combine(mu, v, alphas[..., None, None])
         return cls(mu=mu, U=U, w=w, v=v, q=q, alpha=alpha)
 
-    def validate(self, candidates: np.ndarray, *, check_reduction: bool = True) -> None:
-        """Cheap invariant sweep over every instance; raises on violation."""
+    def validate(self, candidates: np.ndarray) -> None:
+        """Cheap invariant sweep over mu, q and any reduction side; raises on violation."""
         s = np.asarray(candidates, dtype=bool)
         tol = nets.SIMPLEX_TOL
         targets = [("mu", self.mu), ("q", self.q)]
-        if check_reduction:
+        if self.U is not None:
             targets.append(("v", self.v))
         # one reduction per check, with the verdict of np.any(x > tol) etc.;
         # x * outside is x off S and ±0 (or NaN, which the reductions skip) on
@@ -220,7 +216,7 @@ class PseudoLabelState:
                 off = run * outside
                 if greatest(np.abs(off, out=off)) > tol:
                     raise ContractViolation(f"{name} puts mass outside the candidate sets")
-        if not check_reduction:
+        if self.U is None:
             return
         w = self.w
         if sum_gap(w) > tol or least(w) < -tol:

@@ -20,7 +20,8 @@ Each mini-batch makes one pass, one private function per phase:
 The two baselines are special cases of the same step, not separate paths:
 `reduxpll-uniform-w` replaces the meta weights with a uniform vector and
 skips step 3; `proden` skips steps 2-4 and trains on the stored basic
-targets alone. Steps 1 and 5 are written once for all three methods.
+targets alone: it has no reduction side, and its `U`, `w` and `v` are None.
+Steps 1 and 5 are written once for all three methods.
 
 Lanes: several runs that differ only in seed and alpha train in lockstep on
 one `TrainerState` whose arrays carry a leading lane axis, so each numpy call
@@ -295,23 +296,14 @@ def _take_bundle(bundle: ModelBundle, lanes) -> ModelBundle:
     )
 
 
-def _take_lanes(arr: np.ndarray, keep: list[int]) -> np.ndarray:
-    """arr[keep]; an array that shares one row over its lanes stays a view of it."""
-    if arr.strides[0] == 0:  # proden's zero reduction side, never allocated
-        return np.broadcast_to(arr[0], (len(keep), *arr.shape[1:]))
-    return arr[keep]
-
-
 def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
     """The stack of the lanes at `keep`, in that order."""
-    pls = state.pls
     return TrainerState(
         bundle=_take_bundle(state.bundle, keep),
         theta_buf=state.theta_buf[keep],
         omega_buf=state.omega_buf[keep],
         pls=pseudo.PseudoLabelState(
-            mu=pls.mu[keep], U=_take_lanes(pls.U, keep), w=_take_lanes(pls.w, keep),
-            v=_take_lanes(pls.v, keep), q=pls.q[keep], alpha=pls.alpha[keep],
+            **{name: None if arr is None else arr[keep] for name, arr in vars(state.pls).items()}
         ),
         prev_q=state.prev_q[keep],
         lanes=[state.lanes[k] for k in keep],
@@ -484,7 +476,7 @@ def train_epoch(
             losses.append(_batch_step(state, train_ds, val_ds, val_targets, idx, config, epoch, k))
         except NumericError as exc:
             raise _lane_failure(state, exc, f"epoch {epoch}, batch {k}") from exc
-    state.pls.validate(train_ds.candidates, check_reduction=config.method != "proden")
+    state.pls.validate(train_ds.candidates)
 
     # in place, so the drift makes no stack-sized temporaries: prev_q holds
     # |q - prev_q| for the drift, then a copy of q
@@ -675,6 +667,9 @@ def _metrics_line(metrics: EpochMetrics) -> str:
 
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
+# the `PseudoLabelState` arrays a checkpoint holds, those that are not None
+_PLS_ARRAYS = ("mu", "U", "w", "v", "q")
+
 
 def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
     """Write the archive to a temp file beside `path`, then rename it onto `path`.
@@ -706,21 +701,19 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
 
     Each net is its buffer's row for the lane; the branch head's row holds
     one row per branch, each laid out as `nets.to_flat` of that branch alone.
+    A `proden` checkpoint has no `U`, `w` or `v`.
     """
     run = state.lanes[lane]
     config_doc = run.config.to_dict()
     bundle = state.bundle
+    pls = vars(state.pls)
     arrays = {
         "theta": bundle.theta.flat[lane],
         "gamma": bundle.gamma.flat[lane],
         "omegas": bundle.omegas.flat[lane],
         "theta_buf": state.theta_buf[lane],
         "omega_bufs": state.omega_buf[lane],
-        "mu": state.pls.mu[lane],
-        "U": state.pls.U[lane],
-        "w": state.pls.w[lane],
-        "v": state.pls.v[lane],
-        "q": state.pls.q[lane],
+        **{name: pls[name][lane] for name in _PLS_ARRAYS if pls[name] is not None},
         "prev_q": state.prev_q[lane],
         "best_theta": (
             run.best_theta_flat if run.best_theta_flat is not None else np.zeros(0)
@@ -743,7 +736,11 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
 
 
 def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerState:
-    """The one-lane state a checkpoint holds."""
+    """The one-lane state a checkpoint holds, reading the members `config`'s method has.
+
+    A missing member is a ConfigError; extra ones (the all-zero `U`, `w` and
+    `v` of an older `proden` checkpoint) are not read.
+    """
     path = Path(path)
     with zipfile.ZipFile(path) as zf:
         meta = json.loads(zf.read("meta.json"))
@@ -751,13 +748,17 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
         raise ConfigError(
             f"checkpoint {path} was written under a different configuration"
         )
-    with np.load(path) as npz:
-        data = {member: npz[member] for member in npz.files}
     n, c = train_ds.candidates.shape
-    for member, shape in (
-        ("mu", (n, c)), ("U", (n, c, c)), ("w", (n, c)), ("v", (n, c)),
-        ("q", (n, c)), ("prev_q", (n, c)),
-    ):
+    shapes = {"mu": (n, c), "q": (n, c), "prev_q": (n, c)}
+    if config.method != "proden":
+        shapes.update(U=(n, c, c), w=(n, c), v=(n, c))
+    members = ["theta", "gamma", "omegas", "theta_buf", "omega_bufs", "best_theta", *shapes]
+    with np.load(path) as npz:
+        for member in members:
+            if member not in npz.files:
+                raise ConfigError(f"checkpoint {path} has no {member} member")
+        data = {member: npz[member] for member in members}
+    for member, shape in shapes.items():
         got = data[member].shape
         if got != shape:
             raise ConfigError(
@@ -792,11 +793,7 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
         theta_buf=params(theta, "theta_buf").flat,
         omega_buf=params(omegas, "omega_bufs").flat,
         pls=pseudo.PseudoLabelState(
-            mu=data["mu"][None],
-            U=data["U"][None],
-            w=data["w"][None],
-            v=data["v"][None],
-            q=data["q"][None],
+            **{name: data[name][None] if name in data else None for name in _PLS_ARRAYS},
             alpha=np.array([config.alpha]),
         ),
         prev_q=data["prev_q"][None],

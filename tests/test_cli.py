@@ -250,6 +250,26 @@ def test_train_manifest_covers_only_its_own_files(dataset_dir, tmp_path):
     assert "alphas" not in manifest
 
 
+def test_a_second_command_into_one_out_lists_only_its_own_files(dataset_dir, tmp_path):
+    train, sweep = tmp_path / "train", tmp_path / "sweep"
+    for seeds in ("3", "1"):
+        common = ["--dataset", str(dataset_dir), "--method", "proden", "--seeds", seeds,
+                  "--epochs", "2"]
+        assert main(["train", *common, "--out", str(train)]) == 0
+        assert main(["sweep-alpha", *common, "--alphas", "0.3", "--out", str(sweep)]) == 0
+    assert (train / "checkpoint_seed2.npz").exists()  # left there by the first command
+    manifest = json.loads((train / "run_manifest.json").read_text())
+    assert manifest["seeds"] == [0]
+    assert sorted(manifest["artifacts"]) == [
+        "checkpoint_seed0.npz", "metrics_seed0.jsonl", "summary.json",
+    ]
+    assert (sweep / "alpha_0.3" / "metrics_seed2.jsonl").exists()
+    manifest = json.loads((sweep / "run_manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == [
+        "alpha_0.3/checkpoint_seed0.npz", "alpha_0.3/metrics_seed0.jsonl", "sweep.csv",
+    ]
+
+
 def test_sweep_alpha_rejects_a_repeated_alpha(dataset_dir, tmp_path, capsys):
     code = main(
         ["sweep-alpha", "--dataset", str(dataset_dir), "--alphas", "0.3,0.5,0.3",

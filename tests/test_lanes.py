@@ -78,11 +78,12 @@ def test_lanes_that_stop_early_at_different_epochs_each_equal_their_own_fit(
         assert training.load_checkpoint(ckpt, small_dataset[0], config).epoch == len(alone.history)
 
 
-def test_a_proden_stack_that_drops_a_lane_keeps_its_zero_arrays_unallocated(small_dataset):
+def test_a_proden_stack_that_drops_a_lane_has_no_reduction_side(small_dataset):
     configs = [training.TrainConfig(method="proden", seed=seed) for seed in range(3)]
-    state = training._keep_lanes(training.init_lanes(small_dataset[0], configs), [0, 2])
-    for arr in (state.pls.U, state.pls.w, state.pls.v):
-        assert arr.shape[0] == 2 and not arr.flags.writeable and not arr.any()
+    stack = training.init_lanes(small_dataset[0], configs)
+    state = training._keep_lanes(stack, [0, 2])
+    assert all(arr is None for arr in (state.pls.U, state.pls.w, state.pls.v))
+    assert np.array_equal(state.pls.q, stack.pls.q[[0, 2]])
 
 
 def test_a_sweep_lane_equals_a_fit_at_its_alpha(small_dataset):

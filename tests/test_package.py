@@ -1,5 +1,6 @@
-"""The package's lazy API and the modules each CLI command loads."""
+"""The package's lazy API, the modules each CLI command loads, and dead code."""
 
+import ast
 import importlib
 import json
 import os
@@ -114,3 +115,41 @@ def test_star_import_binds_the_whole_list():
     exec("from reduxpll import *", namespace)
     assert set(reduxpll.__all__) <= set(namespace)
     assert namespace["fit_lanes"] is reduxpll.training.fit_lanes
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_the_package_has_no_unused_import_or_private_function():
+    package = Path(reduxpll.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    dead = []
+    for name, tree in trees.items():
+        used = _referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                dead += [
+                    f"{name}: import {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name).split(".")[0] not in used
+                ]
+    # a module-level private function is referenced somewhere in the package
+    everywhere = set().union(*map(_referenced_names, trees.values()))
+    dead += [
+        f"{name}: def {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and node.name not in everywhere
+    ]
+    assert dead == []

@@ -1,5 +1,6 @@
 import collections
 import gc
+import hashlib
 import json
 import warnings
 import zipfile
@@ -14,6 +15,21 @@ from reduxpll.errors import ConfigError, ContractViolation, NumericError
 from conftest import zero_net
 
 FAST = dict(epochs=5, batch_size=64)
+
+# sha256 prefixes of each member's contents for a 2-epoch proden fit, seed 2;
+# proden has no reduction side, so no U, w or v
+PRODEN_CHECKPOINT_MEMBERS = {
+    "best_theta.npy": "9beab537600505c1",
+    "gamma.npy": "748a905a14c6fe56",
+    "meta.json": "cedca7c2316b0d58",
+    "mu.npy": "11febd4455f94a56",
+    "omega_bufs.npy": "a7f1c7ad4ed1ac07",
+    "omegas.npy": "5c700574c98a3492",
+    "prev_q.npy": "a4c3bbe4841b081e",
+    "q.npy": "a4c3bbe4841b081e",
+    "theta.npy": "9beab537600505c1",
+    "theta_buf.npy": "60cb5f5310d6be2d",
+}
 
 
 def _histories_equal(a, b):
@@ -147,9 +163,8 @@ def test_each_method_runs_only_its_phases(small_dataset, method):
     assert branches_ran == (method != "proden")
     assert meta_ran == (method == "reduxpll")
     assert (state.rollback_checks > 0) == meta_ran
-    if method == "proden":
-        for arr in (state.pls.U, state.pls.w, state.pls.v):
-            assert not arr.flags.writeable and not arr.any()
+    if method == "proden":  # no reduction side
+        assert all(arr is None for arr in (state.pls.U, state.pls.w, state.pls.v))
 
 
 def test_best_checkpoint_dominates_final_epoch(small_dataset):
@@ -372,6 +387,62 @@ def test_checkpoint_bytes_are_deterministic(small_dataset, tmp_path):
     training.fit(small_dataset, cfg, checkpoint_path=a)
     training.fit(small_dataset, cfg, checkpoint_path=b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_proden_checkpoint_members_are_pinned(small_dataset, tmp_path):
+    path = tmp_path / "ck.npz"
+    training.fit(
+        small_dataset, training.TrainConfig(method="proden", seed=2, epochs=2),
+        checkpoint_path=path,
+    )
+    with zipfile.ZipFile(path) as zf:
+        got = {name: hashlib.sha256(zf.read(name)).hexdigest()[:16] for name in zf.namelist()}
+    assert {"U.npy", "w.npy", "v.npy"}.isdisjoint(got)
+    assert got == PRODEN_CHECKPOINT_MEMBERS
+
+
+def _rewrite_checkpoint(path, edit):
+    """Rewrite the checkpoint at `path` with its arrays passed through `edit`."""
+    with zipfile.ZipFile(path) as zf:
+        meta = json.loads(zf.read("meta.json"))
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files if name != "meta.json"}
+    training._write_deterministic_npz(path, edit(arrays), meta)
+
+
+def test_a_proden_checkpoint_with_zero_reduction_arrays_resumes_to_the_straight_run(
+    small_dataset, tmp_path
+):
+    # the older format stored proden's reduction side as all-zero U, w and v
+    cfg = training.TrainConfig(method="proden", seed=2, epochs=4)
+    straight_ckpt, ckpt = tmp_path / "straight.npz", tmp_path / "ck.npz"
+    straight = training.fit(small_dataset, cfg, checkpoint_path=straight_ckpt)
+    training.fit(small_dataset, replace(cfg, epochs=2), checkpoint_path=ckpt)
+
+    def with_zeros(arrays):
+        n, c = arrays["mu"].shape
+        return {**arrays, "U": np.zeros((n, c, c)), "w": np.zeros((n, c)), "v": np.zeros((n, c))}
+
+    _rewrite_checkpoint(ckpt, with_zeros)
+    with zipfile.ZipFile(ckpt) as zf:
+        assert {"U.npy", "w.npy", "v.npy"} <= set(zf.namelist())
+    state = training.load_checkpoint(ckpt, small_dataset[0], cfg)
+    assert all(arr is None for arr in (state.pls.U, state.pls.w, state.pls.v))
+    resumed = training.fit(small_dataset, cfg, checkpoint_path=ckpt, resume_from=ckpt)
+    assert resumed.trajectory_hash() == straight.trajectory_hash()
+    assert ckpt.read_bytes() == straight_ckpt.read_bytes()  # written in the new format
+
+
+def test_a_checkpoint_without_a_member_its_method_needs_is_a_config_error(
+    small_dataset, tmp_path
+):
+    cfg = training.TrainConfig(method="reduxpll", seed=2, epochs=1)
+    ckpt = tmp_path / "ck.npz"
+    training.fit(small_dataset, cfg, checkpoint_path=ckpt)
+    _rewrite_checkpoint(ckpt, lambda arrays: {k: v for k, v in arrays.items() if k != "U"})
+    with pytest.raises(ConfigError, match="has no U member") as err:
+        training.load_checkpoint(ckpt, small_dataset[0], cfg)
+    assert str(ckpt) in str(err.value)
 
 
 def test_nonfinite_loss_raises_numeric_error_with_context(small_dataset):
