@@ -28,7 +28,7 @@ from .errors import (
 )
 
 BALL_SLACK = 1e-12  # fp dust allowance when re-checking ball membership
-BALL_BLOCK = 65536  # rows the ball sampler draws and yields at a time
+BALL_BLOCK = 16384  # rows the ball sampler draws at a time; 512 KiB at 4 labels fits L2
 _MAX_RESAMPLE_ROUNDS = 1000
 
 

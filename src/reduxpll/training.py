@@ -18,10 +18,10 @@ Each mini-batch makes one pass, one private function per phase:
    stored basic targets from the updated predictor.
 
 The two baselines are special cases of the same step, not separate paths:
-`reduxpll-uniform-w` replaces the meta weights with a uniform vector and
-skips step 3; `proden` skips steps 2-4 and trains on the stored basic
-targets alone: it has no reduction side, and its `U`, `w` and `v` are None.
-Steps 1 and 5 are written once for all three methods.
+`_NETS` lists the nets each method trains, the others are None, and the step
+skips the phases of a None net. `reduxpll-uniform-w` has no meta net: it uses
+uniform weights and skips step 3. `proden` has no head either: it skips steps
+2-4, trains on the stored basic targets alone and has no `U`, `w` or `v`.
 
 Lanes: several runs that differ only in seed and alpha train in lockstep on
 one `TrainerState` whose arrays carry a leading lane axis, so each numpy call
@@ -31,7 +31,7 @@ run of that lane alone.
 
 Determinism: every random choice draws from a purpose-keyed stream derived
 from the run seed, so method variants that skip a stream (e.g. the baselines
-never sample validation batches) still shuffle and initialize identically.
+never sample validation batches) still shuffle and initialize theta identically.
 Each lane has its own streams.
 """
 
@@ -54,12 +54,16 @@ from . import METHODS, nets, pseudo
 from .data import PllDataset, validate_dataset
 from .errors import ConfigError, ContractViolation, NumericError
 
-# purpose-keyed RNG streams spawned from the run seed
-_STREAMS = {"theta_init": 0, "omega_init": 1, "gamma_init": 2, "shuffle": 3, "val": 4}
+# purpose-keyed RNG streams spawned from the run seed; `<net>_init` initializes
+# that net, so a baseline skips the streams of the nets it lacks (and val)
+_STREAMS = {"theta_init": 0, "omegas_init": 1, "gamma_init": 2, "shuffle": 3, "val": 4}
 
 # a lane's checkpoint is written at every epoch divisible by this and at its last
 # epoch; a crash then costs at most CHECKPOINT_EVERY - 1 epochs of recompute
 CHECKPOINT_EVERY = 10
+
+# the nets each method trains besides theta; `U`, `w` and `v` exist with the head
+_NETS = {"reduxpll": ("omegas", "gamma"), "reduxpll-uniform-w": ("omegas",), "proden": ()}
 
 
 @dataclass(frozen=True)
@@ -159,11 +163,13 @@ class EpochMetrics:
 
 @dataclass
 class ModelBundle:
+    """Theta and the nets its method trains (`_NETS`); the others are None."""
+
     theta: nets.MlpParams
     # the c branches as one stacked head: its buffer is (c, d*c + c), one row
     # per branch, and row j is branch j, the one that excludes label j
-    omegas: nets.MlpParams
-    gamma: nets.MlpParams
+    omegas: nets.MlpParams | None = None
+    gamma: nets.MlpParams | None = None  # the meta net
 
 
 @dataclass
@@ -192,7 +198,7 @@ class TrainerState:
     bundle: ModelBundle
     # momentum buffers, laid out like the buffers of theta and the head
     theta_buf: np.ndarray
-    omega_buf: np.ndarray
+    omega_buf: np.ndarray | None
     pls: pseudo.PseudoLabelState
     prev_q: np.ndarray
     lanes: list[Lane]
@@ -245,42 +251,38 @@ def _fresh_lane(config: TrainConfig) -> Lane:
     )
 
 
-def init_lanes(
-    train_ds: PllDataset,
-    configs: Sequence[TrainConfig],
-    init_bundles: Sequence[ModelBundle | None] | None = None,
-) -> TrainerState:
-    """A fresh lane stack, one lane per config; a given bundle replaces a lane's init."""
-    q, c = train_ds.q, train_ds.c
-    bundles = []
-    for config, bundle in zip(configs, init_bundles or [None] * len(configs)):
-        if bundle is None:
-            d = config.hidden_sizes[-1]
-            omega_rng = _stream(config.seed, "omega_init")
-            bundle = ModelBundle(
-                theta=nets.init_mlp(
-                    [q, *config.hidden_sizes, c], _stream(config.seed, "theta_init")
-                ),
-                omegas=nets.stack([nets.init_mlp([d, c], omega_rng) for _ in range(c)]),
-                gamma=nets.init_mlp(
-                    [q, *config.meta_hidden_sizes, c], _stream(config.seed, "gamma_init")
-                ),
-            )
-        bundles.append(bundle)
-    bundle = ModelBundle(
-        theta=nets.stack([b.theta for b in bundles]),
-        omegas=nets.stack([b.omegas for b in bundles]),
-        gamma=nets.stack([b.gamma for b in bundles]),
-    )
+def _layouts(config: TrainConfig, q: int, c: int) -> dict:
+    """Layer widths and per-lane lead shape of theta and each net `config`'s method trains."""
+    layouts = {
+        "theta": ([q, *config.hidden_sizes, c], ()),
+        "omegas": ([config.hidden_sizes[-1], c], (c,)),  # the c branches
+        "gamma": ([q, *config.meta_hidden_sizes, c], ()),
+    }
+    return {name: layouts[name] for name in ("theta", *_NETS[config.method])}
+
+
+def init_lanes(train_ds: PllDataset, configs: Sequence[TrainConfig]) -> TrainerState:
+    """A fresh lane stack, one lane per config, with the nets their method trains."""
+
+    def init(rng, sizes, lead):
+        """One net of widths `sizes` or, for lead (c,), a head of c of them."""
+        if not lead:
+            return nets.init_mlp(sizes, rng)
+        return nets.stack([nets.init_mlp(sizes, rng) for _ in range(lead[0])])
+
+    bundle = ModelBundle(**{
+        name: nets.stack([init(_stream(cfg.seed, f"{name}_init"), *layout) for cfg in configs])
+        for name, layout in _layouts(configs[0], train_ds.q, train_ds.c).items()
+    })
     pls = pseudo.PseudoLabelState.initial(
         train_ds.candidates,
         np.array([config.alpha for config in configs]),
-        with_reduction=configs[0].method != "proden",
+        with_reduction=bundle.omegas is not None,
     )
     return TrainerState(
         bundle=bundle,
         theta_buf=np.zeros_like(bundle.theta.flat),
-        omega_buf=np.zeros_like(bundle.omegas.flat),
+        omega_buf=None if bundle.omegas is None else np.zeros_like(bundle.omegas.flat),
         pls=pls,
         prev_q=pls.q.copy(),
         lanes=[_fresh_lane(config) for config in configs],
@@ -288,12 +290,11 @@ def init_lanes(
 
 
 def _take_bundle(bundle: ModelBundle, lanes) -> ModelBundle:
-    """`nets.take` of every net in the bundle."""
-    return ModelBundle(
-        theta=nets.take(bundle.theta, lanes),
-        omegas=nets.take(bundle.omegas, lanes),
-        gamma=nets.take(bundle.gamma, lanes),
-    )
+    """`nets.take` of every net in the bundle; an absent net stays None."""
+    return ModelBundle(**{
+        name: None if net is None else nets.take(net, lanes)
+        for name, net in vars(bundle).items()
+    })
 
 
 def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
@@ -301,7 +302,7 @@ def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
     return TrainerState(
         bundle=_take_bundle(state.bundle, keep),
         theta_buf=state.theta_buf[keep],
-        omega_buf=state.omega_buf[keep],
+        omega_buf=None if state.omega_buf is None else state.omega_buf[keep],
         pls=pseudo.PseudoLabelState(
             **{name: None if arr is None else arr[keep] for name, arr in vars(state.pls).items()}
         ),
@@ -377,12 +378,12 @@ def _update_meta(state, val_ds, val_targets, x, tape, U, config, epoch, batch_id
     state.rollback_checks += 1
 
 
-def _mix_targets(state: TrainerState, rows, x, q, U, method: str) -> np.ndarray:
-    """q mixed with the reduction rows U, weighted by the meta net or uniformly."""
-    if method == "reduxpll":
-        w = pseudo.meta_weights(state.bundle.gamma, x)
-    else:
+def _mix_targets(state: TrainerState, rows, x, q, U) -> np.ndarray:
+    """q mixed with the reduction rows U, weighted by the meta net, if any, or uniformly."""
+    if state.bundle.gamma is None:
         w = np.full(q.shape, 1.0 / q.shape[-1])
+    else:
+        w = pseudo.meta_weights(state.bundle.gamma, x)
     v = pseudo.reduction_pseudo(w, U)
     state.pls.U[rows] = U
     state.pls.w[rows] = w
@@ -427,13 +428,13 @@ def _batch_step(
     # the hypergradient's inner step and the committed step
     probs, tape = nets.forward(state.bundle.theta, x)
     q = state.pls.mu[rows]  # stored basic targets from the previous refresh
-    if config.method != "proden":
+    if state.bundle.omegas is not None:
         z = tape.inputs[-1]
         _update_branches(state, z, rows, config)
         U = _reduction_rows(state.bundle.omegas, z, S)
-        if config.method == "reduxpll":
+        if state.bundle.gamma is not None:
             _update_meta(state, val_ds, val_targets, x, tape, U, config, epoch, batch_idx)
-        q = _mix_targets(state, rows, x, q, U, config.method)
+        q = _mix_targets(state, rows, x, q, U)
     loss = _commit(state, tape, probs, q, config)
     _refresh(state, rows, x, S, q)
     return loss
@@ -527,7 +528,6 @@ def fit_lanes(
     datasets: tuple[PllDataset, PllDataset, PllDataset],
     configs: Sequence[TrainConfig],
     *,
-    init_bundles: Sequence[ModelBundle | None] | None = None,
     metrics_paths: Sequence | None = None,
     checkpoint_paths: Sequence | None = None,
     resume_from=None,
@@ -560,7 +560,6 @@ def fit_lanes(
             raise ConfigError(f"{name} has {len(values)} entries for {count} lanes")
         return values
 
-    init_bundles = per_lane("init_bundles", init_bundles)
     metrics_paths = per_lane("metrics_paths", metrics_paths)
     checkpoint_paths = per_lane("checkpoint_paths", checkpoint_paths)
 
@@ -577,7 +576,7 @@ def fit_lanes(
         )
 
     if resume_from is None:
-        state = init_lanes(train_ds, configs, init_bundles)
+        state = init_lanes(train_ds, configs)
     else:
         state = load_checkpoint(resume_from, train_ds, config)
     ids = list(range(count))  # the config index of each lane still in the stack
@@ -628,7 +627,6 @@ def fit(
     datasets: tuple[PllDataset, PllDataset, PllDataset],
     config: TrainConfig,
     *,
-    init_bundle: ModelBundle | None = None,
     metrics_path=None,
     checkpoint_path=None,
     resume_from=None,
@@ -649,7 +647,6 @@ def fit(
     return fit_lanes(
         datasets,
         [config],
-        init_bundles=[init_bundle],
         metrics_paths=[metrics_path],
         checkpoint_paths=[checkpoint_path],
         resume_from=resume_from,
@@ -701,18 +698,15 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
 
     Each net is its buffer's row for the lane; the branch head's row holds
     one row per branch, each laid out as `nets.to_flat` of that branch alone.
-    A `proden` checkpoint has no `U`, `w` or `v`.
+    A net, buffer or pseudo-label array that is None has no member.
     """
     run = state.lanes[lane]
     config_doc = run.config.to_dict()
-    bundle = state.bundle
     pls = vars(state.pls)
     arrays = {
-        "theta": bundle.theta.flat[lane],
-        "gamma": bundle.gamma.flat[lane],
-        "omegas": bundle.omegas.flat[lane],
+        **{name: net.flat[lane] for name, net in vars(state.bundle).items() if net is not None},
         "theta_buf": state.theta_buf[lane],
-        "omega_bufs": state.omega_buf[lane],
+        **({} if state.omega_buf is None else {"omega_bufs": state.omega_buf[lane]}),
         **{name: pls[name][lane] for name in _PLS_ARRAYS if pls[name] is not None},
         "prev_q": state.prev_q[lane],
         "best_theta": (
@@ -738,8 +732,8 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
 def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerState:
     """The one-lane state a checkpoint holds, reading the members `config`'s method has.
 
-    A missing member is a ConfigError; extra ones (the all-zero `U`, `w` and
-    `v` of an older `proden` checkpoint) are not read.
+    A missing member is a ConfigError; extra ones (the untrained nets and
+    reduction side that older checkpoints of the baselines hold) are not read.
     """
     path = Path(path)
     with zipfile.ZipFile(path) as zf:
@@ -749,10 +743,18 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
             f"checkpoint {path} was written under a different configuration"
         )
     n, c = train_ds.candidates.shape
+    # one-lane layouts of the method's nets, to check the members against
+    layouts = {
+        name: nets.empty(sizes, (1, *lead))
+        for name, (sizes, lead) in _layouts(config, train_ds.q, c).items()
+    }
+    # each momentum buffer's member and the net it is laid out like
+    buffers = {"theta_buf": "theta", "omega_bufs": "omegas"}
+    buffers = {member: net for member, net in buffers.items() if net in layouts}
     shapes = {"mu": (n, c), "q": (n, c), "prev_q": (n, c)}
-    if config.method != "proden":
+    if "omegas" in layouts:
         shapes.update(U=(n, c, c), w=(n, c), v=(n, c))
-    members = ["theta", "gamma", "omegas", "theta_buf", "omega_bufs", "best_theta", *shapes]
+    members = [*layouts, *buffers, "best_theta", *shapes]
     with np.load(path) as npz:
         for member in members:
             if member not in npz.files:
@@ -765,20 +767,13 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
                 f"checkpoint {path} holds {member} of shape {got}, "
                 f"but the training set needs {shape}"
             )
-    # one-lane layouts of the three nets, to check the members against
-    theta = nets.empty([train_ds.q, *config.hidden_sizes, c], (1,))
-    omegas = nets.empty([config.hidden_sizes[-1], c], (1, c))
-    gamma = nets.empty([train_ds.q, *config.meta_hidden_sizes, c], (1,))
 
-    def params(like: nets.MlpParams, member: str) -> nets.MlpParams:
-        """The member as a one-lane stack, checked against the layout of `like`."""
-        return nets.from_flat(like, data[member][None])
+    def params(member: str, net: str) -> nets.MlpParams:
+        """The member as a one-lane stack, checked against the layout of `net`."""
+        return nets.from_flat(layouts[net], data[member][None])
 
-    bundle = ModelBundle(
-        theta=params(theta, "theta"),
-        omegas=params(omegas, "omegas"),
-        gamma=params(gamma, "gamma"),
-    )
+    bundle = ModelBundle(**{name: params(name, name) for name in layouts})
+    bufs = {member: params(member, net).flat for member, net in buffers.items()}
     lane = _fresh_lane(config)
     lane.stagnant = int(meta["stagnant"])
     lane.best_epoch = int(meta["best_epoch"])
@@ -790,8 +785,8 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
         lane.rngs[key].bit_generator.state = rng_state
     return TrainerState(
         bundle=bundle,
-        theta_buf=params(theta, "theta_buf").flat,
-        omega_buf=params(omegas, "omega_bufs").flat,
+        theta_buf=bufs["theta_buf"],
+        omega_buf=bufs.get("omega_bufs"),
         pls=pseudo.PseudoLabelState(
             **{name: data[name][None] if name in data else None for name in _PLS_ARRAYS},
             alpha=np.array([config.alpha]),

@@ -17,9 +17,11 @@ from test_determinism import FAST, TRAJECTORY_PREFIXES
 
 
 def _bundles_equal(a: training.ModelBundle, b: training.ModelBundle) -> bool:
-    return all(
-        np.array_equal(nets.to_flat(getattr(a, name)), nets.to_flat(getattr(b, name)))
-        for name in ("theta", "omegas", "gamma")
+    """The same nets, bit for bit; a net the method does not train is None in both."""
+    nets_a, nets_b = vars(a), vars(b)
+    has = {name for name, net in nets_a.items() if net is not None}
+    return has == {name for name, net in nets_b.items() if net is not None} and all(
+        np.array_equal(nets.to_flat(nets_a[name]), nets.to_flat(nets_b[name])) for name in has
     )
 
 

@@ -1,4 +1,4 @@
-"""The package's lazy API, the modules each CLI command loads, and dead code."""
+"""The package's lazy API, the modules each CLI command loads, dead code, and method-name tests."""
 
 import ast
 import importlib
@@ -153,3 +153,31 @@ def test_the_package_has_no_unused_import_or_private_function():
         and node.name not in everywhere
     ]
     assert dead == []
+
+
+def _method_names(operand: ast.AST) -> list[str]:
+    """The method names an operand spells as string literals, alone or in a literal collection."""
+    elts = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+    return [
+        e.value for e in elts
+        if isinstance(e, ast.Constant) and isinstance(e.value, str) and e.value in reduxpll.METHODS
+    ]
+
+
+def test_no_code_compares_a_value_with_a_method_name():
+    # `training._NETS` alone says which nets, and so which phases, a method has
+    package = Path(reduxpll.__file__).parent
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
+            ):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.MatchValue):  # `case "proden":`
+                operands = [node.value]
+            else:
+                continue
+            if any(map(_method_names, operands)):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []

@@ -17,23 +17,48 @@ from conftest import zero_net
 FAST = dict(epochs=5, batch_size=64)
 
 # sha256 prefixes of each member's contents for a 2-epoch proden fit, seed 2;
-# proden has no reduction side, so no U, w or v
+# proden trains theta alone: no head, meta net or reduction side (U, w, v)
 PRODEN_CHECKPOINT_MEMBERS = {
     "best_theta.npy": "9beab537600505c1",
-    "gamma.npy": "748a905a14c6fe56",
     "meta.json": "cedca7c2316b0d58",
     "mu.npy": "11febd4455f94a56",
-    "omega_bufs.npy": "a7f1c7ad4ed1ac07",
-    "omegas.npy": "5c700574c98a3492",
     "prev_q.npy": "a4c3bbe4841b081e",
     "q.npy": "a4c3bbe4841b081e",
     "theta.npy": "9beab537600505c1",
     "theta_buf.npy": "60cb5f5310d6be2d",
 }
 
+# the same for reduxpll-uniform-w, which trains theta and the head but no meta net
+UNIFORM_W_CHECKPOINT_MEMBERS = {
+    "U.npy": "cd9dff258258612f",
+    "best_theta.npy": "b591a524853414c0",
+    "meta.json": "33a99a6bf15b1c04",
+    "mu.npy": "3feae037901efffe",
+    "omega_bufs.npy": "ab8ec67a8b37bbfc",
+    "omegas.npy": "b823ba3cccc92937",
+    "prev_q.npy": "cef0ebc75df5ea81",
+    "q.npy": "cef0ebc75df5ea81",
+    "theta.npy": "478d5ecb06353ada",
+    "theta_buf.npy": "3c930d91916a234d",
+    "v.npy": "fce30dd183d6ca42",
+    "w.npy": "9900337d1ea9434b",
+}
+
+# the nets each method trains; the others are None in its bundle
+TRAINED_NETS = {
+    "reduxpll": {"theta", "omegas", "gamma"},
+    "reduxpll-uniform-w": {"theta", "omegas"},
+    "proden": {"theta"},
+}
+
 
 def _histories_equal(a, b):
     return [asdict(m) for m in a] == [asdict(m) for m in b]
+
+
+def _built_nets(bundle: training.ModelBundle) -> dict:
+    """The bundle's nets that are not None, by name."""
+    return {name: net for name, net in vars(bundle).items() if net is not None}
 
 
 def test_config_validation_rejects_bad_values():
@@ -107,22 +132,19 @@ def test_alpha_one_matches_proden_trajectory_bitwise(small_dataset):
 
 
 def test_frozen_meta_matches_uniform_weight_ablation_bitwise(small_dataset):
-    train_ds = small_dataset[0]
+    # a meta net of zeros weighs the branches uniformly, and beta3 = 0 keeps it so
     cfg_rx = training.TrainConfig(method="reduxpll", beta3=0.0, seed=6, **FAST)
-    init = training.init_lanes(train_ds, [cfg_rx]).bundle  # a one-lane stack
-    bundle = training.ModelBundle(
-        theta=nets.take(init.theta, 0),
-        omegas=nets.take(init.omegas, 0),
-        gamma=zero_net(nets.take(init.gamma, 0)),
-    )
-    r_rx = training.fit(small_dataset, cfg_rx, init_bundle=bundle)
+    state = training.init_lanes(small_dataset[0], [cfg_rx])  # a one-lane stack
+    state.bundle.gamma = zero_net(state.bundle.gamma)
+    for _ in range(cfg_rx.epochs):
+        state, _ = training.train_epoch(state, small_dataset, cfg_rx)
 
     cfg_uw = training.TrainConfig(method="reduxpll-uniform-w", seed=6, **FAST)
     r_uw = training.fit(small_dataset, cfg_uw)
-    assert _histories_equal(r_rx.history, r_uw.history)
-    assert np.array_equal(
-        nets.to_flat(r_rx.final_bundle.theta), nets.to_flat(r_uw.final_bundle.theta)
-    )
+    assert _histories_equal(state.lanes[0].history, r_uw.history)
+    for name in ("theta", "omegas"):
+        rx, uw = getattr(state.bundle, name), getattr(r_uw.final_bundle, name)
+        assert np.array_equal(rx.flat[0], uw.flat), name
 
 
 def test_patience_one_with_frozen_steps_stops_after_two_epochs(small_dataset):
@@ -156,15 +178,16 @@ def test_rollback_verified_every_batch_over_five_epochs(small_dataset):
 def test_each_method_runs_only_its_phases(small_dataset, method):
     cfg = training.TrainConfig(method=method, epochs=1)
     state = training.init_lanes(small_dataset[0], [cfg])
-    omegas, gamma = state.bundle.omegas.flat.copy(), state.bundle.gamma.flat.copy()
+    before = {name: net.flat.copy() for name, net in _built_nets(state.bundle).items()}
     state, _ = training.train_epoch(state, small_dataset, cfg)
-    branches_ran = not np.array_equal(state.bundle.omegas.flat, omegas)
-    meta_ran = not np.array_equal(state.bundle.gamma.flat, gamma)
-    assert branches_ran == (method != "proden")
-    assert meta_ran == (method == "reduxpll")
-    assert (state.rollback_checks > 0) == meta_ran
-    if method == "proden":  # no reduction side
-        assert all(arr is None for arr in (state.pls.U, state.pls.w, state.pls.v))
+    after = {name: net.flat for name, net in _built_nets(state.bundle).items()}
+    # a net the method does not train is never built, so it is None, not frozen
+    assert set(before) == set(after) == TRAINED_NETS[method]
+    assert all(not np.array_equal(after[name], before[name]) for name in after)
+    assert (state.omega_buf is None) == ("omegas" not in after)
+    assert (state.rollback_checks > 0) == ("gamma" in after)
+    no_reduction_side = [arr is None for arr in (state.pls.U, state.pls.w, state.pls.v)]
+    assert no_reduction_side == [method == "proden"] * 3
 
 
 def test_best_checkpoint_dominates_final_epoch(small_dataset):
@@ -389,16 +412,21 @@ def test_checkpoint_bytes_are_deterministic(small_dataset, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_proden_checkpoint_members_are_pinned(small_dataset, tmp_path):
+@pytest.mark.parametrize(
+    "method, pinned",
+    [("proden", PRODEN_CHECKPOINT_MEMBERS), ("reduxpll-uniform-w", UNIFORM_W_CHECKPOINT_MEMBERS)],
+    ids=["proden", "reduxpll-uniform-w"],
+)
+def test_baseline_checkpoint_members_are_pinned(small_dataset, tmp_path, method, pinned):
     path = tmp_path / "ck.npz"
     training.fit(
-        small_dataset, training.TrainConfig(method="proden", seed=2, epochs=2),
+        small_dataset, training.TrainConfig(method=method, seed=2, epochs=2),
         checkpoint_path=path,
     )
     with zipfile.ZipFile(path) as zf:
         got = {name: hashlib.sha256(zf.read(name)).hexdigest()[:16] for name in zf.namelist()}
-    assert {"U.npy", "w.npy", "v.npy"}.isdisjoint(got)
-    assert got == PRODEN_CHECKPOINT_MEMBERS
+    assert "gamma.npy" not in got  # neither baseline has a meta net
+    assert got == pinned
 
 
 def _rewrite_checkpoint(path, edit):
@@ -433,14 +461,40 @@ def test_a_proden_checkpoint_with_zero_reduction_arrays_resumes_to_the_straight_
     assert ckpt.read_bytes() == straight_ckpt.read_bytes()  # written in the new format
 
 
-def test_a_checkpoint_without_a_member_its_method_needs_is_a_config_error(
-    small_dataset, tmp_path
+@pytest.mark.parametrize("method", ["proden", "reduxpll-uniform-w"])
+def test_a_checkpoint_with_the_nets_its_method_does_not_train_resumes_to_the_straight_run(
+    small_dataset, tmp_path, method
 ):
-    cfg = training.TrainConfig(method="reduxpll", seed=2, epochs=1)
+    # older checkpoints of the baselines held every net: the untrained ones at
+    # their initial values, the head's momentum buffer at zero
+    cfg = training.TrainConfig(method=method, seed=2, epochs=4)
+    straight_ckpt, ckpt = tmp_path / "straight.npz", tmp_path / "ck.npz"
+    straight = training.fit(small_dataset, cfg, checkpoint_path=straight_ckpt)
+    training.fit(small_dataset, replace(cfg, epochs=2), checkpoint_path=ckpt)
+    full = training.init_lanes(small_dataset[0], [replace(cfg, method="reduxpll")])
+    untrained = {"gamma": full.bundle.gamma.flat[0]}
+    if method == "proden":
+        untrained.update(omegas=full.bundle.omegas.flat[0], omega_bufs=full.omega_buf[0])
+
+    _rewrite_checkpoint(ckpt, lambda arrays: {**arrays, **untrained})
+    with zipfile.ZipFile(ckpt) as zf:
+        assert {f"{name}.npy" for name in untrained} <= set(zf.namelist())
+    state = training.load_checkpoint(ckpt, small_dataset[0], cfg)
+    assert set(_built_nets(state.bundle)) == TRAINED_NETS[method]
+    resumed = training.fit(small_dataset, cfg, checkpoint_path=ckpt, resume_from=ckpt)
+    assert resumed.trajectory_hash() == straight.trajectory_hash()
+    assert ckpt.read_bytes() == straight_ckpt.read_bytes()  # written without them
+
+
+@pytest.mark.parametrize("method, member", [("reduxpll", "U"), ("reduxpll-uniform-w", "omegas")])
+def test_a_checkpoint_without_a_member_its_method_needs_is_a_config_error(
+    small_dataset, tmp_path, method, member
+):
+    cfg = training.TrainConfig(method=method, seed=2, epochs=1)
     ckpt = tmp_path / "ck.npz"
     training.fit(small_dataset, cfg, checkpoint_path=ckpt)
-    _rewrite_checkpoint(ckpt, lambda arrays: {k: v for k, v in arrays.items() if k != "U"})
-    with pytest.raises(ConfigError, match="has no U member") as err:
+    _rewrite_checkpoint(ckpt, lambda arrays: {k: v for k, v in arrays.items() if k != member})
+    with pytest.raises(ConfigError, match=f"has no {member} member") as err:
         training.load_checkpoint(ckpt, small_dataset[0], cfg)
     assert str(ckpt) in str(err.value)
 
