@@ -11,6 +11,7 @@ the theory harness have ground truth to compare against.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -110,6 +111,8 @@ def validate_dataset(
         post = np.asarray(ds.posterior)
         if post.shape != (n, c):
             raise DataError(f"posterior shape {post.shape} != ({n}, {c})")
+        # NaN fails every comparison, so the simplex test alone would pass it
+        reject_rows("non-finite posteriors", lambda b: ~np.isfinite(post[b]).all(axis=1))
         reject_rows(
             "posterior rows off the simplex",
             lambda b: (np.abs(post[b].sum(axis=1) - 1.0) > 1e-9)
@@ -243,10 +246,10 @@ _SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit product of uint64 `a` and the constant `b`."""
+def _mulhi64(a: np.ndarray, b) -> np.ndarray:
+    """High 64 bits of the 128-bit products of uint64 `a` and `b` (an array or an int)."""
     a0, a1 = a & _M32, a >> 32
-    b0, b1 = np.uint64(b & _M32), np.uint64(b >> 32)
+    b0, b1 = b & _M32, b >> 32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
     mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
@@ -397,6 +400,7 @@ def _corrupt_rows(post, labels, ambiguity: float, seed: int, start: int) -> np.n
 # ---------------------------------------------------------------------------
 
 _CSV_BLOCK = 1024  # rows formatted or parsed per whole-column pass
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
 
 
 def _distinct_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,12 +418,206 @@ def _distinct_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], ids
 
 
+# A CSV field is a row of bytes: a comma, then the text, with 0 bytes as
+# padding anywhere after the comma; the writer drops every 0 byte of a line.
+# A float's field is 32 bytes, made as four little-endian uint64 words:
+# byte 0 is the comma, byte 1 the sign, bytes 2-23 the body (17 digits
+# right-aligned, the point inserted among them) and bytes 24-28 the suffix.
+_FLOAT_FIELD = 32
+_BODY = 22  # body bytes; body column j is field byte 2 + j
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_POW10_MIN, _POW10_MAX = -292, 324  # the powers of ten that Schubfach multiplies by
+_EXP_MIN, _EXP_MAX = -324, 308  # decimal exponents of doubles in scientific notation
+_ABS = np.uint64(2**63 - 1)
+_INF_BITS = np.uint64(0x7FF0000000000000)
+_NAN_TEXT, _INF_TEXT = np.frombuffer(b"nan", np.uint8), np.frombuffer(b"inf", np.uint8)
+
+
+def _words(text: bytes, at: int = 0) -> np.ndarray:
+    """The four words of a field that holds `text` from byte `at` on, 0 elsewhere."""
+    field = bytes(at) + text + bytes(_FLOAT_FIELD - at - len(text))
+    return np.frombuffer(field, dtype="<u8")
+
+
+@functools.cache
+def _format_tables() -> dict[str, np.ndarray]:
+    """Tables of the float formatter, built once on first use.
+
+    g_hi, g_lo: the 128-bit floor(10**e / 2**(floor(log2 10**e) - 127)) + 1
+    for e from _POW10_MIN to _POW10_MAX, split into 64-bit halves. quads: the
+    ASCII of 0000..9999 as little-endian words. suffix: the last word of a
+    field holding "", "0" (after an integral value's point) and "e-324" to
+    "e+308". Word masks of a field's body, indexed by a body column j: keep,
+    the columns from j on; before, after and dot, the columns before, after
+    and at a point in column j, where j = _BODY stands for the last column
+    with no point written (one digit in scientific notation).
+    """
+    g = []
+    for e in range(_POW10_MIN, _POW10_MAX + 1):
+        shift = ((e * 1741647) >> 19) - 127  # floor(log2 10**e) - 127
+        num, den = 10 ** max(e, 0) << max(-shift, 0), 10 ** max(-e, 0) << max(shift, 0)
+        g.append(num // den + 1)
+    exps = [b"e%+03d" % e for e in range(_EXP_MIN, _EXP_MAX + 1)]
+    ones = b"\xff" * _BODY
+    cols = [*range(_BODY), _BODY - 1]
+    tables = {
+        "g_hi": np.array([v >> 64 for v in g], dtype=np.uint64),
+        "g_lo": np.array([v & (2**64 - 1) for v in g], dtype=np.uint64),
+        "quads": np.frombuffer(b"".join(b"%04d0000" % i for i in range(10000)), "<u8") & _M32,
+        "suffix": np.stack([_words(t, 24)[3] for t in [b"", b"0", *exps]]),
+        "keep": np.stack([_words(ones[j:], 2 + j) for j in range(_BODY)]),
+        "before": np.stack([_words(ones[:j], 2) for j in cols]),
+        "after": np.stack([_words(ones[j + 1 :], 3 + j) for j in cols]),
+        "dot": np.stack([_words(b".", 2 + j) for j in range(_BODY)] + [_words(b"")]),
+    }
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+def _round_to_odd(g_hi, g_lo, cp):
+    """The top 64 bits of the 192-bit products g * cp, made odd where the 64 bits
+    below them exceed 1, the most that g's rounding up can add to them."""
+    x_hi = _mulhi64(g_lo, cp)
+    y_lo = g_hi * cp + x_hi
+    y_hi = _mulhi64(g_hi, cp) + (y_lo < x_hi)
+    return y_hi | (y_lo > 1)
+
+
+def _shortest_decimals(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, k) with d * 10**k the shortest decimal that reads back as each double.
+
+    `mag` holds the bits of finite positive doubles (other values give
+    garbage). Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+    2020): scale the rounding interval's ends and middle by a power of ten,
+    rounding to odd, and pick the shortest decimal inside it, the nearer one on
+    a tie of length, the even one on a tie of distance. d may end in zeros.
+    """
+    biased = (mag >> 52).astype(np.int64)
+    frac = mag & np.uint64(2**52 - 1)
+    c = frac | (biased != 0).astype(np.uint64) << 52
+    q = np.maximum(biased, 1) - 1075  # the double is c * 2**q
+    closer = (frac == 0) & (biased > 1)  # the lower neighbour is half as far
+    k = (q * 1262611 - closer * 524031) >> 22  # floor(log10 of 2**q, or of 3/4 2**q)
+    h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)
+    tables = _format_tables()
+    g_hi, g_lo = tables["g_hi"][-k - _POW10_MIN], tables["g_lo"][-k - _POW10_MIN]
+    cb = c << 2
+    vb = _round_to_odd(g_hi, g_lo, cb << h)
+    lower = _round_to_odd(g_hi, g_lo, (cb - 2 + closer) << h) + (c & 1)
+    upper = _round_to_odd(g_hi, g_lo, (cb + 2) << h) - (c & 1)
+    s = vb >> 2
+    # one digit fewer: at most one of its neighbours lies inside
+    sp = vb // 40
+    up_in = lower <= 40 * sp
+    wp_in = 40 * sp + 40 <= upper
+    use_sp = (s >= 10) & (up_in != wp_in)
+    u_in = lower <= 4 * s
+    w_in = 4 * s + 4 <= upper
+    round_up = (vb > 4 * s + 2) | ((vb == 4 * s + 2) & ((s & 1) == 1))
+    d = np.where(use_sp, sp + wp_in, s + np.where(u_in != w_in, w_in, round_up))
+    return d, k + use_sp
+
+
+def _float_fields(values: np.ndarray) -> np.ndarray:
+    """(*values.shape, _FLOAT_FIELD) bytes: each double as repr writes it, after a comma.
+
+    The layout follows repr: scientific notation below 1e-4 and from 1e16 on
+    (the shortest digits put the point at or left of the fourth place after
+    it, or past the sixteenth digit), with a signed exponent of at least two
+    digits; '.0' after integral values; 'nan', 'inf' and '-inf' for the
+    non-finite values.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    tables = _format_tables()
+    bits = x.view(np.uint64)
+    mag = bits & _ABS
+    regular = (mag != 0) & (mag < _INF_BITS)
+    d, k = _shortest_decimals(mag)
+    d[~regular] = 0  # zeros print as 0.0; non-finite fields are replaced below
+    k[~regular] = 0
+    trailing = np.flatnonzero((d % 10 == 0) & regular)
+    if trailing.size:  # strip trailing zeros: 16, 8, 4, 2 and then 1 at a time
+        dt, kt = d[trailing], k[trailing]
+        for p in (16, 8, 4, 2, 1):
+            even = dt % _POW10[p] == 0
+            dt = np.where(even, dt // _POW10[p], dt)
+            kt += even * p
+        d[trailing], k[trailing] = dt, kt
+    n = np.searchsorted(_POW10[1:18], d, side="right") + 1  # digits of d
+    point = k + n  # the value is 0.(digits) * 10**point
+    sci = (point < -3) | (point > 16)
+    integral = (k >= 0) & ~sci
+    whole = np.flatnonzero(integral)
+    if whole.size:  # all digits before the point: put the stripped zeros back
+        d[whole] *= _POW10[k[whole]]
+        n[whole] = point[whole]
+
+    # 17 digits in ASCII end the body, and '0' fills the five bytes before them
+    top, rest = np.divmod(d, _POW10[16])
+    halves = np.stack(np.divmod(rest, _POW10[8]), axis=1)
+    quads = tables["quads"][np.stack(np.divmod(halves, _POW10[4]), axis=2)]
+    words = np.empty((x.size, 4), dtype=np.uint64)
+    words[:, 0] = (top + ord("0")) << 56 | int(_words(b"00000", 2)[0])
+    words[:, 1:3] = quads[..., 0] | quads[..., 1] << 32
+    words[:, 3] = 0
+    # keep the significant digits, and the zeros of "0.000ddd" below 1
+    lead = _BODY - n - np.where(sci, 0, np.maximum(1 - point, 0))
+    words &= np.take(tables["keep"], lead, axis=0)
+    # the point follows the integer part (one digit in scientific notation),
+    # and the digits before it move one byte left
+    frac = np.where(sci, n - 1, n - point)
+    col = np.where(sci & (n == 1), _BODY, _BODY - 1 - frac)
+    flat = words.reshape(-1)
+    moved = flat >> 8
+    moved[:-1] |= flat[1:] << 56  # byte b takes byte b + 1
+    words &= np.take(tables["after"], col, axis=0)
+    words |= moved.reshape(-1, 4) & np.take(tables["before"], col, axis=0)
+    words |= np.take(tables["dot"], col, axis=0)
+    words[:, 0] |= ord(",") | (bits >> 63) * (ord("-") << 8)
+    words[:, 3] = tables["suffix"][np.where(sci, point - 1 - _EXP_MIN + 2, integral)]
+
+    out = words.astype("<u8", copy=False).view(np.uint8)
+    special = np.flatnonzero(mag >= _INF_BITS)
+    if special.size:
+        nan = mag[special] > _INF_BITS
+        out[special, 1] *= ~nan  # repr writes no sign on a nan
+        out[special, 2:] = 0
+        out[special, 2:5] = np.where(nan[:, None], _NAN_TEXT, _INF_TEXT)
+    return out.reshape(*np.shape(values), _FLOAT_FIELD)
+
+
+def _int_fields(values: np.ndarray) -> np.ndarray:
+    """(n, w) bytes: each int64 as str writes it, after a comma."""
+    neg = values < 0
+    mag = np.where(neg, -values, values).astype(np.uint64)  # -(-2**63) wraps to 2**63
+    width = len(str(int(mag.max()))) if mag.size else 1
+    powers = _POW10[width - 1 :: -1]
+    out = np.empty((mag.size, width + 2), dtype=np.uint8)
+    out[:, 0] = ord(",")
+    out[:, 1] = neg * ord("-")
+    out[:, 2:] = mag[:, None] // powers % 10 + ord("0")
+    leading = mag[:, None] < powers
+    leading[:, -1] = False  # zero is one digit
+    out[:, 2:][leading] = 0
+    return out
+
+
+def _text_fields(texts: list[str]) -> np.ndarray:
+    """(len(texts), w) bytes: each ASCII text after a comma."""
+    width = 1 + max(map(len, texts), default=0)
+    rows = b"".join(b"," + t.encode().ljust(width - 1, b"\0") for t in texts)
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(texts), width)
+
+
 def save_csv(ds: PllDataset, path) -> None:
     """Write the dataset as CSV: x0..x{q-1}, candidates, [label], [eta0..].
 
     The bytes are those of csv.writer on one row at a time: floats as repr,
     the candidate indices joined by commas and quoted when there is more than
-    one, and CRLF line ends. Rows are formatted a column at a time in blocks.
+    one, and CRLF line ends. Each block of rows becomes one byte matrix, a
+    line per row, whose fields `_float_fields`, `_int_fields` and
+    `_text_fields` make.
     """
     path = Path(path)
     header = [f"x{j}" for j in range(ds.q)] + ["candidates"]
@@ -438,25 +636,29 @@ def save_csv(ds: PllDataset, path) -> None:
         quoted = "," in field or (field == "" and len(header) == 1)
         return f'"{field}"' if quoted else field
 
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        split = ds.q * _FLOAT_FIELD  # the features' bytes of a line
         for start in range(0, ds.n, _CSV_BLOCK):
             block = slice(start, start + _CSV_BLOCK)
+            m = min(_CSV_BLOCK, ds.n - start)
             masks, mask_ids = _distinct_rows(cands[block])
-            cand_fields = [candidate_field(mask) for mask in masks]
-            cols = [list(map(repr, col)) for col in features[block].T.tolist()]
-            cols.append([cand_fields[k] for k in mask_ids.tolist()])
+            floats = features[block] if post is None else np.hstack([features[block], post[block]])
+            floats = _float_fields(floats).reshape(m, -1)
+            fields = [floats[:, :split], _text_fields([candidate_field(k) for k in masks])[mask_ids]]
             if labels is not None:
-                cols.append(list(map(str, labels[block].tolist())))
-            if post is not None:
-                cols += [list(map(repr, col)) for col in post[block].T.tolist()]
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+                fields.append(_int_fields(labels[block]))
+            fields += [floats[:, split:], np.broadcast_to(_CRLF, (m, 2))]
+            lines = np.concatenate(fields, axis=1)
+            lines[:, 0] = 0  # the first field's comma
+            fh.write(lines[lines != 0])
 
 
-def _float_columns(cols, idx, m: int) -> np.ndarray:
+def _float_columns(fields, idx, width: int, m: int) -> np.ndarray:
+    """The columns `idx` of m rows of `width` fields, read row after row from `fields`."""
     out = np.empty((m, len(idx)))
     for k, j in enumerate(idx):
-        out[:, k] = np.fromiter(map(float, cols[j]), dtype=np.float64, count=m)
+        out[:, k] = np.fromiter(map(float, fields[j::width]), dtype=np.float64, count=m)
     return out
 
 
@@ -510,27 +712,29 @@ def load_csv(path, c: int | None = None) -> PllDataset:
                     except ValueError as exc:
                         raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
+            width = len(header)
             first_line = 2  # of the block; the header is line 1
             while rows := list(itertools.islice(reader, _CSV_BLOCK)):
                 m = len(rows)
-                if set(map(len, rows)) != {len(header)}:
+                if set(map(len, rows)) != {width}:
                     raise_first_bad_row(rows, first_line)
-                cols = list(zip(*rows))
+                fields = list(itertools.chain.from_iterable(rows))
                 try:
-                    feat_parts.append(_float_columns(cols, feat_cols, m))
-                    for field in dict.fromkeys(cols[cand_col]):
+                    feat_parts.append(_float_columns(fields, feat_cols, width, m))
+                    cand_fields = fields[cand_col::width]
+                    for field in dict.fromkeys(cand_fields):
                         if field not in cand_ids:
                             cand_lists.append(_candidate_list(field))
                             cand_ids[field] = len(cand_ids)
                     code_parts.append(
-                        np.fromiter(map(cand_ids.__getitem__, cols[cand_col]), np.intp, m)
+                        np.fromiter(map(cand_ids.__getitem__, cand_fields), np.intp, m)
                     )
                     if label_col is not None:
                         label_parts.append(
-                            np.fromiter(map(int, cols[label_col]), np.int64, m)
+                            np.fromiter(map(int, fields[label_col::width]), np.int64, m)
                         )
                     if eta_cols:
-                        eta_parts.append(_float_columns(cols, eta_cols, m))
+                        eta_parts.append(_float_columns(fields, eta_cols, width, m))
                 except ValueError:
                     raise_first_bad_row(rows, first_line)
                     raise

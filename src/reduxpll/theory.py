@@ -28,7 +28,9 @@ from .errors import (
 )
 
 BALL_SLACK = 1e-12  # fp dust allowance when re-checking ball membership
-BALL_BLOCK = 16384  # rows the ball sampler draws at a time; 512 KiB at 4 labels fits L2
+# rows the ball sampler draws at a time; 512 KiB at 4 labels fits L2, and
+# below 8 labels the draw is copied once, into column-major order
+BALL_BLOCK = 16384
 _MAX_RESAMPLE_ROUNDS = 1000
 
 
@@ -341,6 +343,10 @@ def sample_simplex_ball(
     lo = np.clip(center - radius, 0.0, 1.0)
     width = np.clip(center + radius, 0.0, 1.0) - lo
     bound = radius + BALL_SLACK
+    # Below 8 labels a block is column-major, so that every column step below
+    # runs on contiguous memory; from 8 labels on it stays row-major, because
+    # numpy's row reduction there would sum a column-major block in another order.
+    order = "F" if c < 8 else "C"
     need = count
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         rejected = 0
@@ -353,9 +359,9 @@ def sample_simplex_ball(
             # The canvas takes the draw as a temporary, so across a yield the
             # generator holds no block besides the one it yields.
             if len(columns) == c:
-                draw = rng.uniform(size=(k, c))
+                draw = np.asarray(rng.uniform(size=(k, c)), order=order)
             else:
-                draw = np.zeros((k, c))
+                draw = np.zeros((k, c), order=order)
                 draw[:, support] = rng.uniform(size=(k, len(columns)))
             # one column at a time: broadcasting along rows of c entries costs more
             for j in columns:

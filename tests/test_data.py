@@ -306,6 +306,26 @@ def test_validator_rejects_nonfinite_features_and_bad_posterior():
         data.validate_dataset(ds)
 
 
+@pytest.mark.parametrize(
+    "row", [[np.nan] * 3, [np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]], ids=["nan-row", "one-nan", "inf"]
+)
+def test_validator_rejects_nonfinite_posteriors(row):
+    ds = _tiny_dataset()
+    ds.posterior[1] = row
+    with pytest.raises(DataError, match=r"non-finite posteriors in rows \[1\]"):
+        data.validate_dataset(ds)
+
+
+def test_training_on_a_csv_with_nan_posteriors_is_a_data_error(tmp_path, capsys):
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=200), 0.5, seed=4)
+    ds.posterior[7] = np.nan
+    path = tmp_path / "nan.csv"
+    data.save_csv(ds, path)
+    argv = ["train", "--dataset", str(path), "--method", "proden", "--epochs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert "non-finite posteriors in rows [7]" in capsys.readouterr().err
+
+
 # -- csv round trip ----------------------------------------------------------------
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -343,13 +363,77 @@ def _save_csv_reference(ds, path):
             writer.writerow(row)
 
 
+def _assert_fields_are_repr(values):
+    """save_csv's float fields of `values` are ',' + repr of each value."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    wrong = []
+    for start in range(0, values.size, 2**16):  # bounds the memory of both sides
+        chunk = values[start : start + 2**16]
+        fields = data._float_fields(chunk)
+        got = fields[fields != 0].tobytes().decode().split(",")[1:]
+        want = list(map(repr, chunk.tolist()))
+        assert len(got) == len(want)
+        wrong += [(w, g) for w, g in zip(want, got) if w != g]
+    assert not wrong, f"{len(wrong)} fields differ from repr, first (repr, field): {wrong[:5]}"
+
+
+def _with_negatives(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+def test_float_fields_are_repr_on_random_bit_patterns():
+    # every exponent, subnormals, nan payloads and infinities of both signs
+    bits = np.random.default_rng(24).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    _assert_fields_are_repr(bits.view(np.float64))
+
+
+def test_float_fields_are_repr_on_powers_of_two_and_their_neighbours():
+    powers = 2.0 ** np.arange(-1074, 1024)
+    values = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    _assert_fields_are_repr(_with_negatives(np.concatenate(values)))
+
+
+def test_float_fields_are_repr_on_powers_of_ten_and_integers_near_2_53():
+    tens = [float(f"1e{k}") for k in range(-323, 309)]
+    near = np.arange(2**53 - 2000, 2**53 + 2000, dtype=np.float64)
+    _assert_fields_are_repr(_with_negatives(np.concatenate([tens, near])))
+
+
+def test_float_fields_are_repr_for_each_count_of_significant_digits():
+    rng = np.random.default_rng(17)
+    values = [  # exponents that keep the values finite and nonzero
+        float(f"{rng.integers(10 ** (p - 1), 10**p)}e{e}")
+        for p in range(1, 18)
+        for e in rng.integers(-322 - p, 309 - p, size=300).tolist()
+    ]
+    _assert_fields_are_repr(_with_negatives(values))
+
+
+def test_float_fields_are_repr_around_the_notation_switches():
+    # repr turns scientific below 1e-4 and from 1e16 on
+    edges = np.array([1e-4, 1e16, 1e-3, 1e15])
+    steps = [np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)]
+    scaled = 1.2345 * np.array([1e-6, 1e-5, 1e-4, 1e-3, 1e14, 1e15, 1e16, 1e17])
+    integral = 10.0 ** np.arange(17) * 7.0 + np.arange(17)
+    specials = [0.0, np.nan, np.inf, 5e-324, 1.7976931348623157e308]
+    _assert_fields_are_repr(_with_negatives(np.concatenate([*steps, scaled, integral, specials])))
+
+
+def test_int_fields_are_str():
+    values = np.array([0, 7, 10, 99, 100, 12345, -1, -120, 2**63 - 1, -(2**63)])
+    fields = data._int_fields(values)
+    got = fields[fields != 0].tobytes().decode()
+    assert got == "".join(f",{v}" for v in values.tolist())
+
+
 _odd_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(0, 2100),
-    c=st.integers(3, 7),
+    c=st.integers(3, 12),  # two-digit labels and candidate indices from 11 labels on
     q=st.integers(1, 3),
     with_labels=st.booleans(),
     with_posterior=st.booleans(),
