@@ -244,9 +244,9 @@ def cmd_generate(args) -> int:
     ds = data.corrupt_instance_dependent(ds, args.ambiguity, args.seed)
     data.validate_dataset(ds, require_posterior=True)
     csv_path = out_dir / "dataset.csv"
-    data.save_csv(ds, csv_path)
+    checksum = data.save_csv(ds, csv_path)
     data.write_manifest(
-        out_dir / "manifest.json", ds, csv_path, ambiguity=args.ambiguity, seed=args.seed
+        out_dir / "manifest.json", ds, checksum, ambiguity=args.ambiguity, seed=args.seed
     )
     print(f"wrote {csv_path} (n={ds.n}, c={ds.c}, q={ds.q})")
     return 0

@@ -610,14 +610,14 @@ def _text_fields(texts: list[str]) -> np.ndarray:
     return np.frombuffer(rows, dtype=np.uint8).reshape(len(texts), width)
 
 
-def save_csv(ds: PllDataset, path) -> None:
+def save_csv(ds: PllDataset, path) -> str:
     """Write the dataset as CSV: x0..x{q-1}, candidates, [label], [eta0..].
 
     The bytes are those of csv.writer on one row at a time: floats as repr,
     the candidate indices joined by commas and quoted when there is more than
     one, and CRLF line ends. Each block of rows becomes one byte matrix, a
     line per row, whose fields `_float_fields`, `_int_fields` and
-    `_text_fields` make.
+    `_text_fields` make. Returns the sha256 hex digest of the bytes written.
     """
     path = Path(path)
     header = [f"x{j}" for j in range(ds.q)] + ["candidates"]
@@ -636,8 +636,10 @@ def save_csv(ds: PllDataset, path) -> None:
         quoted = "," in field or (field == "" and len(header) == 1)
         return f'"{field}"' if quoted else field
 
+    head = (",".join(header) + "\r\n").encode()
+    digest = hashlib.sha256(head)
     with path.open("wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
+        fh.write(head)
         split = ds.q * _FLOAT_FIELD  # the features' bytes of a line
         for start in range(0, ds.n, _CSV_BLOCK):
             block = slice(start, start + _CSV_BLOCK)
@@ -651,19 +653,128 @@ def save_csv(ds: PllDataset, path) -> None:
             fields += [floats[:, split:], np.broadcast_to(_CRLF, (m, 2))]
             lines = np.concatenate(fields, axis=1)
             lines[:, 0] = 0  # the first field's comma
-            fh.write(lines[lines != 0])
-
-
-def _float_columns(fields, idx, width: int, m: int) -> np.ndarray:
-    """The columns `idx` of m rows of `width` fields, read row after row from `fields`."""
-    out = np.empty((m, len(idx)))
-    for k, j in enumerate(idx):
-        out[:, k] = np.fromiter(map(float, fields[j::width]), dtype=np.float64, count=m)
-    return out
+            text = lines[lines != 0]
+            fh.write(text)
+            digest.update(text)
+    return digest.hexdigest()
 
 
 def _candidate_list(field: str) -> list[int]:
     return [int(tok) for tok in field.split(",") if tok != ""]
+
+
+_INT64 = range(-(2**63), 2**63)
+
+
+class _CsvBlocks:
+    """The fields of load_csv's header, read from blocks of lines.
+
+    A block is one `np.loadtxt` call where numpy's C reader gives what
+    csv.reader with float() and int() gives, and is read record by record
+    otherwise. Distinct candidate fields are parsed once, in `ids` and `lists`.
+    """
+
+    def __init__(self, path: Path, header: list[str]):
+        self.path = path
+        self.width = len(header)
+        self.feat = [i for i, name in enumerate(header) if name.startswith("x")]
+        self.eta = [i for i, name in enumerate(header) if name.startswith("eta")]
+        self.cand = header.index("candidates")
+        self.label = header.index("label") if "label" in header else None
+        self.kinds = ["f8" if name.startswith(("x", "eta")) else "S" for name in header]
+        if self.label is not None:
+            self.kinds[self.label] = "i8"
+        self.ids: dict[str, int] = {}  # distinct candidate field -> index
+        self.lists: list[list[int]] = []
+
+    def table(self, lines: list[str]) -> tuple | None:
+        """(features, codes, labels, eta) of one row per line, or None where the
+        C reader may part from csv.reader: it skips blank lines, joins a quoted
+        line break, refuses `1_0` and non-ASCII digits, and drops the trailing
+        NULs of a bytes field; csv.reader refuses a field past its size limit."""
+        longest = max(map(len, lines))  # no field can be cut short
+        if longest > csv.field_size_limit() or "\0" in "".join(lines):
+            return None
+        if not lines[0].rstrip("\r\n"):  # a block of blank lines would make numpy warn
+            return None
+        dtype = np.dtype(
+            [(f"f{j}", f"S{longest}" if k == "S" else k) for j, k in enumerate(self.kinds)]
+        )
+        try:
+            table = np.loadtxt(
+                lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+            if len(table) != len(lines):
+                return None
+            fields = table[f"f{self.cand}"].tolist()
+            texts = {f: f.decode("latin-1") for f in dict.fromkeys(fields)}  # chars < 256
+            new = [t for t in texts.values() if t not in self.ids]
+            lists = [_candidate_list(t) for t in new]
+        except ValueError:
+            return None
+        for text, lst in zip(new, lists):
+            self.ids[text] = len(self.ids)
+            self.lists.append(lst)
+        code = {f: self.ids[t] for f, t in texts.items()}
+        codes = np.fromiter(map(code.__getitem__, fields), np.intp, len(fields))
+        labels = None if self.label is None else table[f"f{self.label}"].copy()
+        return self._columns(table, self.feat), codes, labels, self._columns(table, self.eta)
+
+    @staticmethod
+    def _columns(table, cols: list[int]) -> np.ndarray:
+        out = np.empty((len(table), len(cols)))
+        for k, j in enumerate(cols):
+            out[:, k] = table[f"f{j}"]
+        return out
+
+    def records(self, lines: list[str], rest, first_line: int) -> tuple:
+        """(features, codes, labels, eta) of the records that start in `lines`,
+        read by csv.reader with float() and int(); a record may go on into
+        `rest`, the file's later lines. A bad record raises ParseError naming
+        its record number plus one, as `first_line` counts."""
+        feats, codes, labels, eta = [], [], [], []
+        reader = csv.reader(itertools.chain(lines, rest))
+        for lineno, row in enumerate(reader, first_line):
+            if len(row) != self.width:
+                raise ParseError(
+                    f"{self.path}:{lineno}: expected {self.width} fields, got {len(row)}"
+                )
+            try:
+                feats.append([float(row[j]) for j in self.feat])
+                field = row[self.cand]
+                if field not in self.ids:
+                    self.lists.append(_candidate_list(field))
+                    self.ids[field] = len(self.ids)
+                codes.append(self.ids[field])
+                if self.label is not None:
+                    labels.append(int(row[self.label]))
+                    if labels[-1] not in _INT64:
+                        raise ValueError(f"label {labels[-1]} is out of the int64 range")
+                eta.append([float(row[j]) for j in self.eta])
+            except ValueError as exc:
+                raise ParseError(f"{self.path}:{lineno}: {exc}") from exc
+            if reader.line_num >= len(lines):
+                break
+        return (
+            np.array(feats, dtype=np.float64).reshape(len(codes), len(self.feat)),
+            np.array(codes, dtype=np.intp),
+            None if self.label is None else np.array(labels, dtype=np.int64),
+            np.array(eta, dtype=np.float64).reshape(len(codes), len(self.eta)),
+        )
+
+
+def _undecodable_line(path: Path) -> tuple[int, UnicodeDecodeError | None]:
+    """The first line of the file that is not UTF-8, counting lines as a text file does."""
+    lineno = 0
+    with path.open("rb") as fh:
+        for raw in fh:  # ends at b"\n", so a b"\r\n" is never split
+            for line in raw.splitlines():
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return lineno, exc
+    return lineno, None
 
 
 def load_csv(path, c: int | None = None) -> PllDataset:
@@ -671,82 +782,40 @@ def load_csv(path, c: int | None = None) -> PllDataset:
 
     The label count is taken from posterior columns when present, from `c`
     otherwise, and as a last resort from the largest candidate index seen.
-    Rows are read and converted a column at a time in blocks; a malformed
-    row raises ParseError naming its line (the header is line 1).
+    The file is UTF-8. Rows are read in blocks of _CSV_BLOCK lines (see
+    _CsvBlocks); a malformed row raises ParseError naming its line (the header
+    is line 1).
     """
     path = Path(path)
-    cand_ids: dict[str, int] = {}  # distinct candidate field -> index
-    cand_lists: list[list[int]] = []
     try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with path.open(encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise ParseError(f"{path}: empty file")
-            feat_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-            eta_cols = [i for i, name in enumerate(header) if name.startswith("eta")]
             if "candidates" not in header:
                 raise ParseError(f"{path}: no 'candidates' column in header {header}")
-            cand_col = header.index("candidates")
-            label_col = header.index("label") if "label" in header else None
-            feat_parts = [np.empty((0, len(feat_cols)))]
-            code_parts = [np.empty(0, dtype=np.intp)]
-            label_parts = [np.empty(0, dtype=np.int64)]
-            eta_parts = [np.empty((0, len(eta_cols)))]
-
-            def raise_first_bad_row(rows, start):
-                for lineno, row in enumerate(rows, start):
-                    if len(row) != len(header):
-                        raise ParseError(
-                            f"{path}:{lineno}: expected {len(header)} fields, "
-                            f"got {len(row)}"
-                        )
-                    try:
-                        for j in feat_cols:
-                            float(row[j])
-                        _candidate_list(row[cand_col])
-                        if label_col is not None:
-                            int(row[label_col])
-                        for j in eta_cols:
-                            float(row[j])
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: {exc}") from exc
-
-            width = len(header)
+            blocks = _CsvBlocks(path, header)
+            parts = [[np.empty((0, len(blocks.feat)))], [np.empty(0, dtype=np.intp)]]
+            parts += [[np.empty(0, dtype=np.int64)], [np.empty((0, len(blocks.eta)))]]
             first_line = 2  # of the block; the header is line 1
-            while rows := list(itertools.islice(reader, _CSV_BLOCK)):
-                m = len(rows)
-                if set(map(len, rows)) != {width}:
-                    raise_first_bad_row(rows, first_line)
-                fields = list(itertools.chain.from_iterable(rows))
-                try:
-                    feat_parts.append(_float_columns(fields, feat_cols, width, m))
-                    cand_fields = fields[cand_col::width]
-                    for field in dict.fromkeys(cand_fields):
-                        if field not in cand_ids:
-                            cand_lists.append(_candidate_list(field))
-                            cand_ids[field] = len(cand_ids)
-                    code_parts.append(
-                        np.fromiter(map(cand_ids.__getitem__, cand_fields), np.intp, m)
-                    )
-                    if label_col is not None:
-                        label_parts.append(
-                            np.fromiter(map(int, fields[label_col::width]), np.int64, m)
-                        )
-                    if eta_cols:
-                        eta_parts.append(_float_columns(fields, eta_cols, width, m))
-                except ValueError:
-                    raise_first_bad_row(rows, first_line)
-                    raise
-                first_line += m
+            while lines := list(itertools.islice(fh, _CSV_BLOCK)):
+                block = blocks.table(lines) or blocks.records(lines, fh, first_line)
+                for part, array in zip(parts, block):
+                    part.append(array)
+                first_line += len(block[1])
+    except UnicodeDecodeError as exc:
+        lineno, line_exc = _undecodable_line(path)
+        where = f"{path}:{lineno}" if line_exc else str(path)
+        raise ParseError(f"{where}: not UTF-8 ({line_exc or exc})") from None
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
     # one field at a time, each block list freed once it is joined
-    features = _join(feat_parts)
-    codes = _join(code_parts)
-    labels = _join(label_parts) if label_col is not None else None
-    eta = _join(eta_parts) if eta_cols else None
+    features = _join(parts[0])
+    codes = _join(parts[1])
+    labels = _join(parts[2]) if blocks.label is not None else None
+    eta = _join(parts[3]) if blocks.eta else None
+    cand_lists = blocks.lists
     if eta is not None:
         n_labels = eta.shape[1]
     elif c is not None:
@@ -790,14 +859,15 @@ def file_checksum(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, ds: PllDataset, csv_path, *, ambiguity=None, seed=None) -> None:
+def write_manifest(path, ds: PllDataset, checksum: str, *, ambiguity=None, seed=None) -> None:
+    """Write the dataset's manifest; `checksum` is the CSV's digest, as save_csv returns it."""
     manifest = {
         "n": ds.n,
         "c": ds.c,
         "q": ds.q,
         "ambiguity": ambiguity,
         "seed": seed,
-        "checksum": file_checksum(csv_path),
+        "checksum": checksum,
     }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

@@ -363,6 +363,56 @@ def _save_csv_reference(ds, path):
             writer.writerow(row)
 
 
+def _load_csv_reference(path, c=None):
+    """The per-row reader: csv.reader, float() and int() on one record at a time."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        if "candidates" not in header:
+            raise ParseError(f"{path}: no 'candidates' column in header {header}")
+        feat = [i for i, name in enumerate(header) if name.startswith("x")]
+        eta = [i for i, name in enumerate(header) if name.startswith("eta")]
+        cand = header.index("candidates")
+        label = header.index("label") if "label" in header else None
+        rows = {"features": [], "candidates": [], "labels": [], "posterior": []}
+        for lineno, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rows["features"].append([float(row[j]) for j in feat])
+                rows["candidates"].append([int(t) for t in row[cand].split(",") if t != ""])
+                if label is not None:
+                    rows["labels"].append(int(row[label]))
+                    if not -(2**63) <= rows["labels"][-1] < 2**63:
+                        raise ValueError(f"label {rows['labels'][-1]} is out of the int64 range")
+                rows["posterior"].append([float(row[j]) for j in eta])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    n = len(rows["features"])
+    if eta:
+        n_labels = len(eta)
+    elif c is not None:
+        n_labels = c
+    else:
+        n_labels = 1 + max((max(lst) for lst in rows["candidates"] if lst), default=0)
+    candidates = np.zeros((n, n_labels), dtype=bool)
+    for i, lst in enumerate(rows["candidates"]):
+        bad = [j for j in lst if not 0 <= j < n_labels]
+        if bad:
+            raise ParseError(f"{path}:{i + 2}: candidate index {bad[0]} out of range")
+        candidates[i, lst] = True
+    ds = data.PllDataset(
+        features=np.array(rows["features"], dtype=np.float64).reshape(n, len(feat)),
+        candidates=candidates,
+        true_labels=None if label is None else np.array(rows["labels"], dtype=np.int64),
+        posterior=np.array(rows["posterior"], dtype=np.float64).reshape(n, len(eta)) if eta else None,
+    )
+    data.validate_dataset(ds)
+    return ds
+
+
 def _assert_fields_are_repr(values):
     """save_csv's float fields of `values` are ',' + repr of each value."""
     values = np.asarray(values, dtype=np.float64).ravel()
@@ -533,12 +583,151 @@ def test_csv_invariant_violation_reported_on_load(tmp_path):
         data.load_csv(path, c=3)
 
 
+def _outcome(load, path, c=None):
+    """The arrays that `load` reads from path, as (dtype, shape, bytes), or its error."""
+    try:
+        ds = load(path, c=c)
+    except (ParseError, DataError) as exc:
+        return type(exc).__name__, str(exc)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in _arrays(ds)]
+
+
+# Spellings that float() or int() may read differently from numpy's C reader,
+# candidate fields that only csv.reader's quoting rules explain, and lines that
+# are not records.
+_FLOAT_SPELLINGS = [
+    "1_0", " 1.5", "+1.5", ".5", "5.", "1E5", "nan", "-Infinity", "١", '"1.5"',
+    "1.5 ", "", "x", "1.5\x00", "0x10", "\xa01.5",
+]
+_CANDIDATE_SPELLINGS = [
+    '"0,""1"', '"0,1"x', '"0,1" ', ' "0,1"', '"0,\n1"', '"0,\r\n1"', '"1,\n"', "0\x00",
+    '"0,1\x00"', "١", "0 ", '"0,,1"', '""', "1", "9", "0,1",
+]
+_LABEL_SPELLINGS = [
+    "+0", " 0", "1_0", "٢", "0.0", "99999999999999999999", "-9223372036854775809",
+    "9223372036854775807", "-0", "",
+]
+_EXTRA_LINES = ["", " ", "\t", ",", '""']
+
+
+def _fuzzed_csv(rng, n_max=12):
+    """Text of a small CSV in save_csv's layout, with odd spellings, quotes, blank
+    lines and mixed line ends put in at random."""
+    c, q, n = int(rng.integers(3, 13)), int(rng.integers(0, 3)), int(rng.integers(0, n_max + 1))
+    with_label, with_eta = (rng.random(2) < 0.7).tolist()
+    header = [f"x{j}" for j in range(q)] + ["candidates"]
+    header += ["label"] * with_label + [f"eta{j}" for j in range(c)] * with_eta
+    lines = [",".join(header)]
+    density, odd = rng.random(), rng.choice([0.02, 0.1, 0.4])  # of candidates and odd fields
+    for _ in range(n):
+        label = int(rng.integers(c))
+        others = [j for j in range(c) if j != label and rng.random() < density]
+        others = others or [(label + 1) % c]
+        members = sorted({label, *others[: c - 2]})
+        post = rng.random(c) + 1e-3
+        row = [repr(v) for v in rng.standard_normal(q).tolist()]
+        row.append(f'"{",".join(map(str, members))}"')
+        row += [str(label)] * with_label + [repr(v) for v in (post / post.sum()).tolist()] * with_eta
+        for _ in range(rng.poisson(odd)):
+            j = int(rng.integers(len(row)))
+            if header[j] == "candidates":
+                row[j] = str(rng.choice(_CANDIDATE_SPELLINGS))
+            elif header[j] == "label":
+                row[j] = str(rng.choice(_LABEL_SPELLINGS))
+            else:
+                row[j] = str(rng.choice(_FLOAT_SPELLINGS))
+        lines.append(",".join(row))
+    if rng.random() < 0.25:
+        lines.insert(int(rng.integers(1, len(lines) + 1)), str(rng.choice(_EXTRA_LINES)))
+    ends = rng.choice(["\r\n", "\n"], size=len(lines))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if rng.random() < 0.2 else text
+
+
+def _assert_reads_as_the_reference(path, c=None):
+    assert _outcome(data.load_csv, path, c) == _outcome(_load_csv_reference, path, c)
+
+
+def test_load_csv_matches_the_per_row_reader_on_fuzzed_files(tmp_path):
+    rng = np.random.default_rng(25)
+    path = tmp_path / "fuzz.csv"
+    for _ in range(400):
+        path.write_bytes(_fuzzed_csv(rng).encode())
+        _assert_reads_as_the_reference(path, c=int(rng.integers(3, 13)) if rng.random() < 0.5 else None)
+
+
+@pytest.mark.parametrize("row", [3, 1023, 1024, 1025])
+@pytest.mark.parametrize("end", ["\r\n", "\n"])
+def test_a_quoted_line_break_at_a_block_edge_reads_as_the_reference(tmp_path, row, end):
+    # csv.reader joins the two lines into one record, so "0,<end>1" reads as {0, 1}
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=1100), 0.5, seed=row)
+    path = tmp_path / "ds.csv"
+    data.save_csv(ds, path)
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[row][2:4] = [f"0,{end}1", "0"]  # candidates {0, 1} and label 0
+    path.write_text("".join(",".join(f'"{f}"' if "," in f else f for f in r) + end for r in rows))
+    loaded = data.load_csv(path)
+    assert loaded.candidates[row - 1].tolist() == [True, True, False, False, False]
+    assert loaded.n == 1100
+    _assert_reads_as_the_reference(path)
+
+
+@pytest.mark.parametrize("blank", [2, 1024, 1025, 1101])
+def test_a_blank_line_in_any_block_is_a_short_record(tmp_path, blank):
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=1100), 0.5, seed=blank)
+    path = tmp_path / "ds.csv"
+    data.save_csv(ds, path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines.insert(blank - 1, b" " * (blank % 2))
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}:{blank}: expected 9 fields, got {blank % 2}"
+    _assert_reads_as_the_reference(path)
+
+
+def _with_row_field(tmp_path, field, value):
+    """A 1200-row CSV whose row 1100 (line 1101) holds the bytes `value` in `field`."""
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=1200), 0.5, seed=6)
+    path = tmp_path / "ds.csv"
+    data.save_csv(ds, path)
+    lines = path.read_bytes().split(b"\r\n")
+    fields = lines[1100].split(b",")
+    fields[{"x1": 1, "label": -6}[field]] = value
+    lines[1100] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+    return path
+
+
+def test_a_label_beyond_int64_is_a_parse_error(tmp_path, capsys):
+    path = _with_row_field(tmp_path, "label", b"99999999999999999999")
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}:1101: label 99999999999999999999 is out of the int64 range"
+    argv = ["train", "--dataset", str(path), "--method", "proden", "--epochs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert "1101: label 99999999999999999999 is out of the int64 range" in capsys.readouterr().err
+
+
+def test_a_byte_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = _with_row_field(tmp_path, "x1", b"0.5\xe9")
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value).startswith(f"{path}:1101: not UTF-8 (")
+    assert "0xe9" in str(err.value)
+    argv = ["train", "--dataset", str(path), "--method", "proden", "--epochs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert f"{path}:1101: not UTF-8" in capsys.readouterr().err
+
+
 def test_manifest_checksum_matches_file(tmp_path):
     ds = data.corrupt_instance_dependent(_uncorrupted(n=30), 0.5, seed=10)
     csv_path = tmp_path / "ds.csv"
-    data.save_csv(ds, csv_path)
+    digest = data.save_csv(ds, csv_path)
+    assert digest == data.file_checksum(csv_path)
     manifest_path = tmp_path / "manifest.json"
-    data.write_manifest(manifest_path, ds, csv_path, ambiguity=0.5, seed=10)
+    data.write_manifest(manifest_path, ds, digest, ambiguity=0.5, seed=10)
     manifest = json.loads(manifest_path.read_text())
     assert manifest["checksum"] == data.file_checksum(csv_path)
     assert manifest["n"] == 30 and manifest["c"] == 5 and manifest["q"] == 2
@@ -574,10 +763,8 @@ def large_generation(tmp_path_factory):
     ds, peaks["gen"] = _traced(data.gen_gaussian_mixture, 5, 2, MEM_ROWS, 2.5, 0)
     corrupted, peaks["corrupt"] = _traced(data.corrupt_instance_dependent, ds, 0.5, 0)
     _, peaks["validate"] = _traced(data.validate_dataset, corrupted)
-    _, peaks["save"] = _traced(data.save_csv, corrupted, csv_path)
-    _, peaks["manifest"] = _traced(
-        data.write_manifest, out / "manifest.json", corrupted, csv_path
-    )
+    digest, peaks["save"] = _traced(data.save_csv, corrupted, csv_path)
+    _, peaks["manifest"] = _traced(data.write_manifest, out / "manifest.json", corrupted, digest)
     return ds, corrupted, csv_path, peaks
 
 
