@@ -401,14 +401,17 @@ def cmd_report(args) -> int:
     if len(set(names)) != len(names):
         raise UsageError(f"--runs lists a directory name twice: {' '.join(names)}")
     out_dir = _make_out_dir(args.out, args.made_dirs)
+    # every run is read and checked before the first file is written
     md = ["# Run report", ""]
+    series_rows = {}
     for run in args.runs:
         run_dir = Path(run)
         if not run_dir.exists():
             raise DataError(f"run directory {run_dir} does not exist")
         series = _read_metrics_series(run_dir)
         name = run_dir.name
-        rows = []
+        series_name = f"{name}_series.csv"
+        series_rows[series_name] = rows = []
         # epoch e averages the seeds that logged it
         for e, points in enumerate(itertools.zip_longest(*series.values()), start=1):
             logged = [point for point in points if point is not None]
@@ -420,13 +423,6 @@ def cmd_report(args) -> int:
                     "pseudo_label_drift": float(np.mean([d for _, d in logged])),
                 }
             )
-        series_path = out_dir / f"{name}_series.csv"
-        with series_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["epoch", "bayes_consistency", "pseudo_label_drift"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
         md.append(f"## {name}")
         md.append("")
         summary_path = run_dir / "summary.json"
@@ -442,8 +438,15 @@ def cmd_report(args) -> int:
                 f"over {len(summary.get('seeds', []))} seed(s)"
             )
         md.append(f"- seeds with logs: {sorted(series)}")
-        md.append(f"- per-epoch series: `{series_path.name}`")
+        md.append(f"- per-epoch series: `{series_name}`")
         md.append("")
+    for series_name, rows in series_rows.items():
+        with (out_dir / series_name).open("w", newline="") as fh:
+            writer = csv.DictWriter(
+                fh, fieldnames=["epoch", "bayes_consistency", "pseudo_label_drift"]
+            )
+            writer.writeheader()
+            writer.writerows(rows)
     report_path = out_dir / "report.md"
     report_path.write_text("\n".join(md) + "\n")
     print(f"wrote {report_path}")

@@ -659,24 +659,45 @@ def save_csv(ds: PllDataset, path) -> str:
     return digest.hexdigest()
 
 
-def _candidate_list(field: str) -> list[int]:
-    return [int(tok) for tok in field.split(",") if tok != ""]
+_NOT_A = {float: "could not convert string to float", int: "invalid literal for int() with base 10"}
 
 
-_INT64 = range(-(2**63), 2**63)
+def _number(kind, text: str):
+    """float(text) or int(text), where text, stripped, is ASCII and holds no '_'."""
+    if text.strip().isascii() and "_" not in text:
+        return kind(text)
+    raise ValueError(f"{_NOT_A[kind]}: {text!r}")
+
+
+def _indices(field: str) -> list[int]:
+    """The integers of a candidates field, joined by commas; empty items are skipped."""
+    return [_number(int, tok) for tok in field.split(",") if tok != ""]
+
+
+def _fields(line: str) -> list[str]:
+    """csv.reader's fields of one line, read with errors="surrogateescape";
+    ValueError where the line is not UTF-8 or a quote is open at its end."""
+    text = line.rstrip("\r\n")
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 ({exc})") from None
+    (fields,) = csv.reader([text + "\n"])
+    if fields and fields[-1].endswith("\n"):  # only an open quote keeps the line break
+        raise ValueError("a quoted field does not close on its line")
+    return fields
+
+
+_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 1}
 
 
 class _CsvBlocks:
-    """The fields of load_csv's header, read from blocks of lines.
-
-    A block is one `np.loadtxt` call where numpy's C reader gives what
-    csv.reader with float() and int() gives, and is read record by record
-    otherwise. Distinct candidate fields are parsed once, in `ids` and `lists`.
-    """
+    """The fields of load_csv's header, read from blocks of lines by `table`;
+    `refuse` names the first line of a block that `table` refused. Distinct
+    candidate fields are parsed once, in `ids` and `lists`."""
 
     def __init__(self, path: Path, header: list[str]):
         self.path = path
-        self.width = len(header)
         self.feat = [i for i, name in enumerate(header) if name.startswith("x")]
         self.eta = [i for i, name in enumerate(header) if name.startswith("eta")]
         self.cand = header.index("candidates")
@@ -684,39 +705,35 @@ class _CsvBlocks:
         self.kinds = ["f8" if name.startswith(("x", "eta")) else "S" for name in header]
         if self.label is not None:
             self.kinds[self.label] = "i8"
-        self.ids: dict[str, int] = {}  # distinct candidate field -> index
+        self.ids: dict[bytes, int] = {}  # distinct candidate field -> index
         self.lists: list[list[int]] = []
 
-    def table(self, lines: list[str]) -> tuple | None:
-        """(features, codes, labels, eta) of one row per line, or None where the
-        C reader may part from csv.reader: it skips blank lines, joins a quoted
-        line break, refuses `1_0` and non-ASCII digits, and drops the trailing
-        NULs of a bytes field; csv.reader refuses a field past its size limit."""
-        longest = max(map(len, lines))  # no field can be cut short
-        if longest > csv.field_size_limit() or "\0" in "".join(lines):
-            return None
+    def table(self, lines: list[str]) -> tuple:
+        """(features, codes, labels, eta) of one row per line; ValueError unless
+        each line is a record. numpy's C reader reads a number as `_number` does,
+        but it skips blank lines and joins a quoted line break (the row count
+        shows both), reads the last line's open quote to the end, and drops the
+        trailing NULs of a bytes field."""
+        if "\0" in "".join(lines):
+            raise ValueError("a NUL character")
         if not lines[0].rstrip("\r\n"):  # a block of blank lines would make numpy warn
-            return None
+            raise ValueError("a blank line")
+        longest = max(map(len, lines))  # no field can be cut short
         dtype = np.dtype(
             [(f"f{j}", f"S{longest}" if k == "S" else k) for j, k in enumerate(self.kinds)]
         )
-        try:
-            table = np.loadtxt(
-                lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
-            if len(table) != len(lines):
-                return None
-            fields = table[f"f{self.cand}"].tolist()
-            texts = {f: f.decode("latin-1") for f in dict.fromkeys(fields)}  # chars < 256
-            new = [t for t in texts.values() if t not in self.ids]
-            lists = [_candidate_list(t) for t in new]
-        except ValueError:
-            return None
-        for text, lst in zip(new, lists):
-            self.ids[text] = len(self.ids)
-            self.lists.append(lst)
-        code = {f: self.ids[t] for f, t in texts.items()}
-        codes = np.fromiter(map(code.__getitem__, fields), np.intp, len(fields))
+        table = np.loadtxt(lines, dtype=dtype, **_LOADTXT)
+        if len(table) != len(lines):
+            raise ValueError(f"{len(table)} rows in {len(lines)} lines")
+        last = lines[-1].rstrip("\r\n") + "\n"  # its fields as text; dtype=str is slow
+        if np.loadtxt([last], dtype=f"U{len(last)}", **_LOADTXT)[-1].endswith("\n"):
+            raise ValueError("a quoted field does not close on its line")
+        fields = table[f"f{self.cand}"].tolist()
+        for field in dict.fromkeys(fields):  # a refusal ends the load: no half-update matters
+            if field not in self.ids:
+                self.lists.append(_indices(field.decode("latin-1")))  # chars < 256
+                self.ids[field] = len(self.ids)
+        codes = np.fromiter(map(self.ids.__getitem__, fields), np.intp, len(fields))
         labels = None if self.label is None else table[f"f{self.label}"].copy()
         return self._columns(table, self.feat), codes, labels, self._columns(table, self.eta)
 
@@ -727,54 +744,35 @@ class _CsvBlocks:
             out[:, k] = table[f"f{j}"]
         return out
 
-    def records(self, lines: list[str], rest, first_line: int) -> tuple:
-        """(features, codes, labels, eta) of the records that start in `lines`,
-        read by csv.reader with float() and int(); a record may go on into
-        `rest`, the file's later lines. A bad record raises ParseError naming
-        its record number plus one, as `first_line` counts."""
-        feats, codes, labels, eta = [], [], [], []
-        reader = csv.reader(itertools.chain(lines, rest))
-        for lineno, row in enumerate(reader, first_line):
-            if len(row) != self.width:
-                raise ParseError(
-                    f"{self.path}:{lineno}: expected {self.width} fields, got {len(row)}"
-                )
+    def refuse(self, lines: list[str], first_line: int):
+        """Raise the ParseError of the first of `lines` that `table` refuses alone."""
+        for lineno, line in enumerate(lines, first_line):
             try:
-                feats.append([float(row[j]) for j in self.feat])
-                field = row[self.cand]
-                if field not in self.ids:
-                    self.lists.append(_candidate_list(field))
-                    self.ids[field] = len(self.ids)
-                codes.append(self.ids[field])
-                if self.label is not None:
-                    labels.append(int(row[self.label]))
-                    if labels[-1] not in _INT64:
-                        raise ValueError(f"label {labels[-1]} is out of the int64 range")
-                eta.append([float(row[j]) for j in self.eta])
+                self.table([line])
             except ValueError as exc:
-                raise ParseError(f"{self.path}:{lineno}: {exc}") from exc
-            if reader.line_num >= len(lines):
-                break
-        return (
-            np.array(feats, dtype=np.float64).reshape(len(codes), len(self.feat)),
-            np.array(codes, dtype=np.intp),
-            None if self.label is None else np.array(labels, dtype=np.int64),
-            np.array(eta, dtype=np.float64).reshape(len(codes), len(self.eta)),
-        )
+                raise ParseError(f"{self.path}:{lineno}: {self._reason(line) or exc}") from None
+        raise RuntimeError(f"{self.path}:{first_line}: a block is refused but none of its lines")
 
-
-def _undecodable_line(path: Path) -> tuple[int, UnicodeDecodeError | None]:
-    """The first line of the file that is not UTF-8, counting lines as a text file does."""
-    lineno = 0
-    with path.open("rb") as fh:
-        for raw in fh:  # ends at b"\n", so a b"\r\n" is never split
-            for line in raw.splitlines():
-                lineno += 1
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    return lineno, exc
-    return lineno, None
+    def _reason(self, line: str) -> str | None:
+        """Why a line is not a record, in the words of csv.reader, float() and
+        int(); None where they find no fault (a NUL in a column that is not
+        read) or cannot split the line."""
+        try:
+            row = _fields(line)
+            if len(row) != len(self.kinds):
+                return f"expected {len(self.kinds)} fields, got {len(row)}"
+            for j in self.feat:
+                _number(float, row[j])
+            _indices(row[self.cand])
+            if self.label is not None and not -(2**63) <= _number(int, row[self.label]) < 2**63:
+                return f"label {int(row[self.label])} is out of the int64 range"
+            for j in self.eta:
+                _number(float, row[j])
+        except ValueError as exc:
+            return str(exc)
+        except csv.Error:  # a field past its size limit
+            pass
+        return None
 
 
 def load_csv(path, c: int | None = None) -> PllDataset:
@@ -782,31 +780,35 @@ def load_csv(path, c: int | None = None) -> PllDataset:
 
     The label count is taken from posterior columns when present, from `c`
     otherwise, and as a last resort from the largest candidate index seen.
-    The file is UTF-8. Rows are read in blocks of _CSV_BLOCK lines (see
-    _CsvBlocks); a malformed row raises ParseError naming its line (the header
-    is line 1).
+    The file is UTF-8, with one record per line. Rows are read in blocks of
+    _CSV_BLOCK lines (see _CsvBlocks); a line that is not a record raises
+    ParseError naming it (the header is line 1).
     """
     path = Path(path)
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
+        # a byte that is not UTF-8 reads as a lone surrogate, which no field accepts
+        with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            first = fh.readline()
+            if not first:
                 raise ParseError(f"{path}: empty file")
+            try:
+                header = _fields(first)
+            except (ValueError, csv.Error) as exc:
+                raise ParseError(f"{path}:1: {exc}") from None
             if "candidates" not in header:
-                raise ParseError(f"{path}: no 'candidates' column in header {header}")
+                raise ParseError(f"{path}:1: no 'candidates' column in header {header}")
             blocks = _CsvBlocks(path, header)
             parts = [[np.empty((0, len(blocks.feat)))], [np.empty(0, dtype=np.intp)]]
             parts += [[np.empty(0, dtype=np.int64)], [np.empty((0, len(blocks.eta)))]]
             first_line = 2  # of the block; the header is line 1
             while lines := list(itertools.islice(fh, _CSV_BLOCK)):
-                block = blocks.table(lines) or blocks.records(lines, fh, first_line)
+                try:
+                    block = blocks.table(lines)
+                except ValueError:
+                    blocks.refuse(lines, first_line)  # raises ParseError
                 for part, array in zip(parts, block):
                     part.append(array)
-                first_line += len(block[1])
-    except UnicodeDecodeError as exc:
-        lineno, line_exc = _undecodable_line(path)
-        where = f"{path}:{lineno}" if line_exc else str(path)
-        raise ParseError(f"{where}: not UTF-8 ({line_exc or exc})") from None
+                first_line += len(lines)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -823,18 +825,12 @@ def load_csv(path, c: int | None = None) -> PllDataset:
     else:
         n_labels = 1 + max((max(lst) for lst in cand_lists if lst), default=0)
     masks = np.zeros((len(cand_lists), n_labels), dtype=bool)
-    bad_index = {}
-    for k, lst in enumerate(cand_lists):
-        out_of_range = [j for j in lst if not 0 <= j < n_labels]
-        if out_of_range:
-            bad_index[k] = out_of_range[0]
-        else:
-            masks[k, lst] = True
-    if bad_index:
-        i = int(np.flatnonzero(np.isin(codes, list(bad_index)))[0])
-        raise ParseError(
-            f"{path}:{i + 2}: candidate index {bad_index[int(codes[i])]} out of range"
-        )
+    for k, lst in enumerate(cand_lists):  # in the order of their first lines
+        bad = [j for j in lst if not 0 <= j < n_labels]
+        if bad:
+            i = int(np.flatnonzero(codes == k)[0])  # row i is on line i + 2
+            raise ParseError(f"{path}:{i + 2}: candidate index {bad[0]} out of range")
+        masks[k, lst] = True
     candidates = masks[codes]
     del codes
     ds = PllDataset(

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reduxpll import data, theory
+from reduxpll import cli, data, theory
 from reduxpll.cli import main
+from reduxpll.errors import DataError
 
 FAST_TRAIN = ["--epochs", "4", "--batch-size", "64"]
 
@@ -457,16 +458,20 @@ def test_an_empty_validation_or_test_split_exits_2(
     assert not out.exists()
 
 
-def test_a_failed_command_keeps_an_out_directory_that_holds_files(tmp_path):
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "metrics_seed0.jsonl").write_text(
-        json.dumps({"bayes_consistency": None, "pseudo_label_drift": 0.0}) + "\n"
-    )
-    out = tmp_path / "new" / "rep"
-    # the first run's series is written before the missing run fails
-    assert main(["report", "--runs", str(run), "missing", "--out", str(out)]) == 2
-    assert [p.name for p in out.iterdir()] == ["run_series.csv"]
+def test_a_failed_command_keeps_an_out_directory_that_holds_files(
+    tmp_path, dataset_dir, monkeypatch
+):
+    def fail(out_dir, written, **kwargs):
+        raise DataError("the manifest failed")
+
+    # train writes its metrics, checkpoint and summary before its manifest
+    monkeypatch.setattr(cli, "_write_run_manifest", fail)
+    out = tmp_path / "new" / "run"
+    argv = ["train", "--dataset", str(dataset_dir), "--epochs", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint_seed0.npz", "metrics_seed0.jsonl", "summary.json"
+    ]
 
 
 EPOCH_LINE = json.dumps({"bayes_consistency": 0.5, "pseudo_label_drift": 0.1})
@@ -507,6 +512,28 @@ def test_report_names_the_file_and_line_of_a_malformed_run_file(
     (run / name).write_bytes(text.encode("latin-1"))  # "\xff": one byte, not UTF-8
     assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
     assert f"{run / name}{where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_report_leaves_its_out_directory_as_it_found_it(tmp_path, capsys, existing):
+    runs = []
+    for name in ("a", "b", "c"):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "metrics_seed0.jsonl").write_text(EPOCH_LINE + "\n")
+        runs.append(str(run))
+    (tmp_path / "c" / "metrics_seed0.jsonl").write_text("{nope\n")  # the last run is malformed
+    out = tmp_path / "rep"
+    if existing:
+        out.mkdir()
+        (out / "a_series.csv").write_text("older\n")
+    assert main(["report", "--runs", *runs, "--out", str(out)]) == 2
+    assert f"{tmp_path / 'c' / 'metrics_seed0.jsonl'}:1: invalid JSON" in capsys.readouterr().err
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["a_series.csv"]
+        assert (out / "a_series.csv").read_text() == "older\n"
+    else:
+        assert not out.exists()
 
 
 def test_report_rejects_two_runs_with_the_same_directory_name(tmp_path, capsys):

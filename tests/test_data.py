@@ -363,33 +363,58 @@ def _save_csv_reference(ds, path):
             writer.writerow(row)
 
 
+_NOT_A = {float: "could not convert string to float", int: "invalid literal for int() with base 10"}
+
+
+def _plain(kind, text):
+    """float(text) or int(text), where text, stripped, is ASCII and holds no '_'."""
+    if not text.strip().isascii() or "_" in text:
+        raise ValueError(f"{_NOT_A[kind]}: {text!r}")
+    return kind(text)
+
+
+def _line_fields(line):
+    """csv.reader's fields of one physical line; a quote must close before the line ends."""
+    (row,) = csv.reader([line if line.endswith(("\n", "\r")) else line + "\n"])
+    if row and row[-1].endswith(("\n", "\r")):
+        raise ValueError("a quoted field does not close on its line")
+    return row
+
+
 def _load_csv_reference(path, c=None):
-    """The per-row reader: csv.reader, float() and int() on one record at a time."""
+    """The per-line reader: csv.reader on one physical line at a time, then
+    float() and int() on each number under the ASCII, no-'_' rule."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if "candidates" not in header:
-            raise ParseError(f"{path}: no 'candidates' column in header {header}")
-        feat = [i for i, name in enumerate(header) if name.startswith("x")]
-        eta = [i for i, name in enumerate(header) if name.startswith("eta")]
-        cand = header.index("candidates")
-        label = header.index("label") if "label" in header else None
-        rows = {"features": [], "candidates": [], "labels": [], "posterior": []}
-        for lineno, row in enumerate(reader, 2):
+        lines = list(fh)
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    try:
+        header = _line_fields(lines[0])
+    except ValueError as exc:
+        raise ParseError(f"{path}:1: {exc}") from exc
+    if "candidates" not in header:
+        raise ParseError(f"{path}:1: no 'candidates' column in header {header}")
+    feat = [i for i, name in enumerate(header) if name.startswith("x")]
+    eta = [i for i, name in enumerate(header) if name.startswith("eta")]
+    cand = header.index("candidates")
+    label = header.index("label") if "label" in header else None
+    rows = {"features": [], "candidates": [], "labels": [], "posterior": []}
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            row = _line_fields(line)
             if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows["features"].append([float(row[j]) for j in feat])
-                rows["candidates"].append([int(t) for t in row[cand].split(",") if t != ""])
-                if label is not None:
-                    rows["labels"].append(int(row[label]))
-                    if not -(2**63) <= rows["labels"][-1] < 2**63:
-                        raise ValueError(f"label {rows['labels'][-1]} is out of the int64 range")
-                rows["posterior"].append([float(row[j]) for j in eta])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            rows["features"].append([_plain(float, row[j]) for j in feat])
+            rows["candidates"].append([_plain(int, t) for t in row[cand].split(",") if t != ""])
+            if label is not None:
+                rows["labels"].append(_plain(int, row[label]))
+                if not -(2**63) <= rows["labels"][-1] < 2**63:
+                    raise ValueError(f"label {rows['labels'][-1]} is out of the int64 range")
+            rows["posterior"].append([_plain(float, row[j]) for j in eta])
+            if "\0" in line:
+                raise ValueError("a NUL character")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     n = len(rows["features"])
     if eta:
         n_labels = len(eta)
@@ -592,16 +617,16 @@ def _outcome(load, path, c=None):
     return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in _arrays(ds)]
 
 
-# Spellings that float() or int() may read differently from numpy's C reader,
-# candidate fields that only csv.reader's quoting rules explain, and lines that
-# are not records.
+# Spellings that float() or int() may read differently from numpy's C reader or
+# that the ASCII, no-'_' rule refuses, candidate fields that only csv.reader's
+# quoting rules explain, open quotes, and lines that are not records.
 _FLOAT_SPELLINGS = [
     "1_0", " 1.5", "+1.5", ".5", "5.", "1E5", "nan", "-Infinity", "١", '"1.5"',
-    "1.5 ", "", "x", "1.5\x00", "0x10", "\xa01.5",
+    "1.5 ", "", "x", "1.5\x00", "0x10", "\xa01.5", '"1.5',
 ]
 _CANDIDATE_SPELLINGS = [
     '"0,""1"', '"0,1"x', '"0,1" ', ' "0,1"', '"0,\n1"', '"0,\r\n1"', '"1,\n"', "0\x00",
-    '"0,1\x00"', "١", "0 ", '"0,,1"', '""', "1", "9", "0,1",
+    '"0,1\x00"', "١", "0 ", '"0,,1"', '""', "1", "9", "0,1", '"0,1_0"',
 ]
 _LABEL_SPELLINGS = [
     "+0", " 0", "1_0", "٢", "0.0", "99999999999999999999", "-9223372036854775809",
@@ -659,18 +684,110 @@ def test_load_csv_matches_the_per_row_reader_on_fuzzed_files(tmp_path):
 @pytest.mark.parametrize("row", [3, 1023, 1024, 1025])
 @pytest.mark.parametrize("end", ["\r\n", "\n"])
 def test_a_quoted_line_break_at_a_block_edge_reads_as_the_reference(tmp_path, row, end):
-    # csv.reader joins the two lines into one record, so "0,<end>1" reads as {0, 1}
+    # one record per physical line: a quote left open at a line's end is refused there
     ds = data.corrupt_instance_dependent(_uncorrupted(n=1100), 0.5, seed=row)
     path = tmp_path / "ds.csv"
     data.save_csv(ds, path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
-    rows[row][2:4] = [f"0,{end}1", "0"]  # candidates {0, 1} and label 0
+    rows[row][2:4] = [f"0,{end}1", "0"]  # csv.reader would join "0,<end>1" into {0, 1}
     path.write_text("".join(",".join(f'"{f}"' if "," in f else f for f in r) + end for r in rows))
-    loaded = data.load_csv(path)
-    assert loaded.candidates[row - 1].tolist() == [True, True, False, False, False]
-    assert loaded.n == 1100
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}:{row + 1}: a quoted field does not close on its line"
     _assert_reads_as_the_reference(path)
+    argv = ["train", "--dataset", str(path), "--method", "proden", "--epochs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+
+
+def test_an_open_quote_names_the_line_it_opens_on_not_the_record(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text('x0,candidates,label\n0.5,"0,\n1",0\n0.5,"0,1",0\nnope,"0,1",0\n')
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}:2: a quoted field does not close on its line"
+    _assert_reads_as_the_reference(path)
+
+
+@pytest.mark.parametrize("line", [2, 15, 31])
+@pytest.mark.parametrize("end", ["\r\n", ""])
+def test_an_open_quote_in_the_last_field_is_refused_on_any_line(tmp_path, line, end):
+    # numpy reads a quote left open on its input's last line up to the end
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=30), 0.5, seed=line)
+    path = tmp_path / "ds.csv"
+    data.save_csv(ds, path)
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[-1] = '"' + fields[-1]
+    lines[line - 1] = ",".join(fields)
+    path.write_bytes(("\r\n".join(lines) + end).encode())
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}:{line}: a quoted field does not close on its line"
+    _assert_reads_as_the_reference(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ('x0,"candidates\n",label', "a quoted field does not close on its line"),
+        ("x0,label", "no 'candidates' column in header ['x0', 'label']"),
+    ],
+    ids=["open-quote", "no-candidates"],
+)
+def test_the_header_is_the_first_physical_line(tmp_path, header, message):
+    # csv.reader over the file would join the header's quoted break into one record
+    path = tmp_path / "ds.csv"
+    path.write_text(header + '\n0.5,"0,1",0\n')
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}:1: {message}"
+    _assert_reads_as_the_reference(path)
+
+
+def test_a_candidate_index_is_read_by_the_rule_of_every_number(tmp_path):
+    # int(b"1_0") is 10; numpy's bytes field would pass "1_0" on as it is
+    path = tmp_path / "ds.csv"
+    path.write_text('x0,candidates,label\n0.5,"0,1",0\n0.5,"0,1_0",0\n')
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path, c=11)
+    assert str(err.value) == f"{path}:3: invalid literal for int() with base 10: '1_0'"
+    _assert_reads_as_the_reference(path, c=11)
+
+
+def _with_long_candidates(tmp_path, tail=b""):
+    """A 120-row CSV and its dataset; line 101 spells its candidate set in a field of
+    140 001 characters, past csv.reader's field size limit, with `tail` at its end."""
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=120), 0.5, seed=4)
+    path = tmp_path / "ds.csv"
+    data.save_csv(ds, path)
+    lines = path.read_bytes().split(b"\r\n")
+    fields = lines[100].split(b'"')  # the candidates are the only quoted field
+    spelled = fields[1] + tail
+    fields[1] = spelled[:2] * ((140001 - len(spelled)) // 2) + spelled  # "a," repeated
+    assert len(fields[1]) == 140001 > csv.field_size_limit()
+    lines[100] = b'"'.join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+    return ds, path
+
+
+def test_a_candidate_field_past_the_csv_field_limit_loads(tmp_path):
+    ds, path = _with_long_candidates(tmp_path)
+    loaded = data.load_csv(path)
+    assert np.array_equal(loaded.candidates, ds.candidates)
+    argv = ["train", "--dataset", str(path), "--method", "proden", "--epochs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+
+
+def test_a_bad_candidate_field_past_the_csv_field_limit_is_a_parse_error(tmp_path, capsys):
+    _, path = _with_long_candidates(tmp_path, b",x")
+    message = f"{path}:101: invalid literal for int() with base 10: 'x'"
+    with pytest.raises(ParseError) as err:
+        data.load_csv(path)
+    assert str(err.value) == message
+    argv = ["train", "--dataset", str(path), "--method", "proden", "--epochs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("blank", [2, 1024, 1025, 1101])

@@ -1,4 +1,4 @@
-"""The package's lazy API, the modules each CLI command loads, dead code, and method-name tests."""
+"""The package's lazy API, the modules each CLI command loads, dead code, method names and the CSV parser."""
 
 import ast
 import importlib
@@ -181,3 +181,28 @@ def test_no_code_compares_a_value_with_a_method_name():
             if any(map(_method_names, operands)):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+
+def _one_element_list(call: ast.Call | None) -> bool:
+    return (
+        call is not None and not call.keywords and len(call.args) == 1
+        and isinstance(call.args[0], ast.List) and len(call.args[0].elts) == 1
+        and not isinstance(call.args[0].elts[0], ast.Starred)
+    )
+
+
+def test_data_calls_csv_reader_only_on_a_one_element_list():
+    # numpy's reader reads the records; csv.reader on one line cannot join two lines
+    path = Path(reduxpll.__file__).parent / "data.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    readers, hits = 0, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "csv":  # `reader(fh)` would hide
+            hits.append(f"data.py:{node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr == "reader":
+            readers += 1
+            if not _one_element_list(calls.get(id(node))):
+                hits.append(f"data.py:{node.lineno}")
+    assert readers and hits == []
