@@ -22,10 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import METHODS, data
+from . import METHODS
 from .errors import ConfigError, DataError, NumericError, ParseError, ReduxPllError, UsageError
+from .errors import parse_object, read_text
 
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
+
+# the files each run writes into its directory, by seed
+_METRICS, _CHECKPOINT = "metrics_seed{}.jsonl", "checkpoint_seed{}.npz"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,39 +60,22 @@ def _alphas(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"invalid alpha list {text!r} ({exc})") from None
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: cannot read the file ({exc})") from None
-
-
-def _parse_object(text: str, where) -> dict:
-    """The JSON object in `text`; anything else is a ParseError naming `where`."""
-    def constant(token):
-        raise ParseError(f"{where}: {token} is not a JSON number")
-    try:
-        doc = json.loads(text, parse_constant=constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected a JSON object")
-    return doc
-
-
-def _load_dataset(path_arg: str) -> tuple[data.PllDataset, str]:
+def _load_dataset(path_arg: str, split_seed: int) -> tuple[tuple, str]:
     """Load a dataset directory (csv + manifest) or a bare csv path.
 
-    Returns the dataset and the sha256 of its csv. Each of `checksum`, `n`,
-    `c` and `q` that the manifest holds must match the file and the dataset.
+    Returns the train/val/test split of the dataset by `split_seed` and the
+    sha256 of its csv. Each of `checksum`, `n`, `c` and `q` that the manifest
+    holds must match the file and the dataset.
     """
+    from . import data
+
     path = Path(path_arg)
     manifest = {}
     if path.is_dir():
         csv_path = path / "dataset.csv"
         manifest_path = path / "manifest.json"
         if manifest_path.exists():
-            manifest = _parse_object(_read_text(manifest_path), manifest_path)
+            manifest = parse_object(read_text(manifest_path), manifest_path)
     else:
         csv_path = path
     if not csv_path.exists():
@@ -109,7 +96,7 @@ def _load_dataset(path_arg: str) -> tuple[data.PllDataset, str]:
     ds = data.load_csv(csv_path, c=manifest.get("c"))
     for key in ("n", "c", "q"):
         expect(key, getattr(ds, key))
-    return ds, checksum
+    return data.split(ds, data.SplitSpec(seed=split_seed)), checksum
 
 
 def _build_config(args) -> training.TrainConfig:
@@ -118,7 +105,7 @@ def _build_config(args) -> training.TrainConfig:
 
     doc = {}
     if getattr(args, "config", None):
-        doc = _parse_object(_read_text(Path(args.config)), args.config)
+        doc = parse_object(read_text(Path(args.config)), args.config)
     for key, flags in (("seed", "--seed-base and --seeds"), ("alpha", "--alphas")):
         if key in doc and (key == "seed" or args.command == "sweep-alpha"):
             raise ConfigError(f"{args.config}: {key} is set by {flags}, not by the config file")
@@ -149,15 +136,26 @@ def _make_out_dir(path, made: list[Path]) -> Path:
     return out_dir
 
 
-def _check_report_target(out: Path) -> None:
-    """Reject a report path that cannot become a file, before any work is done."""
-    if out.is_dir():
-        reason = "Is a directory"
-    elif not next(p for p in out.parents if p.exists()).is_dir():
-        reason = "Not a directory"
-    else:
-        return
-    raise UsageError(f"--out {out}: cannot write the report ({reason})")
+def _check_out(out: Path, names) -> None:
+    """Refuse, before any work is done, an --out under which a file the command
+    writes cannot be made: a directory stands in its place, or a file in the
+    place of a directory above it. `names` are the files' paths under `out`;
+    "" is `out` itself, the report of verify-theory.
+    """
+    for name in names:
+        path = out / name
+        if path.is_dir():
+            reason = "Is a directory"
+        elif not next(p for p in path.parents if p.exists()).is_dir():
+            reason = "Not a directory"
+        else:
+            continue
+        raise UsageError(f"--out {out}: cannot write {name or 'the report'} ({reason})")
+
+
+def _run_files(seeds) -> list[str]:
+    """The metrics files, then the checkpoints, that the runs of `seeds` write."""
+    return [*map(_METRICS.format, seeds), *map(_CHECKPOINT.format, seeds)]
 
 
 def _run_lanes(ds_parts, configs, out_dirs) -> tuple[list[dict], list[Path]]:
@@ -168,8 +166,8 @@ def _run_lanes(ds_parts, configs, out_dirs) -> tuple[list[dict], list[Path]]:
     from . import training
 
     lanes = list(zip(configs, out_dirs))
-    metrics_paths = [out / f"metrics_seed{cfg.seed}.jsonl" for cfg, out in lanes]
-    checkpoint_paths = [out / f"checkpoint_seed{cfg.seed}.npz" for cfg, out in lanes]
+    metrics_paths = [out / _METRICS.format(cfg.seed) for cfg, out in lanes]
+    checkpoint_paths = [out / _CHECKPOINT.format(cfg.seed) for cfg, out in lanes]
     results = training.fit_lanes(
         ds_parts, configs, metrics_paths=metrics_paths, checkpoint_paths=checkpoint_paths
     )
@@ -210,6 +208,8 @@ def _write_run_manifest(
     POSIX path relative to `out_dir`. A sweep also lists its grid under
     `alphas`: its lanes ran those alphas in place of `config`'s.
     """
+    from . import data
+
     manifest_path = out_dir / "run_manifest.json"
     artifacts = {p.relative_to(out_dir).as_posix(): data.file_checksum(p) for p in written}
     manifest = {
@@ -239,6 +239,9 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--q must be at least 2, got {args.q}")
     if not 0.0 < args.ambiguity <= 1.0:
         raise UsageError(f"--ambiguity must be in (0, 1], got {args.ambiguity}")
+    _check_out(Path(args.out), ["dataset.csv", "manifest.json"])
+    from . import data
+
     out_dir = _make_out_dir(args.out, args.made_dirs)
     ds = data.gen_gaussian_mixture(args.c, args.q, args.n, args.separation, args.seed)
     ds = data.corrupt_instance_dependent(ds, args.ambiguity, args.seed)
@@ -255,11 +258,11 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     if args.seeds <= 0:
         raise UsageError(f"--seeds must be positive, got {args.seeds}")
-    ds, dataset_checksum = _load_dataset(args.dataset)
+    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
+    _check_out(Path(args.out), [*_run_files(seeds), "summary.json", "run_manifest.json"])
+    parts, dataset_checksum = _load_dataset(args.dataset, args.split_seed)
     config = _build_config(args)
     out_dir = _make_out_dir(args.out, args.made_dirs)
-    parts = data.split(ds, data.SplitSpec(seed=args.split_seed))
-    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     configs = [replace(config, seed=s) for s in seeds]
     per_seed, written = _run_lanes(parts, configs, [out_dir] * len(seeds))
     summary = {
@@ -287,11 +290,12 @@ def cmd_sweep_alpha(args) -> int:
     names = [_alpha_dir(alpha) for alpha in args.alphas]  # alphas of one name share its files
     if len(set(names)) != len(names):
         raise UsageError(f"--alphas writes a directory twice: {' '.join(names)}")
-    ds, dataset_checksum = _load_dataset(args.dataset)
+    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
+    files = [f"{name}/{file}" for name in names for file in _run_files(seeds)]
+    _check_out(Path(args.out), [*files, "sweep.csv", "run_manifest.json"])
+    parts, dataset_checksum = _load_dataset(args.dataset, args.split_seed)
     base_config = _build_config(args)
     out_dir = _make_out_dir(args.out, args.made_dirs)
-    parts = data.split(ds, data.SplitSpec(seed=args.split_seed))
-    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     alpha_dirs = [_make_out_dir(out_dir / name, args.made_dirs) for name in names]
     # the whole alpha x seed grid is one lane stack, alpha-major
     per_lane, written = _run_lanes(
@@ -332,7 +336,7 @@ def cmd_verify_theory(args) -> int:
     if args.trials <= 0:
         raise UsageError(f"--trials must be positive, got {args.trials}")
     if args.out:
-        _check_report_target(Path(args.out))
+        _check_out(Path(args.out), [""])
     from . import theory
 
     name = args.scenario
@@ -387,10 +391,10 @@ def _read_metrics_series(run_dir: Path) -> dict[int, list[tuple]]:
         if not (seed.isascii() and seed.isdigit()) or seed != str(int(seed)):
             raise ParseError(f"{path}: expected a name metrics_seed<seed>.jsonl")
         series[int(seed)] = points = []
-        for number, line in enumerate(_read_text(path).splitlines(), start=1):
+        for number, line in enumerate(read_text(path).splitlines(), start=1):
             if line:
                 where = f"{path}:{number}"
-                epoch = _parse_object(line, where)
+                epoch = parse_object(line, where)
                 consistency = _number(epoch, "bayes_consistency", where, nullable=True)
                 points.append((consistency, _number(epoch, "pseudo_label_drift", where)))
     return series
@@ -400,6 +404,7 @@ def cmd_report(args) -> int:
     names = [Path(run).name for run in args.runs]
     if len(set(names)) != len(names):
         raise UsageError(f"--runs lists a directory name twice: {' '.join(names)}")
+    _check_out(Path(args.out), [*(f"{name}_series.csv" for name in names), "report.md"])
     out_dir = _make_out_dir(args.out, args.made_dirs)
     # every run is read and checked before the first file is written
     md = ["# Run report", ""]
@@ -427,7 +432,7 @@ def cmd_report(args) -> int:
         md.append("")
         summary_path = run_dir / "summary.json"
         if summary_path.exists():
-            summary = _parse_object(_read_text(summary_path), summary_path)
+            summary = parse_object(read_text(summary_path), summary_path)
             for key in ("mean_test_accuracy", "std_test_accuracy"):
                 _number(summary, key, summary_path)
             if not isinstance(summary.get("seeds", []), list):

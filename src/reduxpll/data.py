@@ -80,7 +80,7 @@ def validate_dataset(
     def reject_rows(message, test):
         rows = _rows_where(n, test)
         if rows.size:
-            raise DataError(f"{message} in rows {rows.tolist()[:20]}", rows)
+            raise DataError(f"{message} in rows {rows.tolist()[:20]}", rows, message)
 
     def sizes(b):
         return cands[b].sum(axis=1)
@@ -457,14 +457,30 @@ def _format_tables() -> dict[str, np.ndarray]:
         shift = ((e * 1741647) >> 19) - 127  # floor(log2 10**e) - 127
         num, den = 10 ** max(e, 0) << max(-shift, 0), 10 ** max(-e, 0) << max(shift, 0)
         g.append(num // den + 1)
-    exps = [b"e%+03d" % e for e in range(_EXP_MIN, _EXP_MAX + 1)]
+    # quads and suffix are 8-byte texts read as little-endian words. The digits
+    # of 0000..9999 are made in uint16: a 320 KB int64 temporary would raise
+    # glibc's mmap threshold, and later blocks would stay on the heap.
+    quads = np.zeros((10000, 8), dtype=np.uint8)
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    quads[:, :4] = np.arange(10000, dtype=np.uint16)[:, None] // places % 10 + ord("0")
+    # "", "0" and "e%+03d" % e; a two-digit exponent is written with three
+    # digits, then moved left over its leading 0
+    exponent = np.arange(_EXP_MIN, _EXP_MAX + 1)
+    suffix = np.zeros((2 + exponent.size, 8), dtype=np.uint8)
+    suffix[1, 0] = ord("0")
+    exps = suffix[2:]
+    exps[:, 0] = ord("e")
+    exps[:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    exps[:, 2:5] = np.abs(exponent)[:, None] // [100, 10, 1] % 10 + ord("0")
+    two = np.abs(exponent) < 100
+    exps[two, 2:5] = exps[two, 3:6]
     ones = b"\xff" * _BODY
     cols = [*range(_BODY), _BODY - 1]
     tables = {
         "g_hi": np.array([v >> 64 for v in g], dtype=np.uint64),
         "g_lo": np.array([v & (2**64 - 1) for v in g], dtype=np.uint64),
-        "quads": np.frombuffer(b"".join(b"%04d0000" % i for i in range(10000)), "<u8") & _M32,
-        "suffix": np.stack([_words(t, 24)[3] for t in [b"", b"0", *exps]]),
+        "quads": quads.view("<u8")[:, 0],
+        "suffix": suffix.view("<u8")[:, 0],
         "keep": np.stack([_words(ones[j:], 2 + j) for j in range(_BODY)]),
         "before": np.stack([_words(ones[:j], 2) for j in cols]),
         "after": np.stack([_words(ones[j + 1 :], 3 + j) for j in cols]),
@@ -782,7 +798,8 @@ def load_csv(path, c: int | None = None) -> PllDataset:
     otherwise, and as a last resort from the largest candidate index seen.
     The file is UTF-8, with one record per line. Rows are read in blocks of
     _CSV_BLOCK lines (see _CsvBlocks); a line that is not a record raises
-    ParseError naming it (the header is line 1).
+    ParseError naming it (the header is line 1), and a row that breaks a
+    dataset invariant raises DataError naming the line of the first such row.
     """
     path = Path(path)
     try:
@@ -836,7 +853,11 @@ def load_csv(path, c: int | None = None) -> PllDataset:
     ds = PllDataset(
         features=features, candidates=candidates, true_labels=labels, posterior=eta
     )
-    validate_dataset(ds)
+    try:
+        validate_dataset(ds)
+    except DataError as exc:  # a loaded dataset can break only the invariants of rows
+        line = exc.rows[0] + 2  # one record per line, after the header
+        raise DataError(f"{path}:{line}: {exc.reason}", exc.rows, exc.reason) from None
     return ds
 
 

@@ -11,7 +11,6 @@ argmax ties break toward the lowest label index.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -25,6 +24,8 @@ from .errors import (
     ContractViolation,
     ParseError,
     ScenarioError,
+    parse_object,
+    read_text,
 )
 
 BALL_SLACK = 1e-12  # fp dust allowance when re-checking ball membership
@@ -160,13 +161,7 @@ class TheoryScenario:
     @classmethod
     def from_json(cls, path) -> "TheoryScenario":
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(doc, name=path.stem)
+        return cls.from_dict(parse_object(read_text(path), path), name=path.stem)
 
 
 def _is_json_int(value) -> bool:
@@ -198,7 +193,7 @@ def load_builtin_scenario(name: str) -> TheoryScenario:
         raise ParseError(
             f"no builtin scenario {name!r}; available: {builtin_scenario_names()}"
         )
-    return TheoryScenario.from_dict(json.loads(candidate.read_text()), name=name)
+    return TheoryScenario.from_dict(parse_object(candidate.read_text(), candidate), name=name)
 
 
 # ---------------------------------------------------------------------------

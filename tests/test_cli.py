@@ -566,6 +566,54 @@ def test_verify_theory_checks_out_before_any_verifier_runs(
     assert capsys.readouterr().err.startswith(f"error: --out {out}: cannot write the report (")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["generate", "--n", "200"], "dataset.csv"),
+        (["train", "--method", "proden", "--epochs", "2", "--batch-size", "32"],
+         "metrics_seed0.jsonl"),
+        (["train", "--method", "proden", "--epochs", "2", "--batch-size", "32"], "summary.json"),
+        (["sweep-alpha", "--alphas", "0.3", "--epochs", "2", "--batch-size", "32"], "sweep.csv"),
+        (["report", "--runs"], "run_series.csv"),
+    ],
+    ids=["generate", "train-metrics", "train-summary", "sweep-alpha", "report"],
+)
+def test_a_directory_where_a_command_writes_a_file_is_a_usage_error(
+    tmp_path, capsys, dataset_dir, argv, name
+):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics_seed0.jsonl").write_text(EPOCH_LINE + "\n")
+    if argv[0] in ("train", "sweep-alpha"):
+        argv = [*argv, "--dataset", str(dataset_dir)]
+    elif argv[0] == "report":
+        argv = [*argv, str(run)]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: cannot write {name} (Is a directory)\n"
+    # refused before any work: nothing was written beside the directory
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{\"a\": 1}", ": cannot read the file ("),
+        (b"[1, 2]", ": expected a JSON object"),
+        (b'{"tau": NaN}', ": NaN is not a JSON number"),
+        (b'{"tau": -Infinity}', ": -Infinity is not a JSON number"),
+    ],
+    ids=["not-utf8", "array", "nan", "infinity"],
+)
+def test_a_malformed_scenario_file_is_a_parse_error_naming_it(tmp_path, capsys, content, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["verify-theory", "--scenario", str(path), "--trials", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{message}") and err.count("\n") == 1
+
+
 def _copy_dataset(src: Path, dst: Path) -> Path:
     dst.mkdir()
     for name in ("dataset.csv", "manifest.json"):

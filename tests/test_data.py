@@ -323,7 +323,7 @@ def test_training_on_a_csv_with_nan_posteriors_is_a_data_error(tmp_path, capsys)
     data.save_csv(ds, path)
     argv = ["train", "--dataset", str(path), "--method", "proden", "--epochs", "1"]
     assert main([*argv, "--out", str(tmp_path / "run")]) == 2
-    assert "non-finite posteriors in rows [7]" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}:9: non-finite posteriors\n"
 
 
 # -- csv round trip ----------------------------------------------------------------
@@ -434,7 +434,11 @@ def _load_csv_reference(path, c=None):
         true_labels=None if label is None else np.array(rows["labels"], dtype=np.int64),
         posterior=np.array(rows["posterior"], dtype=np.float64).reshape(n, len(eta)) if eta else None,
     )
-    data.validate_dataset(ds)
+    try:
+        data.validate_dataset(ds)
+    except DataError as exc:  # named by the line of its first row, without the row list
+        reason = str(exc).partition(" in rows ")[0]
+        raise DataError(f"{path}:{exc.rows[0] + 2}: {reason}") from exc
     return ds
 
 
@@ -455,6 +459,15 @@ def _assert_fields_are_repr(values):
 def _with_negatives(values):
     values = np.asarray(values, dtype=np.float64)
     return np.concatenate([values, -values])
+
+
+def test_format_tables_hold_the_texts_they_stand_for():
+    tables = data._format_tables()
+    quads = b"".join(b"%04d" % i + bytes(4) for i in range(10000))  # 0000..9999, one word each
+    assert tables["quads"].tobytes() == quads
+    texts = [b"", b"0", *(b"e%+03d" % e for e in range(data._EXP_MIN, data._EXP_MAX + 1))]
+    assert tables["suffix"].tobytes() == b"".join(t.ljust(8, b"\0") for t in texts)
+    assert all(t.dtype == np.uint64 and not t.flags.writeable for t in tables.values())
 
 
 def test_float_fields_are_repr_on_random_bit_patterns():
@@ -606,6 +619,39 @@ def test_csv_invariant_violation_reported_on_load(tmp_path):
     path.write_text("x0,x1,candidates,label\n0.0,0.0,\"1\",0\n")
     with pytest.raises(DataError):
         data.load_csv(path, c=3)
+
+
+INVARIANT_FILES = {
+    "label-missing": ('x0,x1,candidates,label\n0.1,0.2,"1,2",0\n0.1,0.2,"0,2",0\n',
+                      2, "true label missing from candidates"),
+    "inf-feature": ('x0,x1,candidates,label\n0.1,0.2,"0,2",0\ninf,0.2,"0,2",0\n',
+                    3, "non-finite features"),
+}
+
+
+@pytest.mark.parametrize("text, line, reason", INVARIANT_FILES.values(), ids=INVARIANT_FILES)
+def test_load_csv_names_the_line_of_a_row_that_breaks_an_invariant(
+    tmp_path, capsys, text, line, reason
+):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        data.load_csv(path)
+    assert str(err.value) == f"{path}:{line}: {reason}"
+    argv = ["train", "--dataset", str(path), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: {reason}\n"
+    # in memory, the same dataset is named by its row, line - 2
+    with path.open(newline="") as fh:
+        records = list(csv.reader(fh))[1:]
+    ds = data.PllDataset(
+        features=np.array([[float(v) for v in r[:2]] for r in records]),
+        candidates=np.array([[str(j) in r[2].split(",") for j in range(3)] for r in records]),
+        true_labels=np.array([int(r[3]) for r in records]),
+    )
+    with pytest.raises(DataError) as err:
+        data.validate_dataset(ds)
+    assert str(err.value) == f"{reason} in rows [{line - 2}]"
 
 
 def _outcome(load, path, c=None):

@@ -23,6 +23,9 @@ HEAVY = (
     "multiprocessing",
 )
 
+# the dataset codec, and the OpenSSL digests that it loads through hashlib
+CODEC = ("reduxpll.data", "_hashlib")
+
 # prints, after each argv list in turn, which of the watched modules are loaded
 PROBE = """\
 import contextlib, io, json, sys
@@ -38,8 +41,7 @@ print(json.dumps(seen))
 """
 
 
-def _loaded_after(*commands, env=None):
-    watched = [*HEAVY, "reduxpll.theory"]
+def _loaded_after(*commands, env=None, watched=(*HEAVY, "reduxpll.theory")):
     src = Path(reduxpll.__file__).parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(src), json.dumps(watched), json.dumps(commands)],
@@ -54,6 +56,20 @@ def test_cli_and_generate_load_no_training_theory_or_pool_code(tmp_path):
     after_import, after_generate = _loaded_after(generate)
     assert after_import == set()
     assert after_generate == set()
+
+
+def test_only_the_commands_that_read_or_write_a_dataset_load_its_codec(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "metrics_seed0.jsonl").write_text('{"bayes_consistency": 0.5, "pseudo_label_drift": 0}\n')
+    report = ["report", "--runs", str(run), "--out", str(tmp_path / "report")]
+    verify = ["verify-theory", "--scenario", "theorem1-4class", "--trials", "1000"]
+    generate = ["generate", "--n", "50", "--out", str(tmp_path / "ds")]
+    loaded = _loaded_after(report, verify, generate, watched=CODEC)
+    after_import, after_report, after_verify, after_generate = loaded
+    assert after_import == after_report == set()
+    assert "reduxpll.data" not in after_verify  # numpy.random loads hashlib itself, by secrets
+    assert after_generate == set(CODEC)
 
 
 def test_train_runs_its_lanes_in_its_own_process(tmp_path):
