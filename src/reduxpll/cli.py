@@ -154,8 +154,11 @@ def _check_out(out: Path, names) -> None:
 
 
 def _run_files(seeds) -> list[str]:
-    """The metrics files, then the checkpoints, that the runs of `seeds` write."""
-    return [*map(_METRICS.format, seeds), *map(_CHECKPOINT.format, seeds)]
+    """The metrics files, the checkpoints and their temp files that the runs of `seeds` write."""
+    from . import training
+
+    names = (_METRICS, _CHECKPOINT, _CHECKPOINT + training.TMP_SUFFIX)
+    return [name.format(seed) for name in names for seed in seeds]
 
 
 def _run_lanes(ds_parts, configs, out_dirs) -> tuple[list[dict], list[Path]]:

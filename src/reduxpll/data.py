@@ -705,6 +705,9 @@ def _fields(line: str) -> list[str]:
 
 
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 1}
+# a table's bytes column is as wide as its block's longest line, so a block is
+# tabled in slices of at most _TABLE_CHARS // longest lines
+_TABLE_CHARS = 2**20
 
 
 class _CsvBlocks:
@@ -797,7 +800,8 @@ def load_csv(path, c: int | None = None) -> PllDataset:
     The label count is taken from posterior columns when present, from `c`
     otherwise, and as a last resort from the largest candidate index seen.
     The file is UTF-8, with one record per line. Rows are read in blocks of
-    _CSV_BLOCK lines (see _CsvBlocks); a line that is not a record raises
+    _CSV_BLOCK lines, tabled in slices sized by the block's longest line
+    (see _CsvBlocks and _TABLE_CHARS); a line that is not a record raises
     ParseError naming it (the header is line 1), and a row that breaks a
     dataset invariant raises DataError naming the line of the first such row.
     """
@@ -817,15 +821,17 @@ def load_csv(path, c: int | None = None) -> PllDataset:
             blocks = _CsvBlocks(path, header)
             parts = [[np.empty((0, len(blocks.feat)))], [np.empty(0, dtype=np.intp)]]
             parts += [[np.empty(0, dtype=np.int64)], [np.empty((0, len(blocks.eta)))]]
-            first_line = 2  # of the block; the header is line 1
-            while lines := list(itertools.islice(fh, _CSV_BLOCK)):
-                try:
-                    block = blocks.table(lines)
-                except ValueError:
-                    blocks.refuse(lines, first_line)  # raises ParseError
-                for part, array in zip(parts, block):
-                    part.append(array)
-                first_line += len(lines)
+            first_line = 2  # of the slice; the header is line 1
+            while block := list(itertools.islice(fh, _CSV_BLOCK)):
+                step = max(1, _TABLE_CHARS // max(map(len, block)))
+                for lines in (block[at : at + step] for at in range(0, len(block), step)):
+                    try:
+                        columns = blocks.table(lines)
+                    except ValueError:
+                        blocks.refuse(lines, first_line)  # raises ParseError
+                    for part, array in zip(parts, columns):
+                        part.append(array)
+                    first_line += len(lines)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from . import METHODS, nets, pseudo
 from .data import PllDataset, validate_dataset
@@ -664,6 +665,9 @@ def _metrics_line(metrics: EpochMetrics) -> str:
 
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
+# a checkpoint is written to its name plus this suffix, then renamed onto it
+TMP_SUFFIX = ".tmp"
+
 # the `PseudoLabelState` arrays a checkpoint holds, those that are not None
 _PLS_ARRAYS = ("mu", "U", "w", "v", "q")
 
@@ -674,10 +678,8 @@ def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
     The rename is atomic, so a crash mid-write leaves the previous checkpoint
     intact, and a failed write removes its temp file.
     """
-    from numpy.lib import format as npformat
-
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(path.name + TMP_SUFFIX)
     try:
         # stored, not deflated: deflating every epoch cost a quarter of a fit
         with zipfile.ZipFile(tmp, "w", compression=zipfile.ZIP_STORED) as zf:

@@ -573,10 +573,15 @@ def test_verify_theory_checks_out_before_any_verifier_runs(
         (["train", "--method", "proden", "--epochs", "2", "--batch-size", "32"],
          "metrics_seed0.jsonl"),
         (["train", "--method", "proden", "--epochs", "2", "--batch-size", "32"], "summary.json"),
+        (["train", "--method", "proden", "--epochs", "2", "--batch-size", "32"],
+         "checkpoint_seed0.npz.tmp"),  # the checkpoint is written through this name
         (["sweep-alpha", "--alphas", "0.3", "--epochs", "2", "--batch-size", "32"], "sweep.csv"),
+        (["sweep-alpha", "--alphas", "0.3", "--epochs", "2", "--batch-size", "32"],
+         "alpha_0.3/checkpoint_seed0.npz.tmp"),
         (["report", "--runs"], "run_series.csv"),
     ],
-    ids=["generate", "train-metrics", "train-summary", "sweep-alpha", "report"],
+    ids=["generate", "train-metrics", "train-summary", "train-checkpoint-temp", "sweep-alpha",
+         "sweep-alpha-checkpoint-temp", "report"],
 )
 def test_a_directory_where_a_command_writes_a_file_is_a_usage_error(
     tmp_path, capsys, dataset_dir, argv, name
@@ -593,7 +598,7 @@ def test_a_directory_where_a_command_writes_a_file_is_a_usage_error(
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: --out {out}: cannot write {name} (Is a directory)\n"
     # refused before any work: nothing was written beside the directory
-    assert [p.name for p in out.iterdir()] == [name]
+    assert {p.relative_to(out) for p in out.rglob("*")} == {Path(name), *Path(name).parents[:-1]}
 
 
 @pytest.mark.parametrize(

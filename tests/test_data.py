@@ -801,18 +801,18 @@ def test_a_candidate_index_is_read_by_the_rule_of_every_number(tmp_path):
     _assert_reads_as_the_reference(path, c=11)
 
 
-def _with_long_candidates(tmp_path, tail=b""):
-    """A 120-row CSV and its dataset; line 101 spells its candidate set in a field of
+def _with_long_candidates(tmp_path, tail=b"", n=120, line=101):
+    """An n-row CSV and its dataset; `line` spells its candidate set in a field of
     140 001 characters, past csv.reader's field size limit, with `tail` at its end."""
-    ds = data.corrupt_instance_dependent(_uncorrupted(n=120), 0.5, seed=4)
+    ds = data.corrupt_instance_dependent(_uncorrupted(n=n), 0.5, seed=4)
     path = tmp_path / "ds.csv"
     data.save_csv(ds, path)
     lines = path.read_bytes().split(b"\r\n")
-    fields = lines[100].split(b'"')  # the candidates are the only quoted field
+    fields = lines[line - 1].split(b'"')  # the candidates are the only quoted field
     spelled = fields[1] + tail
     fields[1] = spelled[:2] * ((140001 - len(spelled)) // 2) + spelled  # "a," repeated
     assert len(fields[1]) == 140001 > csv.field_size_limit()
-    lines[100] = b'"'.join(fields)
+    lines[line - 1] = b'"'.join(fields)
     path.write_bytes(b"\r\n".join(lines))
     return ds, path
 
@@ -962,6 +962,14 @@ def test_csv_loading_memory_is_its_output_plus_one_field(large_generation):
     # joining a field's blocks holds them and the joined array at once
     largest_field = max(a.nbytes for a in _arrays(loaded))
     assert peak <= _nbytes(loaded) + largest_field + ALLOWANCE
+
+
+def test_a_long_line_widens_the_csv_table_of_few_rows(tmp_path):
+    # the bytes column of a table is as wide as its longest line
+    ds, path = _with_long_candidates(tmp_path, n=1100, line=501)
+    loaded, peak = _traced(data.load_csv, path)
+    assert np.array_equal(loaded.candidates, ds.candidates)
+    assert peak <= _nbytes(loaded) + ALLOWANCE + 8 * 140001
 
 
 # -- splitting ----------------------------------------------------------------------

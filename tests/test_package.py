@@ -1,7 +1,6 @@
-"""The package's lazy API, the modules each CLI command loads, dead code, method names and the CSV parser."""
+"""The package import, the modules each CLI command loads, dead code, method names and the CSV parser."""
 
 import ast
-import importlib
 import json
 import os
 import subprocess
@@ -11,8 +10,6 @@ from pathlib import Path
 import pytest
 
 import reduxpll
-
-SUBMODULES = ("cli", "data", "errors", "nets", "pseudo", "theory", "training")
 
 # loaded by none of `from reduxpll import cli`, `generate` and `verify-theory`
 HEAVY = (
@@ -88,35 +85,17 @@ def test_verify_theory_loads_theory_and_no_training_code():
     assert after == {"reduxpll.theory"}
 
 
-def test_every_public_name_resolves_to_the_object_its_module_defines():
-    for name in reduxpll.__all__:
-        value = getattr(reduxpll, name)
-        if name in ("METHODS", "__version__"):
-            continue
-        assert value.__module__.startswith("reduxpll."), name
-        assert getattr(importlib.import_module(value.__module__), name) is value, name
-    assert reduxpll.METHODS is reduxpll.training.METHODS
-
-
-def test_dir_lists_the_public_names_and_submodules():
-    assert set(reduxpll.__all__) | set(SUBMODULES) <= set(dir(reduxpll))
-
-
-def test_import_loads_no_submodule_and_each_resolves_as_an_attribute():
+def test_import_loads_no_submodule():
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import reduxpll; "
-        "loaded = sorted(m for m in sys.modules if m.startswith('reduxpll.')); "
-        "names = [getattr(reduxpll, m).__name__ for m in json.loads(sys.argv[2])]; "
-        "print(json.dumps([loaded, names]))"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('reduxpll.'))))"
     )
     src = Path(reduxpll.__file__).parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(src), json.dumps(SUBMODULES)],
+        [sys.executable, "-c", code, str(src)],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    loaded, names = json.loads(proc.stdout)
-    assert loaded == []
-    assert names == [f"reduxpll.{m}" for m in SUBMODULES]
+    assert json.loads(proc.stdout) == []
 
 
 def test_an_unknown_name_is_an_attribute_error():
@@ -126,13 +105,6 @@ def test_an_unknown_name_is_an_attribute_error():
         from reduxpll import nope  # noqa: F401
 
 
-def test_star_import_binds_the_whole_list():
-    namespace = {}
-    exec("from reduxpll import *", namespace)
-    assert set(reduxpll.__all__) <= set(namespace)
-    assert namespace["fit_lanes"] is reduxpll.training.fit_lanes
-
-
 def _referenced_names(tree: ast.AST) -> set[str]:
     """Every name the tree reads, as a bare name or as an attribute."""
     return {
@@ -140,6 +112,14 @@ def _referenced_names(tree: ast.AST) -> set[str]:
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+# public functions that no code in the package calls, each with the callers outside it
+OUTSIDE_CALLERS = {
+    "training.py: def fit": "bench/run.py --check; the resume and checkpoint tests",
+    "pseudo.py: def reduction_row": "the reference that reduction_matrix is tested against",
+    "nets.py: def to_flat": "tests/test_nets.py and tests/test_pseudo.py, gated on hypothesis",
+}
 
 
 def test_the_package_has_no_unused_import_or_private_function():
@@ -157,18 +137,18 @@ def test_the_package_has_no_unused_import_or_private_function():
                     for alias in node.names
                     if (alias.asname or alias.name).split(".")[0] not in used
                 ]
-    # a module-level private function is referenced somewhere in the package
+    # a module-level function or class is referenced somewhere in the package
     everywhere = set().union(*map(_referenced_names, trees.values()))
     dead += [
-        f"{name}: def {node.name}"
+        f"{name}: {'class' if isinstance(node, ast.ClassDef) else 'def'} {node.name}"
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.endswith("__")
         and node.name not in everywhere
     ]
-    assert dead == []
+    assert sorted(set(dead) - set(OUTSIDE_CALLERS)) == []
+    assert sorted(set(OUTSIDE_CALLERS) - set(dead)) == []  # a listed name that is used leaves
 
 
 def _method_names(operand: ast.AST) -> list[str]:
