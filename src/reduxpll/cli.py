@@ -383,9 +383,16 @@ def _number(doc: dict, key: str, where, *, nullable: bool = False):
     return doc[key]
 
 
-def _read_metrics_series(run_dir: Path) -> dict[int, list[tuple]]:
-    """Per seed, the (bayes_consistency, pseudo_label_drift) of each logged epoch."""
-    files = sorted(run_dir.glob("metrics_seed*.jsonl"))
+def _read_metrics_series(run_dir: Path, seeds) -> dict[int, list[tuple]]:
+    """Per seed, the (bayes_consistency, pseudo_label_drift) of each logged epoch.
+
+    The files read are those of `seeds`, each of which must exist, or for
+    None every metrics file under the run.
+    """
+    if seeds is None:
+        files = sorted(run_dir.glob("metrics_seed*.jsonl"))
+    else:
+        files = [run_dir / _METRICS.format(seed) for seed in seeds]
     if not files:
         raise DataError(f"no metrics files (metrics_seed*.jsonl) under {run_dir}")
     series = {}
@@ -416,8 +423,24 @@ def cmd_report(args) -> int:
         run_dir = Path(run)
         if not run_dir.exists():
             raise DataError(f"run directory {run_dir} does not exist")
-        series = _read_metrics_series(run_dir)
         name = run_dir.name
+        md += [f"## {name}", ""]
+        # a summary lists its command's seeds; other seeds' files are an earlier command's
+        summary_path, seeds = run_dir / "summary.json", None
+        if summary_path.exists():
+            summary = parse_object(read_text(summary_path), summary_path)
+            for key in ("mean_test_accuracy", "std_test_accuracy"):
+                _number(summary, key, summary_path)
+            seeds = summary.get("seeds")
+            listed = isinstance(seeds, list) and all(type(s) is int and s >= 0 for s in seeds)
+            if not (seeds is None or listed):
+                raise ParseError(f"{summary_path}: seeds must be a list of seeds, got {seeds!r}")
+            md.append(
+                f"- method `{summary.get('method', '?')}`: test accuracy "
+                f"{summary['mean_test_accuracy']:.4f} ± {summary['std_test_accuracy']:.4f} "
+                f"over {len(seeds or [])} seed(s)"
+            )
+        series = _read_metrics_series(run_dir, seeds)
         series_name = f"{name}_series.csv"
         series_rows[series_name] = rows = []
         # epoch e averages the seeds that logged it
@@ -430,20 +453,6 @@ def cmd_report(args) -> int:
                     "bayes_consistency": float(np.mean(cons)) if cons else "",
                     "pseudo_label_drift": float(np.mean([d for _, d in logged])),
                 }
-            )
-        md.append(f"## {name}")
-        md.append("")
-        summary_path = run_dir / "summary.json"
-        if summary_path.exists():
-            summary = parse_object(read_text(summary_path), summary_path)
-            for key in ("mean_test_accuracy", "std_test_accuracy"):
-                _number(summary, key, summary_path)
-            if not isinstance(summary.get("seeds", []), list):
-                raise ParseError(f"{summary_path}: seeds must be a list, got {summary['seeds']!r}")
-            md.append(
-                f"- method `{summary.get('method', '?')}`: test accuracy "
-                f"{summary['mean_test_accuracy']:.4f} ± {summary['std_test_accuracy']:.4f} "
-                f"over {len(summary.get('seeds', []))} seed(s)"
             )
         md.append(f"- seeds with logs: {sorted(series)}")
         md.append(f"- per-epoch series: `{series_name}`")

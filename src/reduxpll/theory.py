@@ -363,15 +363,10 @@ def sample_simplex_ball(
                 col = draw[:, j]
                 col *= width[j]
                 col += lo[j]
-            if c < 8:
-                # numpy's reduce adds fewer than 8 entries left to right, so
-                # column adds give its bits; a zero column adds nothing
-                total = draw[:, columns[0]].copy()
-                for j in columns[1:]:
-                    total += draw[:, j]
-            else:
-                # numpy sums 8 or more entries pairwise
-                total = np.add.reduce(draw, axis=1)
+            # below 8 labels the block is column-major, and numpy sums it column
+            # by column, left to right, as it sums a row of fewer than 8 entries;
+            # an unsupported column adds +0.0
+            total = np.add.reduce(draw, axis=1)
             ok = total > 0.0
             # a row summing to 0 is all zeros: it divides to NaN and `ok` rejects it
             with np.errstate(invalid="ignore"):

@@ -255,9 +255,9 @@ def _fresh_lane(config: TrainConfig) -> Lane:
 def _layouts(config: TrainConfig, q: int, c: int) -> dict:
     """Layer widths and per-lane lead shape of theta and each net `config`'s method trains."""
     layouts = {
-        "theta": ([q, *config.hidden_sizes, c], ()),
-        "omegas": ([config.hidden_sizes[-1], c], (c,)),  # the c branches
-        "gamma": ([q, *config.meta_hidden_sizes, c], ()),
+        "theta": ((q, *config.hidden_sizes, c), ()),
+        "omegas": ((config.hidden_sizes[-1], c), (c,)),  # the c branches
+        "gamma": ((q, *config.meta_hidden_sizes, c), ()),
     }
     return {name: layouts[name] for name in ("theta", *_NETS[config.method])}
 
@@ -290,27 +290,43 @@ def init_lanes(train_ds: PllDataset, configs: Sequence[TrainConfig]) -> TrainerS
     )
 
 
-def _take_bundle(bundle: ModelBundle, lanes) -> ModelBundle:
-    """`nets.take` of every net in the bundle; an absent net stays None."""
-    return ModelBundle(**{
-        name: None if net is None else nets.take(net, lanes)
-        for name, net in vars(bundle).items()
-    })
+# the `PseudoLabelState` arrays a stack holds, those that are not None
+_PLS_ARRAYS = ("mu", "U", "w", "v", "q")
+
+
+def _lane_arrays(state: TrainerState) -> dict[str, np.ndarray]:
+    """The stack's arrays with a lane axis by checkpoint member name; a None one has none."""
+    arrays = {
+        **{name: None if net is None else net.flat for name, net in vars(state.bundle).items()},
+        "theta_buf": state.theta_buf,
+        "omega_bufs": state.omega_buf,
+        **{name: getattr(state.pls, name) for name in _PLS_ARRAYS},
+        "prev_q": state.prev_q,
+    }
+    return {name: arr for name, arr in arrays.items() if arr is not None}
+
+
+def _from_lane_arrays(arrays, sizes, lanes, epoch, rollback_checks) -> TrainerState:
+    """The stack whose `_lane_arrays` are `arrays`; `sizes` has the widths of each net."""
+    return TrainerState(
+        bundle=ModelBundle(**{name: nets._wrap(arrays[name], s) for name, s in sizes.items()}),
+        theta_buf=arrays["theta_buf"],
+        omega_buf=arrays.get("omega_bufs"),
+        pls=pseudo.PseudoLabelState(
+            **{name: arrays.get(name) for name in _PLS_ARRAYS},
+            alpha=np.array([lane.config.alpha for lane in lanes]),
+        ),
+        prev_q=arrays["prev_q"],
+        lanes=lanes, epoch=epoch, rollback_checks=rollback_checks,
+    )
 
 
 def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
     """The stack of the lanes at `keep`, in that order."""
-    return TrainerState(
-        bundle=_take_bundle(state.bundle, keep),
-        theta_buf=state.theta_buf[keep],
-        omega_buf=None if state.omega_buf is None else state.omega_buf[keep],
-        pls=pseudo.PseudoLabelState(
-            **{name: None if arr is None else arr[keep] for name, arr in vars(state.pls).items()}
-        ),
-        prev_q=state.prev_q[keep],
-        lanes=[state.lanes[k] for k in keep],
-        epoch=state.epoch,
-        rollback_checks=state.rollback_checks,
+    return _from_lane_arrays(
+        {name: arr[keep] for name, arr in _lane_arrays(state).items()},
+        {name: net.sizes for name, net in vars(state.bundle).items() if net is not None},
+        [state.lanes[k] for k in keep], state.epoch, state.rollback_checks,
     )
 
 
@@ -513,7 +529,9 @@ def train_epoch(
 
 def _lane_result(state: TrainerState, k: int) -> RunResult:
     lane = state.lanes[k]
-    bundle = _take_bundle(state.bundle, k)
+    bundle = ModelBundle(**{
+        name: None if net is None else nets.take(net, k) for name, net in vars(state.bundle).items()
+    })
     return RunResult(
         best_theta=nets.from_flat(bundle.theta, lane.best_theta_flat),
         best_epoch=lane.best_epoch,
@@ -668,8 +686,8 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 # a checkpoint is written to its name plus this suffix, then renamed onto it
 TMP_SUFFIX = ".tmp"
 
-# the `PseudoLabelState` arrays a checkpoint holds, those that are not None
-_PLS_ARRAYS = ("mu", "U", "w", "v", "q")
+# the `Lane` fields that `meta.json` stores under their own names
+_LANE_RECORD = ("stagnant", "best_epoch", "best_val_accuracy", "best_test_accuracy")
 
 
 def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
@@ -698,32 +716,20 @@ def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
 def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
     """Persist lane `lane` of the stack as a one-run checkpoint.
 
-    Each net is its buffer's row for the lane; the branch head's row holds
-    one row per branch, each laid out as `nets.to_flat` of that branch alone.
-    A net, buffer or pseudo-label array that is None has no member.
+    Its members are row `lane` of each of the stack's `_lane_arrays` and
+    `best_theta`; the branch head's row holds one row per branch, each laid
+    out as `nets.to_flat` of that branch alone.
     """
     run = state.lanes[lane]
+    arrays = {name: arr[lane] for name, arr in _lane_arrays(state).items()}
+    arrays["best_theta"] = run.best_theta_flat if run.best_theta_flat is not None else np.zeros(0)
     config_doc = run.config.to_dict()
-    pls = vars(state.pls)
-    arrays = {
-        **{name: net.flat[lane] for name, net in vars(state.bundle).items() if net is not None},
-        "theta_buf": state.theta_buf[lane],
-        **({} if state.omega_buf is None else {"omega_bufs": state.omega_buf[lane]}),
-        **{name: pls[name][lane] for name in _PLS_ARRAYS if pls[name] is not None},
-        "prev_q": state.prev_q[lane],
-        "best_theta": (
-            run.best_theta_flat if run.best_theta_flat is not None else np.zeros(0)
-        ),
-    }
     meta = {
         "config": config_doc,
         "config_hash": _doc_hash(config_doc),
         "resume_hash": _resume_hash(config_doc),
         "epoch": state.epoch,
-        "stagnant": run.stagnant,
-        "best_epoch": run.best_epoch,
-        "best_val_accuracy": run.best_val_accuracy,
-        "best_test_accuracy": run.best_test_accuracy,
+        **{name: getattr(run, name) for name in _LANE_RECORD},
         "rollback_checks": state.rollback_checks,
         "rng_states": {k: g.bit_generator.state for k, g in run.rngs.items()},
         "history": [vars(h) for h in run.history],
@@ -734,67 +740,46 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
 def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerState:
     """The one-lane state a checkpoint holds, reading the members `config`'s method has.
 
-    A missing member is a ConfigError; extra ones (the untrained nets and
+    Each member must be a float64 array of the shape that the configuration
+    and the training set give it; a missing or misfit member is a ConfigError
+    that names the file and the member. Extra members (the untrained nets and
     reduction side that older checkpoints of the baselines hold) are not read.
     """
-    path = Path(path)
-    with zipfile.ZipFile(path) as zf:
-        meta = json.loads(zf.read("meta.json"))
-    if meta["resume_hash"] != config.resume_hash():
-        raise ConfigError(
-            f"checkpoint {path} was written under a different configuration"
-        )
     n, c = train_ds.candidates.shape
-    # one-lane layouts of the method's nets, to check the members against
-    layouts = {
-        name: nets.empty(sizes, (1, *lead))
-        for name, (sizes, lead) in _layouts(config, train_ds.q, c).items()
-    }
-    # each momentum buffer's member and the net it is laid out like
-    buffers = {"theta_buf": "theta", "omega_bufs": "omegas"}
-    buffers = {member: net for member, net in buffers.items() if net in layouts}
-    shapes = {"mu": (n, c), "q": (n, c), "prev_q": (n, c)}
-    if "omegas" in layouts:
-        shapes.update(U=(n, c, c), w=(n, c), v=(n, c))
-    members = [*layouts, *buffers, "best_theta", *shapes]
-    with np.load(path) as npz:
-        for member in members:
+    layouts = _layouts(config, train_ds.q, c)
+    # one lane's shape of each member; the head brings its buffer and the reduction side
+    shapes = {name: nets.empty(sizes, lead).flat.shape for name, (sizes, lead) in layouts.items()}
+    shapes.update(theta_buf=shapes["theta"], mu=(n, c))
+    if "omegas" in shapes:
+        shapes.update(omega_bufs=shapes["omegas"], U=(n, c, c), w=(n, c), v=(n, c))
+    shapes.update(q=(n, c), prev_q=(n, c), best_theta=shapes["theta"])
+    # not `np.load`, which reads a file that is no zip archive as a refused pickle
+    with np.lib.npyio.NpzFile(path) as npz:
+        meta = json.loads(npz.zip.read("meta.json"))
+        if meta["resume_hash"] != config.resume_hash():
+            raise ConfigError(f"checkpoint {path} was written under a different configuration")
+        for member in shapes:
             if member not in npz.files:
                 raise ConfigError(f"checkpoint {path} has no {member} member")
-        data = {member: npz[member] for member in members}
+        data = {member: npz[member] for member in shapes}
+    if not data["best_theta"].size:
+        shapes["best_theta"] = (0,)  # a run with no best model yet
     for member, shape in shapes.items():
-        got = data[member].shape
-        if got != shape:
+        arr = data[member]
+        if arr.shape != shape or arr.dtype != np.float64:
             raise ConfigError(
-                f"checkpoint {path} holds {member} of shape {got}, "
-                f"but the training set needs {shape}"
+                f"checkpoint {path} holds {member} as {arr.dtype} {arr.shape}, "
+                f"but the training set needs float64 {shape}"
             )
-
-    def params(member: str, net: str) -> nets.MlpParams:
-        """The member as a one-lane stack, checked against the layout of `net`."""
-        return nets.from_flat(layouts[net], data[member][None])
-
-    bundle = ModelBundle(**{name: params(name, name) for name in layouts})
-    bufs = {member: params(member, net).flat for member, net in buffers.items()}
     lane = _fresh_lane(config)
-    lane.stagnant = int(meta["stagnant"])
-    lane.best_epoch = int(meta["best_epoch"])
-    lane.best_val_accuracy = float(meta["best_val_accuracy"])
-    lane.best_test_accuracy = float(meta["best_test_accuracy"])
+    for name in _LANE_RECORD:  # each as the type of its default
+        setattr(lane, name, type(getattr(lane, name))(meta[name]))
     lane.best_theta_flat = data["best_theta"] if data["best_theta"].size else None
     lane.history = [EpochMetrics(**h) for h in meta["history"]]
     for key, rng_state in meta["rng_states"].items():
         lane.rngs[key].bit_generator.state = rng_state
-    return TrainerState(
-        bundle=bundle,
-        theta_buf=bufs["theta_buf"],
-        omega_buf=bufs.get("omega_bufs"),
-        pls=pseudo.PseudoLabelState(
-            **{name: data[name][None] if name in data else None for name in _PLS_ARRAYS},
-            alpha=np.array([config.alpha]),
-        ),
-        prev_q=data["prev_q"][None],
-        lanes=[lane],
-        epoch=int(meta["epoch"]),
-        rollback_checks=int(meta["rollback_checks"]),
+    return _from_lane_arrays(
+        {member: arr[None] for member, arr in data.items()},  # best_theta is not read
+        {name: sizes for name, (sizes, _) in layouts.items()},
+        [lane], int(meta["epoch"]), int(meta["rollback_checks"]),
     )

@@ -348,6 +348,30 @@ def test_report_aggregates_runs_and_flags_missing_metrics(dataset_dir, tmp_path)
     assert code == 2
 
 
+def test_report_reads_only_the_seeds_its_summary_lists(dataset_dir, tmp_path, capsys):
+    run, report = tmp_path / "run", tmp_path / "report"
+    train = ["train", "--dataset", str(dataset_dir), "--method", "proden",
+             "--batch-size", "32", "--out", str(run)]
+    assert main([*train, "--epochs", "3", "--seeds", "2"]) == 0
+    assert main([*train, "--epochs", "2", "--seeds", "1"]) == 0  # seed 0 again
+    assert (run / "metrics_seed1.jsonl").exists()  # the first command's, left behind
+    assert main(["report", "--runs", str(run), "--out", str(report)]) == 0
+    md = (report / "report.md").read_text()
+    assert "over 1 seed(s)" in md and "seeds with logs: [0]" in md
+    seed0 = [json.loads(line) for line in (run / "metrics_seed0.jsonl").read_text().splitlines()]
+    with (report / "run_series.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["epoch"] for row in rows] == ["1", "2"]
+    assert [float(row["pseudo_label_drift"]) for row in rows] == [
+        epoch["pseudo_label_drift"] for epoch in seed0
+    ]
+
+    (run / "metrics_seed0.jsonl").unlink()  # a seed the summary lists has no file
+    capsys.readouterr()
+    assert main(["report", "--runs", str(run), "--out", str(report)]) == 2
+    assert f"{run / 'metrics_seed0.jsonl'}: cannot read the file" in capsys.readouterr().err
+
+
 def test_generate_one_feature_dimension_is_usage_error(tmp_path):
     assert main(["generate", "--q", "1", "--out", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "x").exists()
@@ -495,12 +519,14 @@ EPOCH_LINE = json.dumps({"bayes_consistency": 0.5, "pseudo_label_drift": 0.1})
         ("summary.json", '{"mean_test_accuracy": 0.9}', ": no std_test_accuracy"),
         ("summary.json", '{"mean_test_accuracy": 0.9, "std_test_accuracy": 0.0, "seeds": 3}',
          ": seeds must be a list"),
+        ("summary.json", '{"mean_test_accuracy": 0.9, "std_test_accuracy": 0.0, "seeds": [0, "x"]}',
+         ": seeds must be a list of seeds"),
         ("summary.json", '{"mean_test_accuracy": NaN, "std_test_accuracy": 0.0}',
          ": NaN is not a JSON number"),
     ],
     ids=["bad-json", "not-object", "bad-seed-name", "zero-padded-seed", "not-utf8",
          "no-consistency", "no-drift", "drift-text", "nan-metric", "summary-bad-json",
-         "summary-no-std", "summary-seeds-int", "summary-nan"],
+         "summary-no-std", "summary-seeds-int", "summary-seed-text", "summary-nan"],
 )
 def test_report_names_the_file_and_line_of_a_malformed_run_file(
     tmp_path, capsys, name, text, where

@@ -110,7 +110,8 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Attribute)
+        or (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
     }
 
 
@@ -146,6 +147,16 @@ def test_the_package_has_no_unused_import_or_private_function():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.endswith("__")
         and node.name not in everywhere
+    ]
+    # and so is each name a module-level assignment binds
+    dead += [
+        f"{name}: {node.id} ="
+        for name, tree in trees.items()
+        for statement in tree.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and not node.id.endswith("__") and node.id not in everywhere
     ]
     assert sorted(set(dead) - set(OUTSIDE_CALLERS)) == []
     assert sorted(set(OUTSIDE_CALLERS) - set(dead)) == []  # a listed name that is used leaves

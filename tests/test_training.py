@@ -499,6 +499,52 @@ def test_a_checkpoint_without_a_member_its_method_needs_is_a_config_error(
     assert str(ckpt) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "method, member, edit",
+    [
+        ("proden", "theta", lambda arr: arr[:7]),
+        ("reduxpll-uniform-w", "omega_bufs", lambda arr: arr[:, :-1]),
+        ("proden", "best_theta", lambda arr: arr[:-1]),
+        ("reduxpll", "gamma", lambda arr: arr.astype(np.float32)),
+        ("reduxpll", "w", lambda arr: arr[:, :-1]),
+    ],
+    ids=["theta-size", "omega-bufs-shape", "best-theta-size", "gamma-dtype", "w-shape"],
+)
+def test_a_misfit_checkpoint_member_is_a_config_error_naming_the_file_and_member(
+    small_dataset, tmp_path, method, member, edit
+):
+    cfg = training.TrainConfig(method=method, seed=2, epochs=1)
+    ckpt = tmp_path / "ck.npz"
+    training.fit(small_dataset, cfg, checkpoint_path=ckpt)
+    _rewrite_checkpoint(ckpt, lambda arrays: {**arrays, member: edit(arrays[member])})
+    with pytest.raises(ConfigError, match=f"holds {member} as ") as err:
+        training.load_checkpoint(ckpt, small_dataset[0], cfg)
+    assert str(ckpt) in str(err.value) and "training set needs float64" in str(err.value)
+
+
+@pytest.mark.parametrize("content", [b"", b"not a zip"], ids=["empty", "text"])
+def test_a_file_that_is_no_zip_archive_is_refused_as_one(small_dataset, tmp_path, content):
+    # np.load would read it as a pickle and name allow_pickle, or hit the end of the file
+    path = tmp_path / "ck.npz"
+    path.write_bytes(content)
+    with pytest.raises(zipfile.BadZipFile):
+        training.load_checkpoint(path, small_dataset[0], training.TrainConfig())
+
+
+@pytest.mark.parametrize("method", training.METHODS)
+def test_a_checkpoint_holds_the_stacks_lane_arrays_and_best_theta(small_dataset, tmp_path, method):
+    cfg = training.TrainConfig(method=method, seed=2, epochs=1)
+    ckpt = tmp_path / "ck.npz"
+    training.fit(small_dataset, cfg, checkpoint_path=ckpt)
+    table = training._lane_arrays(training.init_lanes(small_dataset[0], [cfg]))
+    with np.load(ckpt) as npz:
+        assert set(npz.files) == {*table, "best_theta", "meta.json"}
+        saved = {name: npz[name] for name in table}
+    loaded = training._lane_arrays(training.load_checkpoint(ckpt, small_dataset[0], cfg))
+    assert list(loaded) == list(table)
+    assert all(np.array_equal(loaded[name], saved[name][None]) for name in table)
+
+
 def test_nonfinite_loss_raises_numeric_error_with_context(small_dataset):
     train_ds = small_dataset[0]
     cfg = training.TrainConfig(method="proden", epochs=1)
