@@ -15,3 +15,10 @@ __version__ = "0.1.0"
 # the training methods, read by the CLI parser before any submodule loads;
 # `training.METHODS` is this tuple
 METHODS = ("reduxpll", "reduxpll-uniform-w", "proden")
+
+# one line of a metrics file, the fields of `training.EpochMetrics`, as an
+# `errors.check` schema; `report` reads it before any training code loads
+METRICS_LINE = {
+    "epoch": int, "train_loss": float, "val_accuracy": float, "test_accuracy": float,
+    "bayes_consistency": (float, None), "pseudo_label_drift": float,
+}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import METHODS
+from . import METHODS, METRICS_LINE
 from .errors import ConfigError, DataError, NumericError, ParseError, ReduxPllError, UsageError
 from .errors import parse_object, read_text
 
@@ -30,6 +29,18 @@ DEFAULT_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 # the files each run writes into its directory, by seed
 _METRICS, _CHECKPOINT = "metrics_seed{}.jsonl", "checkpoint_seed{}.npz"
+
+# the dataset manifest that `generate` writes (`data.write_manifest`); any key may be absent
+_MANIFEST = {"checksum?": str, "n?": int, "c?": int, "q?": int, "ambiguity?": (float, None),
+             "seed?": (int, None)}
+
+# the summary.json that `train` writes
+_SUMMARY = {
+    "method": str, "alpha": float, "config_hash": str, "seeds": [int],
+    "per_seed": [{"seed": int, "best_epoch": int, "best_val_accuracy": float,
+                  "test_accuracy": float, "epochs_run": int}],
+    "mean_test_accuracy": float, "std_test_accuracy": float,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,15 +86,11 @@ def _load_dataset(path_arg: str, split_seed: int) -> tuple[tuple, str]:
         csv_path = path / "dataset.csv"
         manifest_path = path / "manifest.json"
         if manifest_path.exists():
-            manifest = parse_object(read_text(manifest_path), manifest_path)
+            manifest = parse_object(read_text(manifest_path), manifest_path, _MANIFEST)
     else:
         csv_path = path
     if not csv_path.exists():
         raise DataError(f"no dataset at {csv_path}")
-    for key, kind in (("checksum", str), ("n", int), ("c", int), ("q", int)):
-        if key in manifest and type(manifest[key]) is not kind:
-            noun = "a string" if kind is str else "an integer"
-            raise DataError(f"{manifest_path}: {key} must be {noun}, got {manifest[key]!r}")
 
     def expect(key, value):
         if manifest.get(key, value) != value:
@@ -174,6 +181,7 @@ def _run_lanes(ds_parts, configs, out_dirs) -> tuple[list[dict], list[Path]]:
     results = training.fit_lanes(
         ds_parts, configs, metrics_paths=metrics_paths, checkpoint_paths=checkpoint_paths
     )
+    # each row is a `per_seed` entry of `_SUMMARY`
     rows = [
         {
             "seed": result.config.seed,
@@ -374,20 +382,12 @@ def cmd_verify_theory(args) -> int:
     return 0 if (ok1 and ok2) else 2
 
 
-def _number(doc: dict, key: str, where, *, nullable: bool = False):
-    """doc[key], which must be a number (or null, when `nullable`)."""
-    if key not in doc:
-        raise ParseError(f"{where}: no {key} field")
-    if not (type(doc[key]) in (int, float) or (nullable and doc[key] is None)):
-        raise ParseError(f"{where}: {key} must be a number, got {doc[key]!r}")
-    return doc[key]
-
-
-def _read_metrics_series(run_dir: Path, seeds) -> dict[int, list[tuple]]:
-    """Per seed, the (bayes_consistency, pseudo_label_drift) of each logged epoch.
+def _read_metrics_series(run_dir: Path, seeds) -> dict[int, dict[int, dict]]:
+    """Per seed and epoch, the metrics line logged.
 
     The files read are those of `seeds`, each of which must exist, or for
-    None every metrics file under the run.
+    None every metrics file under the run. A file logs epochs 1, 2, ... up to
+    its last, each once, in any order.
     """
     if seeds is None:
         files = sorted(run_dir.glob("metrics_seed*.jsonl"))
@@ -400,13 +400,17 @@ def _read_metrics_series(run_dir: Path, seeds) -> dict[int, list[tuple]]:
         seed = path.stem.removeprefix("metrics_seed")
         if not (seed.isascii() and seed.isdigit()) or seed != str(int(seed)):
             raise ParseError(f"{path}: expected a name metrics_seed<seed>.jsonl")
-        series[int(seed)] = points = []
+        series[int(seed)] = points = {}
         for number, line in enumerate(read_text(path).splitlines(), start=1):
             if line:
                 where = f"{path}:{number}"
-                epoch = parse_object(line, where)
-                consistency = _number(epoch, "bayes_consistency", where, nullable=True)
-                points.append((consistency, _number(epoch, "pseudo_label_drift", where)))
+                metrics = parse_object(line, where, METRICS_LINE)
+                if metrics["epoch"] in points:
+                    raise ParseError(f"{where}: epoch {metrics['epoch']} is logged twice")
+                points[metrics["epoch"]] = metrics
+        missing = set(range(1, len(points) + 1)).difference(points)
+        if missing:
+            raise ParseError(f"{path}: no line logs epoch {min(missing)}")
     return series
 
 
@@ -428,30 +432,29 @@ def cmd_report(args) -> int:
         # a summary lists its command's seeds; other seeds' files are an earlier command's
         summary_path, seeds = run_dir / "summary.json", None
         if summary_path.exists():
-            summary = parse_object(read_text(summary_path), summary_path)
-            for key in ("mean_test_accuracy", "std_test_accuracy"):
-                _number(summary, key, summary_path)
-            seeds = summary.get("seeds")
-            listed = isinstance(seeds, list) and all(type(s) is int and s >= 0 for s in seeds)
-            if not (seeds is None or listed):
-                raise ParseError(f"{summary_path}: seeds must be a list of seeds, got {seeds!r}")
+            summary = parse_object(read_text(summary_path), summary_path, _SUMMARY)
+            method, seeds = summary["method"], summary["seeds"]
+            if method not in METHODS:
+                raise ParseError(f"{summary_path}: method must be one of {METHODS}, got {method!r}")
+            if len(set(seeds)) < len(seeds) or min(seeds, default=0) < 0:
+                raise ParseError(f"{summary_path}: seeds must be distinct and >= 0, got {seeds!r}")
             md.append(
-                f"- method `{summary.get('method', '?')}`: test accuracy "
+                f"- method `{method}`: test accuracy "
                 f"{summary['mean_test_accuracy']:.4f} ± {summary['std_test_accuracy']:.4f} "
-                f"over {len(seeds or [])} seed(s)"
+                f"over {len(seeds)} seed(s)"
             )
         series = _read_metrics_series(run_dir, seeds)
         series_name = f"{name}_series.csv"
         series_rows[series_name] = rows = []
         # epoch e averages the seeds that logged it
-        for e, points in enumerate(itertools.zip_longest(*series.values()), start=1):
-            logged = [point for point in points if point is not None]
-            cons = [c for c, _ in logged if c is not None]
+        for e in range(1, max(map(len, series.values())) + 1):
+            logged = [points[e] for points in series.values() if e in points]
+            cons = [m["bayes_consistency"] for m in logged if m["bayes_consistency"] is not None]
             rows.append(
                 {
                     "epoch": e,
                     "bayes_consistency": float(np.mean(cons)) if cons else "",
-                    "pseudo_label_drift": float(np.mean([d for _, d in logged])),
+                    "pseudo_label_drift": float(np.mean([m["pseudo_label_drift"] for m in logged])),
                 }
             )
         md.append(f"- seeds with logs: {sorted(series)}")

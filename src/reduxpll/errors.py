@@ -2,11 +2,12 @@
 
 Every error raised on purpose derives from ReduxPllError so callers (and the
 CLI) can map failures to exit codes without matching on message text.
-`read_text` and `parse_object` word every fault of a JSON input file (a
-config, a manifest, a run file, a scenario) as one ParseError.
+`read_text`, `parse_object` and `check` word every fault of a JSON input
+file, or of a document against its schema, as one ParseError (or ConfigError).
 """
 
 import json
+import sys
 from pathlib import Path
 
 
@@ -72,14 +73,57 @@ def read_text(path: Path) -> str:
         raise ParseError(f"{path}: cannot read the file ({exc})") from None
 
 
-def parse_object(text: str, where) -> dict:
-    """The JSON object in `text`; anything else is a ParseError naming `where`."""
+def parse_object(text, where, schema=None, error=ParseError) -> dict:
+    """The JSON object in `text` (str or UTF-8 bytes), checked against `schema` if given."""
     def constant(token):
-        raise ParseError(f"{where}: {token} is not a JSON number")
+        raise error(f"{where}: {token} is not a JSON number")
     try:
         doc = json.loads(text, parse_constant=constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: invalid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:  # also an int of too many digits
+        raise error(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected a JSON object")
+        raise error(f"{where}: expected a JSON object")
+    return doc if schema is None else check(doc, schema, where, error)
+
+
+_NOUNS = {float: "a number", int: "an integer", str: "a string", None: "null",
+          dict: "an object", list: "a list"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether `value` is of `kind`, not looking inside an object or a list."""
+    if isinstance(kind, (dict, list)):
+        return type(value) is type(kind)
+    if kind is float:  # an int too, if a float can hold it
+        return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+    return value is None if kind is None else type(value) is kind
+
+
+def check(doc, schema, where, error=ParseError, path: str = ""):
+    """`doc` if it fits `schema`, else `error` naming `where` and the key at `path`.
+
+    A schema maps each key, suffixed "?" if it may be absent, to its kind:
+    `float` (a number; a bool is not one), `int`, `str`, `None` (null), `dict`
+    (any object), a schema (an object that fits it), `[kind]` (a list of that
+    kind) or a tuple of kinds (any one of them). Any other key is refused.
+    """
+    kinds = schema if isinstance(schema, tuple) else (schema,)
+    fits = [kind for kind in kinds if _fits(doc, kind)]
+    if not fits:
+        noun = " or ".join(_NOUNS[type(k) if isinstance(k, (dict, list)) else k] for k in kinds)
+        raise error(f"{where}: {path or 'the document'} must be {noun}, got {doc!r}")
+    prefix = f"{path}." if path else ""
+    if isinstance(fits[0], dict):
+        names = {key.removesuffix("?"): key for key in fits[0]}
+        for name, key in names.items():
+            if name in doc:
+                check(doc[name], fits[0][key], where, error, prefix + name)
+            elif name == key:
+                raise error(f"{where}: no {prefix}{name} field")
+        unknown = [key for key in doc if key not in names]
+        if unknown:
+            raise error(f"{where}: unknown key {prefix}{unknown[0]}")
+    elif isinstance(fits[0], list):
+        for i, item in enumerate(doc):
+            check(item, fits[0][0], where, error, f"{path}[{i}]")
     return doc

@@ -24,6 +24,7 @@ from .errors import (
     ContractViolation,
     ParseError,
     ScenarioError,
+    check,
     parse_object,
     read_text,
 )
@@ -33,6 +34,13 @@ BALL_SLACK = 1e-12  # fp dust allowance when re-checking ball membership
 # below 8 labels the draw is copied once, into column-major order
 BALL_BLOCK = 16384
 _MAX_RESAMPLE_ROUNDS = 1000
+
+# a scenario document; `labels`, when given, is the length of every `eta` row
+_SCENARIO = {
+    "name?": str, "labels?": int, "points": [{"eta": [float], "weight": float}],
+    "excluded": [int], "tau": float, "epsilon": float, "epsilon_prime": float,
+    "tsybakov?": ({"C": float, "lambda": float, "t0": float}, None),
+}
 
 
 @dataclass(frozen=True)
@@ -117,68 +125,35 @@ class TheoryScenario:
     # -- JSON ----------------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, doc: dict, name: str = "") -> "TheoryScenario":
+    def from_dict(cls, doc: dict, name: str = "", where="scenario") -> "TheoryScenario":
+        """The scenario `doc` describes; a refusal names `where`, the document's file."""
+        check(doc, _SCENARIO, where)
+        points = [ScenarioPoint(np.array([float(v) for v in p["eta"]]), float(p["weight"]))
+                  for p in doc["points"]]
+        if "labels" in doc and any(p.eta.size != doc["labels"] for p in points):
+            raise ParseError(f"{where}: labels is {doc['labels']}; an eta row has another length")
+        tsy = doc.get("tsybakov")
+        if tsy is not None:
+            tsy = TsybakovConstants(float(tsy["C"]), float(tsy["lambda"]), float(tsy["t0"]))
+        scenario = cls(
+            points=points,
+            excluded=frozenset(doc["excluded"]),
+            tau=float(doc["tau"]),
+            epsilon=float(doc["epsilon"]),
+            epsilon_prime=float(doc["epsilon_prime"]),
+            tsybakov=tsy,
+            name=doc.get("name", name),
+        )
         try:
-            _reject_unknown_keys("scenario", doc, "name", "labels", "points", "excluded",
-                                 "tau", "epsilon", "epsilon_prime", "tsybakov")
-            points = []
-            for p in doc["points"]:
-                _reject_unknown_keys("point", p, "eta", "weight")
-                points.append(
-                    ScenarioPoint(
-                        eta=np.array([_number(v, "eta entry") for v in p["eta"]]),
-                        weight=_number(p["weight"], "weight"),
-                    )
-                )
-            if "labels" in doc and any(p.eta.size != doc["labels"] for p in points):
-                raise ParseError(f"labels is {doc['labels']!r}; an eta row has another length")
-            tsy = None
-            if doc.get("tsybakov") is not None:
-                t = doc["tsybakov"]
-                _reject_unknown_keys("tsybakov", t, "C", "lambda", "t0")
-                tsy = TsybakovConstants(
-                    C=_number(t["C"], "tsybakov C"),
-                    lam=_number(t["lambda"], "tsybakov lambda"),
-                    t0=_number(t["t0"], "tsybakov t0"),
-                )
-            excluded = doc["excluded"]
-            if not isinstance(excluded, list) or any(not _is_json_int(j) for j in excluded):
-                raise ParseError(f"excluded must be a list of integers, got {excluded!r}")
-            scenario = cls(
-                points=points,
-                excluded=frozenset(excluded),
-                tau=_number(doc["tau"], "tau"),
-                epsilon=_number(doc["epsilon"], "epsilon"),
-                epsilon_prime=_number(doc["epsilon_prime"], "epsilon_prime"),
-                tsybakov=tsy,
-                name=str(doc.get("name", name)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"malformed scenario document: {exc}") from exc
-        scenario.validate()
+            scenario.validate()
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
         return scenario
 
     @classmethod
     def from_json(cls, path) -> "TheoryScenario":
         path = Path(path)
-        return cls.from_dict(parse_object(read_text(path), path), name=path.stem)
-
-
-def _is_json_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(value, what: str) -> float:
-    """`value` as a float if it is a JSON number (a bool is not one)."""
-    if not (_is_json_int(value) or isinstance(value, float)):
-        raise ParseError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _reject_unknown_keys(what: str, doc: dict, *known: str) -> None:
-    unknown = set(doc).difference(known)
-    if unknown:
-        raise ParseError(f"unknown {what} keys: {sorted(unknown)}")
+        return cls.from_dict(parse_object(read_text(path), path), name=path.stem, where=path)
 
 
 def builtin_scenario_names() -> list[str]:
@@ -187,13 +162,10 @@ def builtin_scenario_names() -> list[str]:
 
 
 def load_builtin_scenario(name: str) -> TheoryScenario:
-    root = resources.files("reduxpll.scenarios")
-    candidate = root / f"{name}.json"
+    candidate = resources.files("reduxpll.scenarios") / f"{name}.json"
     if not candidate.is_file():
-        raise ParseError(
-            f"no builtin scenario {name!r}; available: {builtin_scenario_names()}"
-        )
-    return TheoryScenario.from_dict(parse_object(candidate.read_text(), candidate), name=name)
+        raise ParseError(f"no builtin scenario {name!r}; available: {builtin_scenario_names()}")
+    return TheoryScenario.from_json(candidate)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ from typing import Sequence
 import numpy as np
 from numpy.lib import format as npformat
 
-from . import METHODS, nets, pseudo
+from . import METHODS, METRICS_LINE, nets, pseudo
 from .data import PllDataset, validate_dataset
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import ConfigError, ContractViolation, NumericError, parse_object
 
 # purpose-keyed RNG streams spawned from the run seed; `<net>_init` initializes
 # that net, so a baseline skips the streams of the nets it lacks (and val)
@@ -152,7 +152,7 @@ def _resume_hash(doc: dict) -> str:
 
 @dataclass
 class EpochMetrics:
-    """One epoch of a run; flat fields only, so `vars()` is its JSON document."""
+    """One epoch of a run; flat, so `vars()` is its JSON line (`reduxpll.METRICS_LINE`)."""
 
     epoch: int
     train_loss: float
@@ -245,23 +245,6 @@ def accuracy(theta: nets.MlpParams, ds: PllDataset) -> float:
     return float((probs.argmax(axis=1) == ds.true_labels).mean())
 
 
-def _fresh_lane(config: TrainConfig) -> Lane:
-    return Lane(
-        config=config,
-        rngs={"shuffle": _stream(config.seed, "shuffle"), "val": _stream(config.seed, "val")},
-    )
-
-
-def _layouts(config: TrainConfig, q: int, c: int) -> dict:
-    """Layer widths and per-lane lead shape of theta and each net `config`'s method trains."""
-    layouts = {
-        "theta": ((q, *config.hidden_sizes, c), ()),
-        "omegas": ((config.hidden_sizes[-1], c), (c,)),  # the c branches
-        "gamma": ((q, *config.meta_hidden_sizes, c), ()),
-    }
-    return {name: layouts[name] for name in ("theta", *_NETS[config.method])}
-
-
 def init_lanes(train_ds: PllDataset, configs: Sequence[TrainConfig]) -> TrainerState:
     """A fresh lane stack, one lane per config, with the nets their method trains."""
 
@@ -271,9 +254,17 @@ def init_lanes(train_ds: PllDataset, configs: Sequence[TrainConfig]) -> TrainerS
             return nets.init_mlp(sizes, rng)
         return nets.stack([nets.init_mlp(sizes, rng) for _ in range(lead[0])])
 
+    config, q, c = configs[0], train_ds.q, train_ds.c
+    # layer widths and per-lane lead shape of each net
+    layouts = {
+        "theta": ((q, *config.hidden_sizes, c), ()),
+        "omegas": ((config.hidden_sizes[-1], c), (c,)),  # the c branches
+        "gamma": ((q, *config.meta_hidden_sizes, c), ()),
+    }
     bundle = ModelBundle(**{
-        name: nets.stack([init(_stream(cfg.seed, f"{name}_init"), *layout) for cfg in configs])
-        for name, layout in _layouts(configs[0], train_ds.q, train_ds.c).items()
+        name: nets.stack([init(_stream(cfg.seed, f"{name}_init"), *layouts[name])
+                          for cfg in configs])
+        for name in ("theta", *_NETS[config.method])
     })
     pls = pseudo.PseudoLabelState.initial(
         train_ds.candidates,
@@ -286,7 +277,8 @@ def init_lanes(train_ds: PllDataset, configs: Sequence[TrainConfig]) -> TrainerS
         omega_buf=None if bundle.omegas is None else np.zeros_like(bundle.omegas.flat),
         pls=pls,
         prev_q=pls.q.copy(),
-        lanes=[_fresh_lane(config) for config in configs],
+        lanes=[Lane(cfg, {key: _stream(cfg.seed, key) for key in ("shuffle", "val")})
+               for cfg in configs],
     )
 
 
@@ -689,6 +681,16 @@ TMP_SUFFIX = ".tmp"
 # the `Lane` fields that `meta.json` stores under their own names
 _LANE_RECORD = ("stagnant", "best_epoch", "best_val_accuracy", "best_test_accuracy")
 
+# the checkpoint's meta.json, as `save_checkpoint` writes it; `resume_hash`, not
+# `config`, is what a resume must match, and each stream's state is numpy's PCG64 one
+_META = {
+    "config": dict, "config_hash": str, "resume_hash": str, "epoch": int, "rollback_checks": int,
+    "stagnant": int, "best_epoch": int, "best_val_accuracy": float, "best_test_accuracy": float,
+    "rng_states": {stream: {"bit_generator": str, "state": {"state": int, "inc": int},
+                            "has_uint32": int, "uinteger": int} for stream in ("shuffle", "val")},
+    "history": [METRICS_LINE],
+}
+
 
 def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
     """Write the archive to a temp file beside `path`, then rename it onto `path`.
@@ -740,30 +742,30 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
 def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerState:
     """The one-lane state a checkpoint holds, reading the members `config`'s method has.
 
-    Each member must be a float64 array of the shape that the configuration
-    and the training set give it; a missing or misfit member is a ConfigError
-    that names the file and the member. Extra members (the untrained nets and
-    reduction side that older checkpoints of the baselines hold) are not read.
+    Each array member must have the float64 shape of a fresh stack of `config`,
+    and `meta.json` must fit `_META`; a file that is no zip archive or a missing
+    or misfit member is a ConfigError that names the file and the member.
+    Extra members (the untrained nets and reduction side that older
+    checkpoints of the baselines hold) are not read.
     """
-    n, c = train_ds.candidates.shape
-    layouts = _layouts(config, train_ds.q, c)
-    # one lane's shape of each member; the head brings its buffer and the reduction side
-    shapes = {name: nets.empty(sizes, lead).flat.shape for name, (sizes, lead) in layouts.items()}
-    shapes.update(theta_buf=shapes["theta"], mu=(n, c))
-    if "omegas" in shapes:
-        shapes.update(omega_bufs=shapes["omegas"], U=(n, c, c), w=(n, c), v=(n, c))
-    shapes.update(q=(n, c), prev_q=(n, c), best_theta=shapes["theta"])
-    # not `np.load`, which reads a file that is no zip archive as a refused pickle
-    with np.lib.npyio.NpzFile(path) as npz:
-        meta = json.loads(npz.zip.read("meta.json"))
-        if meta["resume_hash"] != config.resume_hash():
-            raise ConfigError(f"checkpoint {path} was written under a different configuration")
-        for member in shapes:
-            if member not in npz.files:
-                raise ConfigError(f"checkpoint {path} has no {member} member")
-        data = {member: npz[member] for member in shapes}
-    if not data["best_theta"].size:
-        shapes["best_theta"] = (0,)  # a run with no best model yet
+    fresh = init_lanes(train_ds, [config])
+    shapes = {name: arr.shape[1:] for name, arr in _lane_arrays(fresh).items()}
+    shapes["best_theta"] = shapes["theta"]
+    where = f"checkpoint {path}, member meta.json"
+    try:
+        # not `np.load`, which reads a file that is no zip archive as a refused pickle
+        with np.lib.npyio.NpzFile(path) as npz:
+            if "meta.json" not in npz.files:
+                raise ConfigError(f"checkpoint {path} has no meta.json member")
+            meta = parse_object(npz.zip.read("meta.json"), where, _META, ConfigError)
+            if meta["resume_hash"] != config.resume_hash():
+                raise ConfigError(f"checkpoint {path} was written under a different configuration")
+            for member in shapes:
+                if member not in npz.files:
+                    raise ConfigError(f"checkpoint {path} has no {member} member")
+            data = {member: npz[member] for member in shapes}
+    except zipfile.BadZipFile as exc:
+        raise ConfigError(f"checkpoint {path} is not a readable zip archive ({exc})") from None
     for member, shape in shapes.items():
         arr = data[member]
         if arr.shape != shape or arr.dtype != np.float64:
@@ -771,15 +773,16 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
                 f"checkpoint {path} holds {member} as {arr.dtype} {arr.shape}, "
                 f"but the training set needs float64 {shape}"
             )
-    lane = _fresh_lane(config)
-    for name in _LANE_RECORD:  # each as the type of its default
-        setattr(lane, name, type(getattr(lane, name))(meta[name]))
-    lane.best_theta_flat = data["best_theta"] if data["best_theta"].size else None
+    lane = replace(fresh.lanes[0], **{name: meta[name] for name in _LANE_RECORD})
+    lane.best_theta_flat = data["best_theta"]
     lane.history = [EpochMetrics(**h) for h in meta["history"]]
     for key, rng_state in meta["rng_states"].items():
-        lane.rngs[key].bit_generator.state = rng_state
+        try:
+            lane.rngs[key].bit_generator.state = rng_state
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: numpy refuses rng_states.{key} ({exc})") from None
     return _from_lane_arrays(
         {member: arr[None] for member, arr in data.items()},  # best_theta is not read
-        {name: sizes for name, (sizes, _) in layouts.items()},
-        [lane], int(meta["epoch"]), int(meta["rollback_checks"]),
+        {name: net.sizes for name, net in vars(fresh.bundle).items() if net is not None},
+        [lane], meta["epoch"], meta["rollback_checks"],
     )

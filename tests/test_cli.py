@@ -498,7 +498,25 @@ def test_a_failed_command_keeps_an_out_directory_that_holds_files(
     ]
 
 
-EPOCH_LINE = json.dumps({"bayes_consistency": 0.5, "pseudo_label_drift": 0.1})
+# one valid metrics line and summary.json; `_doc` derives the malformed ones
+EPOCH = {"epoch": 1, "train_loss": 1.25, "val_accuracy": 0.5, "test_accuracy": 0.5,
+         "bayes_consistency": 0.5, "pseudo_label_drift": 0.1}
+SUMMARY = {
+    "method": "proden", "alpha": 0.5, "config_hash": "0" * 64, "seeds": [0],
+    "per_seed": [{"seed": 0, "best_epoch": 1, "best_val_accuracy": 0.5, "test_accuracy": 0.5,
+                  "epochs_run": 1}],
+    "mean_test_accuracy": 0.5, "std_test_accuracy": 0.0,
+}
+DROP = object()
+
+
+def _doc(base: dict, **changes) -> str:
+    """`base` as one line of JSON, each key of `changes` set to its value or, for DROP, removed."""
+    doc = {**base, **changes}
+    return json.dumps({key: value for key, value in doc.items() if value is not DROP})
+
+
+EPOCH_LINE = _doc(EPOCH)
 
 
 @pytest.mark.parametrize(
@@ -509,24 +527,38 @@ EPOCH_LINE = json.dumps({"bayes_consistency": 0.5, "pseudo_label_drift": 0.1})
         ("metrics_seedx.jsonl", EPOCH_LINE + "\n", ": expected a name"),
         ("metrics_seed01.jsonl", EPOCH_LINE + "\n", ": expected a name"),
         ("metrics_seed0.jsonl", EPOCH_LINE + "\n\xff\n", ": cannot read the file"),
-        ("metrics_seed0.jsonl", '{"pseudo_label_drift": 0.1}\n', ":1: no bayes_consistency"),
-        ("metrics_seed0.jsonl", '{"bayes_consistency": null}\n', ":1: no pseudo_label_drift"),
-        ("metrics_seed0.jsonl", '{"bayes_consistency": 0.5, "pseudo_label_drift": "x"}\n',
-         ":1: pseudo_label_drift must be a number"),
-        ("metrics_seed0.jsonl", '{"bayes_consistency": NaN, "pseudo_label_drift": Infinity}\n',
+        ("metrics_seed0.jsonl", _doc(EPOCH, bayes_consistency=DROP), ":1: no bayes_consistency"),
+        ("metrics_seed0.jsonl", _doc(EPOCH, pseudo_label_drift=DROP), ":1: no pseudo_label_drift"),
+        ("metrics_seed0.jsonl", _doc(EPOCH, pseudo_label_drift="x"),
+         ":1: pseudo_label_drift must be a number, got 'x'"),
+        ("metrics_seed0.jsonl", _doc(EPOCH, bayes_consistency=float("nan")),
          ":1: NaN is not a JSON number"),
+        ("metrics_seed0.jsonl", _doc(EPOCH, epoch="2"), ":1: epoch must be an integer, got '2'"),
+        ("metrics_seed0.jsonl", _doc(EPOCH, seed=0), ":1: unknown key seed"),
+        ("metrics_seed0.jsonl", EPOCH_LINE + "\n" + EPOCH_LINE, ":2: epoch 1 is logged twice"),
+        ("metrics_seed0.jsonl", EPOCH_LINE + "\n" + _doc(EPOCH, epoch=3),
+         ": no line logs epoch 2"),
         ("summary.json", "{nope", ": invalid JSON"),
-        ("summary.json", '{"mean_test_accuracy": 0.9}', ": no std_test_accuracy"),
-        ("summary.json", '{"mean_test_accuracy": 0.9, "std_test_accuracy": 0.0, "seeds": 3}',
-         ": seeds must be a list"),
-        ("summary.json", '{"mean_test_accuracy": 0.9, "std_test_accuracy": 0.0, "seeds": [0, "x"]}',
-         ": seeds must be a list of seeds"),
-        ("summary.json", '{"mean_test_accuracy": NaN, "std_test_accuracy": 0.0}',
+        ("summary.json", _doc(SUMMARY, std_test_accuracy=DROP), ": no std_test_accuracy field"),
+        ("summary.json", _doc(SUMMARY, seeds=3), ": seeds must be a list, got 3"),
+        ("summary.json", _doc(SUMMARY, seeds=[0, "x"]),
+         ": seeds[1] must be an integer, got 'x'"),
+        ("summary.json", _doc(SUMMARY, mean_test_accuracy=float("nan")),
          ": NaN is not a JSON number"),
+        ("summary.json", _doc(SUMMARY, method="nope"), ": method must be one of ("),
+        ("summary.json", _doc(SUMMARY, seeds=[0, 0]),
+         ": seeds must be distinct and >= 0, got [0, 0]"),
+        ("summary.json", _doc(SUMMARY, seeds=[-1]), ": seeds must be distinct and >= 0, got [-1]"),
+        ("summary.json", _doc(SUMMARY, per_seed="x"), ": per_seed must be a list, got 'x'"),
+        ("summary.json", _doc(SUMMARY, per_seed=[{**SUMMARY["per_seed"][0], "seed": True}]),
+         ": per_seed[0].seed must be an integer, got True"),
     ],
     ids=["bad-json", "not-object", "bad-seed-name", "zero-padded-seed", "not-utf8",
-         "no-consistency", "no-drift", "drift-text", "nan-metric", "summary-bad-json",
-         "summary-no-std", "summary-seeds-int", "summary-seed-text", "summary-nan"],
+         "no-consistency", "no-drift", "drift-text", "nan-metric", "epoch-text",
+         "unknown-key", "repeated-epoch", "missing-epoch", "summary-bad-json",
+         "summary-no-std", "summary-seeds-int", "summary-seed-text", "summary-nan",
+         "summary-unknown-method", "summary-repeated-seed", "summary-negative-seed",
+         "summary-per-seed-text", "summary-per-seed-bool"],
 )
 def test_report_names_the_file_and_line_of_a_malformed_run_file(
     tmp_path, capsys, name, text, where
@@ -537,7 +569,8 @@ def test_report_names_the_file_and_line_of_a_malformed_run_file(
         (run / "metrics_seed0.jsonl").write_text(EPOCH_LINE + "\n")
     (run / name).write_bytes(text.encode("latin-1"))  # "\xff": one byte, not UTF-8
     assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
-    assert f"{run / name}{where}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / name}{where}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("existing", [False, True])

@@ -58,7 +58,9 @@ def test_cli_and_generate_load_no_training_theory_or_pool_code(tmp_path):
 def test_only_the_commands_that_read_or_write_a_dataset_load_its_codec(tmp_path):
     run = tmp_path / "run"
     run.mkdir()
-    (run / "metrics_seed0.jsonl").write_text('{"bayes_consistency": 0.5, "pseudo_label_drift": 0}\n')
+    line = {"epoch": 1, "train_loss": 1.0, "val_accuracy": 0.5, "test_accuracy": 0.5,
+            "bayes_consistency": 0.5, "pseudo_label_drift": 0}
+    (run / "metrics_seed0.jsonl").write_text(json.dumps(line) + "\n")
     report = ["report", "--runs", str(run), "--out", str(tmp_path / "report")]
     verify = ["verify-theory", "--scenario", "theorem1-4class", "--trials", "1000"]
     generate = ["generate", "--n", "50", "--out", str(tmp_path / "ds")]

@@ -243,7 +243,8 @@ def test_malformed_scenario_documents_are_rejected(tmp_path, capsys, name, defec
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main(["verify-theory", "--scenario", str(path), "--trials", "100"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_empty_excluded_set_is_rejected(tmp_path, capsys):

@@ -527,8 +527,74 @@ def test_a_file_that_is_no_zip_archive_is_refused_as_one(small_dataset, tmp_path
     # np.load would read it as a pickle and name allow_pickle, or hit the end of the file
     path = tmp_path / "ck.npz"
     path.write_bytes(content)
-    with pytest.raises(zipfile.BadZipFile):
+    with pytest.raises(ConfigError, match="is not a readable zip archive") as err:
         training.load_checkpoint(path, small_dataset[0], training.TrainConfig())
+    assert str(path) in str(err.value)
+
+
+def _rewrite_meta(path, text):
+    """Rewrite the checkpoint at `path` with `text` as its meta.json, or none for None."""
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    members.pop("meta.json")
+    if text is not None:
+        members["meta.json"] = text
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, payload in members.items():
+            zf.writestr(name, payload)
+
+
+def _edited_meta(edit):
+    """A meta.json rewrite: the checkpoint's own document passed through `edit`."""
+
+    def rewrite(meta):
+        edit(meta)
+        return json.dumps(meta)
+
+    return rewrite
+
+
+def _set(*path, value):
+    def edit(meta):
+        for key in path[:-1]:
+            meta = meta[key]
+        meta[path[-1]] = value
+
+    return _edited_meta(edit)
+
+
+@pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        (lambda meta: None, "has no meta.json member"),
+        (lambda meta: "{nope", "member meta.json: invalid JSON"),
+        (_set("rng_states", "bogus", value={}), "member meta.json: unknown key rng_states.bogus"),
+        (_set("stagnant", value="3"), "member meta.json: stagnant must be an integer, got '3'"),
+        (_set("epoch", value="x"), "member meta.json: epoch must be an integer, got 'x'"),
+        (_set("history", 0, "extra", value=1), "member meta.json: unknown key history[0].extra"),
+        (_set("best_val_accuracy", value=-np.inf), "-Infinity is not a JSON number"),
+        (_edited_meta(lambda meta: meta.pop("history")), "member meta.json: no history field"),
+        (_set("rng_states", "shuffle", "bit_generator", value="MT19937"),
+         "member meta.json: numpy refuses rng_states.shuffle (state must be for a PCG64 RNG)"),
+        (_set("rng_states", "val", "state", "state", value=-1),
+         "member meta.json: numpy refuses rng_states.val ("),
+    ],
+    ids=["no-meta", "not-json", "unknown-stream", "stagnant-text", "epoch-text",
+         "history-extra-key", "minus-infinity", "no-history", "numpy-refuses-generator",
+         "numpy-refuses-state"],
+)
+def test_a_malformed_meta_json_is_a_config_error_naming_the_file_and_member(
+    small_dataset, tmp_path, rewrite, message
+):
+    cfg = training.TrainConfig(method="proden", seed=2, epochs=1)
+    ckpt = tmp_path / "ck.npz"
+    training.fit(small_dataset, cfg, checkpoint_path=ckpt)
+    with zipfile.ZipFile(ckpt) as zf:
+        meta = json.loads(zf.read("meta.json"))
+    _rewrite_meta(ckpt, rewrite(meta))
+    with pytest.raises(ConfigError) as err:
+        training.load_checkpoint(ckpt, small_dataset[0], cfg)
+    assert str(err.value).startswith(f"checkpoint {ckpt}") and message in str(err.value)
 
 
 @pytest.mark.parametrize("method", training.METHODS)
