@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import METHODS, METRICS_LINE
-from .errors import ConfigError, DataError, NumericError, ParseError, ReduxPllError, UsageError
-from .errors import parse_object, read_text
+from .errors import AssumptionError, ConfigError, DataError, NumericError, ParseError
+from .errors import ReduxPllError, ScenarioError, UsageError, parse_object, read_text
 
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -355,18 +355,16 @@ def cmd_verify_theory(args) -> int:
         scenario = theory.load_builtin_scenario(name)
     else:
         scenario = theory.TheoryScenario.from_json(name)
-    report: dict = {
-        "scenario": scenario.name,
-        "trials": args.trials,
-        "seed": args.seed,
-        "theorem1": theory.verify_theorem1(scenario, args.trials, args.seed).to_dict(),
-    }
-    if scenario.tsybakov is not None:
-        report["theorem2"] = theory.verify_theorem2(
-            scenario, args.trials, args.seed
-        ).to_dict()
-    else:
-        report["theorem2"] = {"skipped": "scenario carries no Tsybakov constants"}
+    theorem2 = {"skipped": "scenario carries no Tsybakov constants"}
+    # a verifier's refusal names the scenario too, as the reader's do
+    try:
+        theorem1 = theory.verify_theorem1(scenario, args.trials, args.seed).to_dict()
+        if scenario.tsybakov is not None:
+            theorem2 = theory.verify_theorem2(scenario, args.trials, args.seed).to_dict()
+    except (AssumptionError, ScenarioError) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+    report = {"scenario": scenario.name, "trials": args.trials, "seed": args.seed,
+              "theorem1": theorem1, "theorem2": theorem2}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         out = Path(args.out)
@@ -376,10 +374,7 @@ def cmd_verify_theory(args) -> int:
         except OSError as exc:
             raise UsageError(f"--out {out}: cannot write the report ({exc.strerror})") from None
     print(text, end="")
-    t1 = report["theorem1"]
-    ok1 = t1["holds"]
-    ok2 = report["theorem2"].get("holds", True)
-    return 0 if (ok1 and ok2) else 2
+    return 0 if theorem1["holds"] and theorem2.get("holds", True) else 2
 
 
 def _read_metrics_series(run_dir: Path, seeds) -> dict[int, dict[int, dict]]:
@@ -430,20 +425,29 @@ def cmd_report(args) -> int:
         name = run_dir.name
         md += [f"## {name}", ""]
         # a summary lists its command's seeds; other seeds' files are an earlier command's
-        summary_path, seeds = run_dir / "summary.json", None
+        summary_path, seeds, per_seed = run_dir / "summary.json", None, []
         if summary_path.exists():
             summary = parse_object(read_text(summary_path), summary_path, _SUMMARY)
-            method, seeds = summary["method"], summary["seeds"]
+            method, seeds, per_seed = summary["method"], summary["seeds"], summary["per_seed"]
             if method not in METHODS:
                 raise ParseError(f"{summary_path}: method must be one of {METHODS}, got {method!r}")
             if len(set(seeds)) < len(seeds) or min(seeds, default=0) < 0:
                 raise ParseError(f"{summary_path}: seeds must be distinct and >= 0, got {seeds!r}")
+            if [row["seed"] for row in per_seed] != seeds:
+                raise ParseError(f"{summary_path}: per_seed must list the seeds {seeds!r} in order")
             md.append(
                 f"- method `{method}`: test accuracy "
                 f"{summary['mean_test_accuracy']:.4f} ± {summary['std_test_accuracy']:.4f} "
                 f"over {len(seeds)} seed(s)"
             )
         series = _read_metrics_series(run_dir, seeds)
+        for row in per_seed:  # a file cut at a line boundary leaves no gap
+            logged = len(series[row["seed"]])
+            if logged != row["epochs_run"]:
+                raise ParseError(
+                    f"{run_dir / _METRICS.format(row['seed'])}: logs {logged} epochs, "
+                    f"{summary_path} gives epochs_run {row['epochs_run']}"
+                )
         series_name = f"{name}_series.csv"
         series_rows[series_name] = rows = []
         # epoch e averages the seeds that logged it

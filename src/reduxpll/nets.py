@@ -11,9 +11,9 @@ step, a snapshot or a checkpoint row is one array operation. All functions
 are pure: a function writes only buffers it has just made, before it hands
 them on, so one forward's tape can serve any number of backward passes (a
 tape keeps the tanh slopes it computes for them, once each).
-`to_flat` and `from_flat` share the buffer instead of copying it, so a caller
-that keeps a buffer to compare later (the training loop's check that a
-hypergradient left its predictor untouched) keeps a copy.
+A net's `flat` is the buffer itself, and `from_flat` wraps one without
+copying it, so a caller that keeps a buffer to compare later (the training
+loop's check that a hypergradient left its predictor untouched) keeps a copy.
 
 Every function is rank-polymorphic over a leading lane axis: a lane stack of
 S nets of one shape has a (S, P) buffer, so weights[i] is (S, fan_in,
@@ -173,11 +173,6 @@ def nonfinite_lanes(arr: np.ndarray, net_ndim: int) -> list[int]:
         return []
     finite = np.isfinite(arr).reshape(arr.shape[0], -1).all(axis=1)
     return np.flatnonzero(~finite).tolist()
-
-
-def to_flat(params: MlpParams) -> np.ndarray:
-    """The nets' buffer itself, one row per net of a stack (not a copy)."""
-    return params.flat
 
 
 def from_flat(template: MlpParams, flat: np.ndarray) -> MlpParams:

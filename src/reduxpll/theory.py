@@ -1,12 +1,12 @@
 """Numerical verification of the pseudo-label consistency guarantees.
 
-Works over finite scenarios: a list of points with exact posterior rows and
-probability weights, a set of excluded labels, and accuracy budgets. The two
-verifiers sample score functions uniformly from coordinate-wise balls around
-the posterior (for the plain predictor) and around the reduced posterior (for
-the label-subspace model), re-project onto the simplex, and estimate how
-often each side's pseudo-label argmax matches the most likely label. All
-argmax ties break toward the lowest label index.
+Works over finite scenarios: the exact posterior row and probability weight
+of each point, as two arrays, a set of excluded labels, and accuracy
+budgets. The two verifiers sample score functions uniformly from
+coordinate-wise balls around the posterior (for the plain predictor) and
+around the reduced posterior (for the label-subspace model), re-project onto
+the simplex, and estimate how often each side's pseudo-label argmax matches
+the most likely label. All argmax ties break toward the lowest label index.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ _SCENARIO = {
 
 
 @dataclass(frozen=True)
-class ScenarioPoint:
-    eta: np.ndarray  # (c,) exact posterior row
-    weight: float
-
-
-@dataclass(frozen=True)
 class TsybakovConstants:
     C: float
     lam: float
@@ -60,7 +54,8 @@ class TsybakovConstants:
 class TheoryScenario:
     """Finite instance space with exact posteriors and accuracy budgets."""
 
-    points: list[ScenarioPoint]
+    etas: np.ndarray  # (k, c): the exact posterior row of each of k points
+    weights: np.ndarray  # (k,): each point's probability
     excluded: frozenset[int]
     tau: float
     epsilon: float
@@ -70,31 +65,23 @@ class TheoryScenario:
 
     @property
     def c(self) -> int:
-        return self.points[0].eta.size
-
-    def weights(self) -> np.ndarray:
-        return np.array([p.weight for p in self.points])
-
-    def etas(self) -> np.ndarray:
-        return np.stack([p.eta for p in self.points])
+        return self.etas.shape[1]
 
     def validate(self) -> None:
-        if not self.points:
+        etas, w = self.etas, self.weights
+        if etas.ndim != 2 or w.shape != etas.shape[:1]:
+            raise ScenarioError("etas must be a (points, labels) array with one weight per row")
+        if not len(etas):
             raise ScenarioError("scenario has no points")
-        c = self.c
-        if any(p.eta.shape != (c,) for p in self.points):
-            raise ScenarioError(f"posterior rows must all be flat with {c} entries")
-        etas = self.etas()
-        w = self.weights()
         if not (np.isfinite(etas).all() and np.isfinite(w).all()):
             raise ScenarioError("posterior rows and point weights must be finite")
         if np.any(np.abs(etas.sum(axis=1) - 1.0) > 1e-9) or np.any(etas < -1e-12):
             raise ScenarioError("posterior rows are off the probability simplex")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ScenarioError("point weights must be nonnegative and sum to 1")
-        if any(not 0 <= j < c for j in self.excluded):
-            raise ScenarioError(f"excluded labels out of range for c={c}")
-        if len(self.excluded) >= c:
+        if any(not 0 <= j < self.c for j in self.excluded):
+            raise ScenarioError(f"excluded labels out of range for c={self.c}")
+        if len(self.excluded) >= self.c:
             raise ScenarioError("excluded set must be a proper subset of the labels")
         if not 0.0 < self.epsilon < 1.0:
             raise ScenarioError(f"epsilon must be in (0, 1), got {self.epsilon}")
@@ -113,9 +100,9 @@ class TheoryScenario:
                 raise ScenarioError(
                     f"Tsybakov constants out of range: C={t.C}, lambda={t.lam}, t0={t.t0}"
                 )
-        members = members_of_J(self)
-        if members:
-            bound = epsilon_prime_bound(self)
+        t = troubled(self)
+        if t.members.size:
+            bound = epsilon_prime_bound(self, t)
             if self.epsilon_prime >= min(1.0, bound):
                 raise ScenarioError(
                     f"epsilon_prime {self.epsilon_prime} violates the subspace-model "
@@ -128,15 +115,18 @@ class TheoryScenario:
     def from_dict(cls, doc: dict, name: str = "", where="scenario") -> "TheoryScenario":
         """The scenario `doc` describes; a refusal names `where`, the document's file."""
         check(doc, _SCENARIO, where)
-        points = [ScenarioPoint(np.array([float(v) for v in p["eta"]]), float(p["weight"]))
-                  for p in doc["points"]]
-        if "labels" in doc and any(p.eta.size != doc["labels"] for p in points):
+        rows = [[float(v) for v in p["eta"]] for p in doc["points"]]
+        if "labels" in doc and any(len(row) != doc["labels"] for row in rows):
             raise ParseError(f"{where}: labels is {doc['labels']}; an eta row has another length")
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ScenarioError(f"{where}: posterior rows must all be flat with {c} entries")
         tsy = doc.get("tsybakov")
         if tsy is not None:
             tsy = TsybakovConstants(float(tsy["C"]), float(tsy["lambda"]), float(tsy["t0"]))
         scenario = cls(
-            points=points,
+            etas=np.array(rows, dtype=np.float64).reshape(len(rows), c),
+            weights=np.array([float(p["weight"]) for p in doc["points"]]),
             excluded=frozenset(doc["excluded"]),
             tau=float(doc["tau"]),
             epsilon=float(doc["epsilon"]),
@@ -169,27 +159,8 @@ def load_builtin_scenario(name: str) -> TheoryScenario:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise definitions
+# Troubled points
 # ---------------------------------------------------------------------------
-
-def bayes_label(eta) -> int:
-    """Most likely label; ties break to the lowest index."""
-    return int(np.argmax(np.asarray(eta)))
-
-
-def second_best(eta) -> int:
-    """Runner-up label: best over labels other than the most likely one."""
-    eta = np.asarray(eta, dtype=np.float64)
-    masked = eta.copy()
-    masked[bayes_label(eta)] = -np.inf
-    return int(np.argmax(masked))
-
-
-def margin(eta) -> float:
-    """Gap between the top posterior and the runner-up."""
-    eta = np.asarray(eta, dtype=np.float64)
-    return float(eta[bayes_label(eta)] - eta[second_best(eta)])
-
 
 def reduced_posterior(eta, excluded) -> np.ndarray:
     """Posterior conditioned on the label lying outside the excluded set."""
@@ -204,73 +175,78 @@ def reduced_posterior(eta, excluded) -> np.ndarray:
     return np.where(mask, 0.0, eta / (1.0 - removed))
 
 
-def membership_J(scenario: TheoryScenario, index: int) -> bool:
-    """Whether point `index` belongs to the troubled set for the excluded labels.
+@dataclass(frozen=True)
+class TroubledSet:
+    """A scenario's troubled points and, for each, the labels its bounds use."""
 
-    Every excluded label must be disturbing (close to the top posterior, and
-    not the top label itself), and every non-excluded incorrect label must
-    have strictly smaller posterior than every excluded one.
+    members: np.ndarray  # (m,) ascending point indices
+    eta: np.ndarray  # (m, c) their posterior rows
+    top: np.ndarray  # the most likely label
+    a: np.ndarray | None  # the top excluded label; None if none is excluded
+    b: np.ndarray | None  # the top label neither excluded nor `top`; None if none is left
+    runner_up: np.ndarray  # the top label other than `top`
+    excluded_mass: np.ndarray  # the posterior mass of the excluded labels
+
+    def posterior(self, labels: np.ndarray) -> np.ndarray:
+        """Each member's posterior of its entry in `labels`."""
+        return self.eta[np.arange(len(labels)), labels]
+
+
+def troubled(scenario: TheoryScenario) -> TroubledSet:
+    """The points troubled by the excluded labels, in one pass over all points.
+
+    A point is troubled when every excluded label is disturbing: it is not the
+    most likely label, its posterior is within tau of the top one, and it
+    beats every other incorrect label strictly. With no label excluded, every
+    point is troubled. Every argmax breaks ties toward the lowest label.
     """
-    eta = scenario.points[index].eta
-    star = bayes_label(eta)
-    excluded = sorted(scenario.excluded)
-    if not excluded:
-        return True
-    for j in excluded:
-        if j == star:
-            return False
-        if eta[star] - eta[j] > scenario.tau:
-            return False
-    others = [k for k in range(scenario.c) if k != star and k not in scenario.excluded]
-    if others:
-        if max(eta[k] for k in others) >= min(eta[j] for j in excluded):
-            return False
-    return True
+    etas = scenario.etas
+    ex = np.array(sorted(scenario.excluded), dtype=np.intp)
+    rows = np.arange(len(etas))
+    top = etas.argmax(axis=1)
+    rivals = etas.copy()  # -inf at the top label
+    rivals[rows, top] = -np.inf
+    runner_up = rivals.argmax(axis=1)
+    rivals[:, ex] = -np.inf  # and at every excluded label
+    far = etas[rows, top][:, None] - etas[:, ex] > scenario.tau
+    member = ~np.isin(top, ex) & ~far.any(axis=1)
+    if ex.size:
+        member &= rivals.max(axis=1) < etas[:, ex].min(axis=1)
+    members = np.flatnonzero(member)
+    eta = etas[members]
+    return TroubledSet(
+        members=members,
+        eta=eta,
+        top=top[members],
+        a=ex[eta[:, ex].argmax(axis=1)] if ex.size else None,
+        b=rivals[members].argmax(axis=1) if scenario.c > ex.size + 1 else None,
+        runner_up=runner_up[members],
+        # added in the set's iteration order, on which the bound's last bits depend
+        excluded_mass=sum((eta[:, j] for j in scenario.excluded), np.zeros(len(eta))),
+    )
 
 
-def members_of_J(scenario: TheoryScenario) -> list[int]:
-    return [i for i in range(len(scenario.points)) if membership_J(scenario, i)]
+def epsilon_prime_bound(scenario: TheoryScenario, t: TroubledSet) -> float:
+    """Largest admissible accuracy budget for the label-subspace model.
 
-
-def _a_label(eta, excluded) -> int:
-    ex = sorted(excluded)
-    if not ex:
+    min over the troubled points `t` of
+    (eta_top - eta_b)(eta_top - eta_a) / (4 eps (1 - excluded mass)).
+    """
+    if not t.members.size:
+        raise ScenarioError("troubled set is empty; construct a scenario with members")
+    if t.a is None:
         raise ScenarioError("excluded set is empty; no top excluded label exists")
-    return ex[int(np.argmax([eta[j] for j in ex]))]
-
-
-def _b_label(eta, excluded) -> int:
-    star = bayes_label(eta)
-    rest = [k for k in range(len(eta)) if k != star and k not in excluded]
-    if not rest:
+    if t.b is None:
         raise ScenarioError(
             "no incorrect label remains outside the excluded set; scenario is degenerate"
         )
-    return rest[int(np.argmax([eta[k] for k in rest]))]
-
-
-def epsilon_prime_bound(scenario: TheoryScenario) -> float:
-    """Largest admissible accuracy budget for the label-subspace model.
-
-    min over troubled points of
-    (eta_top - eta_b)(eta_top - eta_a) / (4 eps (1 - excluded mass)).
-    """
-    members = members_of_J(scenario)
-    if not members:
-        raise ScenarioError("troubled set is empty; construct a scenario with members")
-    vals = []
-    for i in members:
-        eta = scenario.points[i].eta
-        star = bayes_label(eta)
-        a = _a_label(eta, scenario.excluded)
-        b = _b_label(eta, scenario.excluded)
-        removed = sum(eta[j] for j in scenario.excluded)
-        vals.append(
-            (eta[star] - eta[b])
-            * (eta[star] - eta[a])
-            / (4.0 * scenario.epsilon * (1.0 - removed))
-        )
-    return float(min(vals))
+    top = t.posterior(t.top)
+    vals = (
+        (top - t.posterior(t.b))
+        * (top - t.posterior(t.a))
+        / (4.0 * scenario.epsilon * (1.0 - t.excluded_mass))
+    )
+    return float(vals.min())
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +393,19 @@ def _binomial_se(p_hat: float, n: int) -> float:
 
 
 def _troubled_trials(scenario: TheoryScenario, trials: int, seed: int):
-    """The troubled points, the stream seeded by `seed`, and `(eta, star, count)`
+    """The troubled set, the stream seeded by `seed`, and `(eta, star, count)`
     for each troubled point that drew trials in the stream's first draw, a
     multinomial split of `trials` by weight. The ball draws continue the stream.
     """
-    members = members_of_J(scenario)
-    w = scenario.weights()[members]
+    t = troubled(scenario)
+    w = scenario.weights[t.members]
     if not w.sum() > 0.0:
         raise ScenarioError("troubled set is empty or carries no weight; nothing to sample")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = []
-    for i, count in zip(members, rng.multinomial(trials, w / w.sum())):
-        if count:
-            eta = scenario.points[i].eta
-            draws.append((eta, bayes_label(eta), int(count)))
-    return members, rng, draws
+    counts = rng.multinomial(trials, w / w.sum())
+    draws = [(eta, int(star), int(count))
+             for eta, star, count in zip(t.eta, t.top, counts) if count]
+    return t, rng, draws
 
 
 def _phi_hits(rng, scenario: TheoryScenario, eta, star: int, radius: float, count: int) -> int:
@@ -464,7 +438,7 @@ def verify_theorem1(
     if trials <= 0:
         raise ConfigError(f"trials must be positive, got {trials}")
     scenario.validate()
-    members, rng, draws = _troubled_trials(scenario, trials, seed)
+    t, rng, draws = _troubled_trials(scenario, trials, seed)
     f_rad = scenario.epsilon if f_radius is None else f_radius
     phi_rad = scenario.epsilon_prime if phi_radius is None else phi_radius
 
@@ -494,8 +468,8 @@ def verify_theorem1(
         gap=rhs - lhs,
         holds=lhs <= rhs + 2.0 * combined,
         trials=trials,
-        troubled_points=members,
-        epsilon_prime_bound=epsilon_prime_bound(scenario),
+        troubled_points=t.members.tolist(),
+        epsilon_prime_bound=epsilon_prime_bound(scenario, t),
     )
 
 
@@ -511,27 +485,21 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
     scenario.validate()
     if scenario.tsybakov is None:
         raise ConfigError("scenario carries no Tsybakov constants")
-    members, rng, draws = _troubled_trials(scenario, trials, seed)
+    t, rng, draws = _troubled_trials(scenario, trials, seed)
     tsy = scenario.tsybakov
     if not check_tsybakov(scenario, tsy.C, tsy.lam, tsy.t0):
         raise AssumptionError(
             "margin condition fails on the troubled subset for the supplied constants"
         )
 
-    ts = []
-    for i in members:
-        eta = scenario.points[i].eta
-        star = bayes_label(eta)
-        s = second_best(eta)
-        b = _b_label(eta, scenario.excluded)
-        ts.append(
-            4.0
-            * scenario.epsilon
-            * scenario.epsilon_prime
-            * (1.0 - eta[s])
-            / (eta[star] - eta[b])
-        )
-    worst_t = float(max(ts))
+    ts = (
+        4.0
+        * scenario.epsilon
+        * scenario.epsilon_prime
+        * (1.0 - t.posterior(t.runner_up))
+        / (t.posterior(t.top) - t.posterior(t.b))
+    )
+    worst_t = float(ts.max())
     if worst_t > tsy.t0:
         raise AssumptionError(
             f"bound argument {worst_t:.6g} exceeds t0={tsy.t0}; the margin "
@@ -551,7 +519,7 @@ def verify_theorem2(scenario: TheoryScenario, trials: int, seed: int) -> Theorem
         worst_case_t=worst_t,
         holds=empirical >= bound,
         trials=trials,
-        troubled_points=members,
+        troubled_points=t.members.tolist(),
         tsybakov={"C": tsy.C, "lambda": tsy.lam, "t0": tsy.t0},
     )
 
@@ -567,11 +535,11 @@ def check_tsybakov(scenario: TheoryScenario, C: float, lam: float, t0: float) ->
         raise ContractViolation(f"t0 must be in (0, 1], got {t0}")
     if C <= 0 or lam <= 0:
         raise ContractViolation(f"C and lambda must be positive, got {C}, {lam}")
-    idx = members_of_J(scenario)
-    if not idx:
+    t = troubled(scenario)
+    if not t.members.size:
         raise ScenarioError("no troubled points to evaluate the margin condition on")
-    margins = np.array([margin(scenario.points[i].eta) for i in idx])
-    weights = scenario.weights()[idx]
+    margins = t.posterior(t.top) - t.posterior(t.runner_up)
+    weights = scenario.weights[t.members]
     if weights.sum() <= 0.0:
         raise ScenarioError("the troubled points carry no weight")
     weights = weights / weights.sum()

@@ -720,7 +720,7 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
 
     Its members are row `lane` of each of the stack's `_lane_arrays` and
     `best_theta`; the branch head's row holds one row per branch, each laid
-    out as `nets.to_flat` of that branch alone.
+    out as the `flat` buffer of that branch alone.
     """
     run = state.lanes[lane]
     arrays = {name: arr[lane] for name, arr in _lane_arrays(state).items()}

@@ -39,7 +39,7 @@ def random_net(rng, sizes) -> nets.MlpParams:
 
 def zero_net(like: nets.MlpParams) -> nets.MlpParams:
     """Nets shaped like `like` with every parameter zero."""
-    return nets.from_flat(like, np.zeros_like(nets.to_flat(like)))
+    return nets.from_flat(like, np.zeros_like(like.flat))
 
 
 def random_simplex_rows(rng, n, c) -> np.ndarray:

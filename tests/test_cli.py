@@ -552,13 +552,20 @@ EPOCH_LINE = _doc(EPOCH)
         ("summary.json", _doc(SUMMARY, per_seed="x"), ": per_seed must be a list, got 'x'"),
         ("summary.json", _doc(SUMMARY, per_seed=[{**SUMMARY["per_seed"][0], "seed": True}]),
          ": per_seed[0].seed must be an integer, got True"),
+        ("summary.json", _doc(SUMMARY, per_seed=[]), ": per_seed must list the seeds [0] in order"),
+        # a metrics file cut at a line boundary: its summary says 3 epochs ran
+        ("metrics_seed0.jsonl",
+         {"summary.json": _doc(SUMMARY, per_seed=[{**SUMMARY["per_seed"][0], "epochs_run": 3}]),
+          "metrics_seed0.jsonl": EPOCH_LINE + "\n" + _doc(EPOCH, epoch=2) + "\n"},
+         ": logs 2 epochs, "),
     ],
     ids=["bad-json", "not-object", "bad-seed-name", "zero-padded-seed", "not-utf8",
          "no-consistency", "no-drift", "drift-text", "nan-metric", "epoch-text",
          "unknown-key", "repeated-epoch", "missing-epoch", "summary-bad-json",
          "summary-no-std", "summary-seeds-int", "summary-seed-text", "summary-nan",
          "summary-unknown-method", "summary-repeated-seed", "summary-negative-seed",
-         "summary-per-seed-text", "summary-per-seed-bool"],
+         "summary-per-seed-text", "summary-per-seed-bool", "summary-per-seed-other-seeds",
+         "fewer-epochs-than-the-summary"],
 )
 def test_report_names_the_file_and_line_of_a_malformed_run_file(
     tmp_path, capsys, name, text, where
@@ -567,7 +574,9 @@ def test_report_names_the_file_and_line_of_a_malformed_run_file(
     run.mkdir()
     if name == "summary.json":
         (run / "metrics_seed0.jsonl").write_text(EPOCH_LINE + "\n")
-    (run / name).write_bytes(text.encode("latin-1"))  # "\xff": one byte, not UTF-8
+    # `text` is the file `name`, or a dict of every file of the run
+    for file, content in (text if isinstance(text, dict) else {name: text}).items():
+        (run / file).write_bytes(content.encode("latin-1"))  # "\xff": one byte, not UTF-8
     assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {run / name}{where}") and err.count("\n") == 1

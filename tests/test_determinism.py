@@ -97,20 +97,20 @@ def test_stacked_branch_head_equals_per_branch_nets(seed):
 
     probs = training._branch_probs(head, z)
     grad = training._branch_grad(z, probs, U.transpose(1, 0, 2))
-    rows = nets.to_flat(head)  # one row per branch
+    rows = head.flat  # one row per branch
     for j, br in enumerate(branches):
         probs_j, tape_j = nets.forward(br, z)
         assert np.array_equal(probs[j], probs_j)
         _, grad_j = nets.backward_ce(tape_j, probs_j, U[:, j, :])
         assert np.array_equal(grad.weights[0][j], grad_j.weights[0])
         assert np.array_equal(grad.biases[0][j], grad_j.biases[0])
-        assert np.array_equal(rows[j], nets.to_flat(br))
+        assert np.array_equal(rows[j], br.flat)
 
     reference = np.stack([pseudo.reduction_row(probs[j], S, j) for j in range(c)], axis=1)
     assert np.array_equal(pseudo.reduction_matrix(probs, S), reference)
 
     rebuilt = nets.from_flat(head, rows)
-    assert np.array_equal(nets.to_flat(rebuilt), rows)
+    assert np.array_equal(rebuilt.flat, rows)
 
 
 def test_branch_grad_keeps_the_target_checks():

@@ -21,7 +21,7 @@ def _bundles_equal(a: training.ModelBundle, b: training.ModelBundle) -> bool:
     nets_a, nets_b = vars(a), vars(b)
     has = {name for name, net in nets_a.items() if net is not None}
     return has == {name for name, net in nets_b.items() if net is not None} and all(
-        np.array_equal(nets.to_flat(nets_a[name]), nets.to_flat(nets_b[name])) for name in has
+        np.array_equal(nets_a[name].flat, nets_b[name].flat) for name in has
     )
 
 
@@ -74,7 +74,7 @@ def test_lanes_that_stop_early_at_different_epochs_each_equal_their_own_fit(
         alone = training.fit(small_dataset, config, checkpoint_path=ckpt)
         assert lane.trajectory_hash() == alone.trajectory_hash()
         assert lane.best_epoch == alone.best_epoch
-        assert np.array_equal(nets.to_flat(lane.best_theta), nets.to_flat(alone.best_theta))
+        assert np.array_equal(lane.best_theta.flat, alone.best_theta.flat)
         assert _bundles_equal(lane.final_bundle, alone.final_bundle)
         assert (tmp_path / f"lane{config.seed}.npz").read_bytes() == ckpt.read_bytes()
         assert training.load_checkpoint(ckpt, small_dataset[0], config).epoch == len(alone.history)

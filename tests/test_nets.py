@@ -47,18 +47,18 @@ def test_tape_serves_repeated_backwards_bit_for_bit():
         fresh_probs, fresh_tape = nets.forward(params, x)
         fresh_loss, fresh_grad = nets.backward_ce(fresh_tape, fresh_probs, targets)
         assert loss == fresh_loss
-        assert np.array_equal(nets.to_flat(grad), nets.to_flat(fresh_grad))
+        assert np.array_equal(grad.flat, fresh_grad.flat)
 
 
 def test_flat_round_trip_is_bit_exact():
     rng = np.random.default_rng(3)
     params = nets.init_mlp([4, 7, 3], rng)
-    rebuilt = nets.from_flat(params, nets.to_flat(params))
+    rebuilt = nets.from_flat(params, params.flat)
     for a, b in zip(params.weights + params.biases, rebuilt.weights + rebuilt.biases):
         assert np.array_equal(a, b)
 
 
-def _reference_to_flat(weights, biases):
+def _reference_flat(weights, biases):
     """The layout every net's buffer must have: W0, b0, W1, b1, ... concatenated."""
     lead = biases[0].shape[:-1]
     parts = []
@@ -76,24 +76,24 @@ def test_one_buffer_holds_every_layer_in_the_reference_layout(lead, seed):
     weights = [rng.standard_normal((*lead, a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
     biases = [rng.standard_normal((*lead, b)) for b in sizes[1:]]
     params = nets.MlpParams(weights, biases)
-    flat = nets.to_flat(params)
-    assert np.array_equal(flat, _reference_to_flat(weights, biases))
+    flat = params.flat
+    assert np.array_equal(flat, _reference_flat(weights, biases))
     for view, layer in zip(params.weights + params.biases, weights + biases):
         assert np.shares_memory(view, flat) and np.array_equal(view, layer)
 
     rebuilt = nets.from_flat(params, flat)
-    assert nets.to_flat(rebuilt) is flat
+    assert rebuilt.flat is flat
     for view in rebuilt.weights + rebuilt.biases:
         assert np.shares_memory(view, flat)
 
     grad = nets.from_flat(params, rng.standard_normal(flat.shape))
-    kept = flat.copy(), nets.to_flat(grad).copy()
+    kept = flat.copy(), grad.flat.copy()
     stepped = nets.sgd_step(params, grad, 0.3)
-    assert np.array_equal(flat, kept[0]) and np.array_equal(nets.to_flat(grad), kept[1])
-    assert not np.shares_memory(nets.to_flat(stepped), flat)
+    assert np.array_equal(flat, kept[0]) and np.array_equal(grad.flat, kept[1])
+    assert not np.shares_memory(stepped.flat, flat)
     assert np.array_equal(
-        nets.to_flat(stepped),
-        _reference_to_flat(
+        stepped.flat,
+        _reference_flat(
             [w - 0.3 * g for w, g in zip(weights, grad.weights)],
             [b - 0.3 * g for b, g in zip(biases, grad.biases)],
         ),
@@ -102,21 +102,21 @@ def test_one_buffer_holds_every_layer_in_the_reference_layout(lead, seed):
     x = rng.standard_normal((5, sizes[0]))  # one batch shared by every net
     probs, tape = nets.forward(params, x)
     _, backward = nets.backward_ce(tape, probs, np.full(probs.shape, 1.0 / sizes[-1]))
-    assert nets.to_flat(backward).shape == flat.shape
+    assert backward.flat.shape == flat.shape
     for view in backward.weights + backward.biases:
-        assert np.shares_memory(view, nets.to_flat(backward))
+        assert np.shares_memory(view, backward.flat)
 
 
 def test_stack_and_take_index_one_buffer():
     rng = np.random.default_rng(4)
     lanes = [nets.init_mlp([3, 5, 2], rng) for _ in range(4)]
     stacked = nets.stack(lanes)
-    assert np.array_equal(nets.to_flat(stacked), np.stack([nets.to_flat(p) for p in lanes]))
+    assert np.array_equal(stacked.flat, np.stack([p.flat for p in lanes]))
     one, some = nets.take(stacked, 2), nets.take(stacked, [3, 0])
-    assert np.array_equal(nets.to_flat(one), nets.to_flat(lanes[2]))
-    assert np.array_equal(nets.to_flat(some), nets.to_flat(stacked)[[3, 0]])
+    assert np.array_equal(one.flat, lanes[2].flat)
+    assert np.array_equal(some.flat, stacked.flat[[3, 0]])
     for taken in (one, some):  # copies, not views of the stack
-        assert not np.shares_memory(nets.to_flat(taken), nets.to_flat(stacked))
+        assert not np.shares_memory(taken.flat, stacked.flat)
     with pytest.raises(DimensionError):  # both buffers hold 9 numbers
         nets.stack([nets.init_mlp([2, 2, 1], rng), nets.init_mlp([2, 3], rng)])
 
@@ -130,7 +130,7 @@ def test_from_flat_rejects_wrong_length():
 def test_init_is_deterministic_per_seed():
     a = nets.init_mlp([4, 5, 3], np.random.default_rng(9))
     b = nets.init_mlp([4, 5, 3], np.random.default_rng(9))
-    assert np.array_equal(nets.to_flat(a), nets.to_flat(b))
+    assert np.array_equal(a.flat, b.flat)
 
 
 # -- cross-entropy backward ---------------------------------------------------
@@ -140,7 +140,7 @@ def test_ce_gradient_zero_when_targets_match_uniform_probs():
     x = np.random.default_rng(1).random((5, 3))
     probs, tape = nets.forward(params, x)
     _, grad = nets.backward_ce(tape, probs, np.full((5, 4), 0.25))
-    assert np.all(nets.to_flat(grad) == 0.0)
+    assert np.all(grad.flat == 0.0)
 
 
 def test_ce_loss_tiny_for_confident_correct_prediction():
@@ -247,8 +247,8 @@ def test_backward_ce_matches_finite_differences(seed):
         p, _ = nets.forward(nets.from_flat(params, flat), x)
         return ce_value(p, targets)
 
-    numeric = fd_gradient(loss_fn, nets.to_flat(params))
-    assert rel_error(nets.to_flat(grad), numeric) < 1e-6
+    numeric = fd_gradient(loss_fn, params.flat)
+    assert rel_error(grad.flat, numeric) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -265,8 +265,8 @@ def test_backward_probs_vjp_matches_finite_differences(seed):
         p, _ = nets.forward(nets.from_flat(params, flat), x)
         return float((p * upstream).sum())
 
-    numeric = fd_gradient(scalar_fn, nets.to_flat(params))
-    assert rel_error(nets.to_flat(grad), numeric) < 1e-6
+    numeric = fd_gradient(scalar_fn, params.flat)
+    assert rel_error(grad.flat, numeric) < 1e-6
 
 
 # -- sgd ----------------------------------------------------------------------
@@ -274,13 +274,13 @@ def test_backward_probs_vjp_matches_finite_differences(seed):
 def test_sgd_zero_gradient_is_identity():
     params = nets.init_mlp([3, 4], np.random.default_rng(0))
     out = nets.sgd_step(params, zero_net(params), 0.5)
-    assert np.array_equal(nets.to_flat(out), nets.to_flat(params))
+    assert np.array_equal(out.flat, params.flat)
 
 
 def test_sgd_with_grad_equal_params_and_unit_step_zeroes_everything():
     params = nets.init_mlp([3, 4], np.random.default_rng(1))
     out = nets.sgd_step(params, params, 1.0)
-    assert np.all(nets.to_flat(out) == 0.0)
+    assert np.all(out.flat == 0.0)
 
 
 def test_sgd_two_steps_compose_linearly_for_fixed_gradient():
@@ -289,16 +289,16 @@ def test_sgd_two_steps_compose_linearly_for_fixed_gradient():
     grad = nets.init_mlp([3, 4], rng)
     twice = nets.sgd_step(nets.sgd_step(params, grad, 0.1), grad, 0.2)
     once = nets.sgd_step(params, grad, 0.3)
-    assert np.allclose(nets.to_flat(twice), nets.to_flat(once), atol=1e-15)
+    assert np.allclose(twice.flat, once.flat, atol=1e-15)
 
 
 def test_sgd_never_mutates_inputs():
     rng = np.random.default_rng(3)
     params = nets.init_mlp([3, 4], rng)
     grad = nets.init_mlp([3, 4], rng)
-    before = nets.to_flat(params).copy()
+    before = params.flat.copy()
     nets.sgd_step(params, grad, 0.7)
-    assert np.array_equal(nets.to_flat(params), before)
+    assert np.array_equal(params.flat, before)
 
 
 # -- jvp and hypergradient ------------------------------------------------------
@@ -353,8 +353,8 @@ def test_forward_jvp_matches_directional_finite_difference(seed):
     d_logprobs = nets.forward_jvp(tape, direction)
 
     step = 1e-6
-    flat = nets.to_flat(params)
-    d_flat = nets.to_flat(direction)
+    flat = params.flat
+    d_flat = direction.flat
     p_up, _ = nets.forward(nets.from_flat(params, flat + step * d_flat), x)
     p_dn, _ = nets.forward(nets.from_flat(params, flat - step * d_flat), x)
     numeric = (np.log(p_up) - np.log(p_dn)) / (2.0 * step)
@@ -382,7 +382,7 @@ def test_hypergradient_zero_when_beta2_zero():
     y_out = np.eye(3)[rng.integers(0, 3, 4)]
     U = _random_reduction_stack(rng, 4, 3)
     grad = _meta_hypergradient(theta, gamma, x_in, x_out, y_out, 0.0, U)
-    assert np.all(nets.to_flat(grad) == 0.0)
+    assert np.all(grad.flat == 0.0)
 
 
 def test_hypergradient_zero_when_targets_ignore_gamma():
@@ -396,7 +396,7 @@ def test_hypergradient_zero_when_targets_ignore_gamma():
     _, tape = nets.forward(theta, x_in)
 
     grad = nets.hypergradient(tape, fixed, lambda d: zero_net(gamma), x_out, y_out, 0.1)
-    assert np.all(nets.to_flat(grad) == 0.0)
+    assert np.all(grad.flat == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -420,8 +420,8 @@ def test_hypergradient_matches_finite_differences(seed):
         probs_out, _ = nets.forward(theta_plus, x_out)
         return ce_value(probs_out, y_out)
 
-    numeric = fd_gradient(outer_loss, nets.to_flat(gamma))
-    assert rel_error(nets.to_flat(grad), numeric) < 1e-4
+    numeric = fd_gradient(outer_loss, gamma.flat)
+    assert rel_error(grad.flat, numeric) < 1e-4
 
 
 def test_hypergradient_raises_on_nonfinite():

@@ -121,7 +121,6 @@ def _referenced_names(tree: ast.AST) -> set[str]:
 OUTSIDE_CALLERS = {
     "training.py: def fit": "bench/run.py --check; the resume and checkpoint tests",
     "pseudo.py: def reduction_row": "the reference that reduction_matrix is tested against",
-    "nets.py: def to_flat": "tests/test_nets.py and tests/test_pseudo.py, gated on hypothesis",
 }
 
 

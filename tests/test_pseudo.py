@@ -128,13 +128,13 @@ def test_meta_weights_jacobian_matches_finite_differences():
         probs, tape = nets.forward(gamma, x)
         upstream = np.zeros((1, 3))
         upstream[0, out_idx] = 1.0
-        analytic = nets.to_flat(nets.backward_probs_vjp(tape, upstream))
+        analytic = nets.backward_probs_vjp(tape, upstream).flat
 
         def w_component(flat, k=out_idx):
             w = pseudo.meta_weights(nets.from_flat(gamma, flat), x)
             return float(w[0, k])
 
-        numeric = fd_gradient(w_component, nets.to_flat(gamma), step=1e-6)
+        numeric = fd_gradient(w_component, gamma.flat, step=1e-6)
         assert rel_error(analytic, numeric) < 1e-6
 
 

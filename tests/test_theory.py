@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -21,12 +22,10 @@ from reduxpll.errors import (
 )
 
 
-def make_scenario(points, weights, excluded, tau, eps, eps_p, tsy=None):
+def make_scenario(etas, weights, excluded, tau, eps, eps_p, tsy=None):
     return theory.TheoryScenario(
-        points=[
-            theory.ScenarioPoint(eta=np.asarray(e, dtype=np.float64), weight=w)
-            for e, w in zip(points, weights)
-        ],
+        etas=np.asarray(etas, dtype=np.float64),
+        weights=np.asarray(weights, dtype=np.float64),
         excluded=frozenset(excluded),
         tau=tau,
         epsilon=eps,
@@ -67,7 +66,7 @@ def test_reduced_posterior_preserves_argmax_over_kept_labels():
         assert int(np.argmax(reduced)) == expect
 
 
-# -- disturbing labels (the rule as membership_J applies it) --------------------
+# -- disturbing labels (the rule as troubled applies it) -------------------------
 
 ETA = np.array([0.4, 0.35, 0.25])
 
@@ -76,19 +75,27 @@ def _one_point(excluded, tau):
     return make_scenario([ETA], [1.0], excluded, tau=tau, eps=0.06, eps_p=0.01)
 
 
+def _members(scenario):
+    return theory.troubled(scenario).members.tolist()
+
+
+def _labels(t):
+    return [labels.tolist() for labels in (t.top, t.a, t.b, t.runner_up)]
+
+
 def test_disturbing_true_for_close_runner_up():
-    assert theory.membership_J(_one_point({1}, tau=0.1), 0)
+    assert _members(_one_point({1}, tau=0.1)) == [0]
 
 
 def test_disturbing_false_when_gap_exceeds_tau():
-    assert theory.membership_J(_one_point({1}, tau=0.06), 0)  # the gap is 0.05
-    assert not theory.membership_J(_one_point({1}, tau=0.04), 0)
+    assert _members(_one_point({1}, tau=0.06)) == [0]  # the gap is 0.05
+    assert _members(_one_point({1}, tau=0.04)) == []
 
 
 def test_disturbing_validates_tau_range_and_target_label():
     with pytest.raises(ScenarioError, match="tau"):
         _one_point({1}, tau=0.2).validate()  # tau > 2 eps
-    assert not theory.membership_J(_one_point({0}, tau=0.1), 0)  # 0 is the top label
+    assert _members(_one_point({0}, tau=0.1)) == []  # 0 is the top label
 
 
 # -- membership in the troubled set ----------------------------------------------
@@ -97,14 +104,105 @@ def test_membership_holds_for_runner_up_exclusion_with_generous_tau():
     scen = make_scenario(
         [[0.4, 0.35, 0.2, 0.05]], [1.0], excluded={1}, tau=0.4, eps=0.3, eps_p=0.01
     )
-    assert theory.membership_J(scen, 0)
+    t = theory.troubled(scen)
+    assert t.members.tolist() == [0]
+    assert _labels(t) == [[0], [1], [2], [1]]  # top, a, b, runner-up
+    assert t.excluded_mass.tolist() == [0.35]
 
 
 def test_membership_fails_when_excluded_contains_bayes_label():
     scen = make_scenario(
         [[0.4, 0.35, 0.2, 0.05]], [1.0], excluded={0}, tau=0.4, eps=0.3, eps_p=0.01
     )
-    assert not theory.membership_J(scen, 0)
+    assert _members(scen) == []
+
+
+def test_membership_breaks_argmax_ties_toward_the_lowest_label():
+    # 0 and 1 tie for the top; so do 2 and 3 for the top label outside {1}
+    scen = make_scenario(
+        [[0.3, 0.3, 0.2, 0.2], [0.2, 0.3, 0.3, 0.2]], [0.5, 0.5], {1}, tau=0.1, eps=0.1,
+        eps_p=1e-4,
+    )
+    t = theory.troubled(scen)
+    assert t.members.tolist() == [0]
+    assert _labels(t) == [[0], [1], [2], [1]]  # top, a, b, runner-up
+
+
+def test_an_empty_excluded_set_troubles_every_point_and_has_no_a_label():
+    scen = make_scenario(
+        [[0.45, 0.40, 0.10, 0.05], [0.7, 0.15, 0.1, 0.05]], [0.5, 0.5], set(), tau=0.2,
+        eps=0.1, eps_p=0.002,
+    )
+    t = theory.troubled(scen)
+    assert t.members.tolist() == [0, 1] and t.a is None
+    assert t.b.tolist() == [1, 1] and t.excluded_mass.tolist() == [0.0, 0.0]
+
+
+def test_no_label_outside_the_excluded_set_leaves_no_b_label():
+    scen = make_scenario([[0.4, 0.35, 0.25]], [1.0], {1, 2}, tau=0.2, eps=0.1, eps_p=1e-4)
+    t = theory.troubled(scen)
+    assert t.members.tolist() == [0] and t.b is None
+    for check in (lambda: theory.epsilon_prime_bound(scen, t), scen.validate):
+        with pytest.raises(ScenarioError, match="^no incorrect label remains outside"):
+            check()
+
+
+def test_the_excluded_mass_adds_in_the_sets_own_order():
+    eta = [0.4, 0.1, 0.2, 0.3]
+    scen = make_scenario([eta], [1.0], {1, 2, 3}, tau=0.5, eps=0.3, eps_p=1e-4)
+    assert theory.troubled(scen).excluded_mass.tolist() == [sum(eta[j] for j in scen.excluded)]
+    # and not in the reverse order: 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 are two floats
+    assert sum(eta[j] for j in scen.excluded) != sum(eta[j] for j in sorted(scen.excluded)[::-1])
+
+
+def literal_troubled(eta, excluded, tau):
+    """`(top, a, b, runner-up, excluded mass)` of a troubled point, None for another.
+
+    Straight from the set-builder definition, one point at a time, sharing no
+    helper with `theory`; a label that does not exist is None.
+    """
+    def best(labels):  # argmax, ties to the lowest label
+        return max(labels, key=lambda k: (eta[k], -k), default=None)
+
+    top = best(range(len(eta)))
+    others = [k for k in range(len(eta)) if k != top and k not in excluded]
+    for j in excluded:
+        if j == top or not eta[top] - eta[j] <= tau:
+            return None
+        if any(not eta[k] < eta[j] for k in others):
+            return None
+    runner_up = best([k for k in range(len(eta)) if k != top])
+    return top, best(sorted(excluded)), best(others), runner_up, sum(eta[j] for j in excluded)
+
+
+# a grid of five values makes argmax ties and gaps of exactly tau common
+GRID = st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_troubled_matches_the_literal_set_builder(data):
+    c = data.draw(st.integers(2, 6))
+    k = data.draw(st.integers(1, 8))
+    etas = data.draw(arrays(np.float64, (k, c), elements=GRID, fill=st.nothing()))
+    excluded = data.draw(st.just(frozenset()) | st.frozensets(st.integers(0, c - 1), min_size=1))
+    tau = data.draw(st.sampled_from([0.0, 0.125, 0.25, 0.5]))
+    if data.draw(st.booleans()):
+        # each row's values in descending order on one kept label, the excluded
+        # labels and the rest, so that many rows come close to being troubled
+        kept = sorted(set(range(c)) - excluded)
+        etas[:, [*kept[:1], *sorted(excluded), *kept[1:]]] = np.sort(etas, axis=1)[:, ::-1]
+    scen = make_scenario(etas, np.full(k, 1 / k), excluded, tau=tau, eps=0.1, eps_p=1e-4)
+    t = theory.troubled(scen)
+    expect = {i: literal_troubled(etas[i].tolist(), scen.excluded, tau) for i in range(k)}
+    assert t.members.tolist() == [i for i in range(k) if expect[i] is not None]
+    for n, i in enumerate(t.members.tolist()):
+        top, a, b, runner_up, mass = expect[i]
+        assert np.array_equal(t.eta[n], etas[i])
+        assert (int(t.top[n]), int(t.runner_up[n])) == (top, runner_up)
+        assert (None if t.a is None else int(t.a[n])) == a
+        assert (None if t.b is None else int(t.b[n])) == b
+        assert t.excluded_mass[n] == mass
 
 
 def test_membership_matches_literal_set_builder_on_random_scenario():
@@ -113,22 +211,8 @@ def test_membership_matches_literal_set_builder_on_random_scenario():
     etas /= etas.sum(axis=1, keepdims=True)
     weights = np.full(20, 1 / 20)
     scen = make_scenario(etas, weights, excluded={1, 3}, tau=0.4, eps=0.25, eps_p=1e-4)
-
-    def literal(eta, excluded, tau):
-        # re-implementation straight from the set-builder, no shared helpers
-        y = max(range(len(eta)), key=lambda k: (eta[k], -k))
-        for j in excluded:
-            if j == y:
-                return False
-            if not (eta[y] - eta[j] <= tau):
-                return False
-            for k in range(len(eta)):
-                if k != y and k not in excluded and not (eta[k] < eta[j]):
-                    return False
-        return True
-
-    for i in range(20):
-        assert theory.membership_J(scen, i) == literal(etas[i], {1, 3}, 0.4)
+    expect = [i for i in range(20) if literal_troubled(etas[i], {1, 3}, 0.4) is not None]
+    assert _members(scen) == expect
 
 
 # -- scenario io and validation ---------------------------------------------------
@@ -139,7 +223,7 @@ def test_builtin_scenarios_load_and_validate():
     for name in names:
         scen = theory.load_builtin_scenario(name)
         scen.validate()
-        assert theory.members_of_J(scen)
+        assert theory.troubled(scen).members.size
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -148,7 +232,8 @@ def test_scenario_json_round_trip(tmp_path):
     path.write_text((resources.files("reduxpll.scenarios") / "theorem1-4class.json").read_text())
     again = theory.TheoryScenario.from_json(path)
     assert again.excluded == scen.excluded
-    assert np.allclose(again.etas(), scen.etas())
+    assert np.array_equal(again.etas, scen.etas)
+    assert np.array_equal(again.weights, scen.weights)
 
 
 def test_malformed_scenario_raises_parse_error(tmp_path):
@@ -229,6 +314,8 @@ SCENARIO_DEFECTS = {
     "string-eta-entry": (_replace("points", 0, "eta", 2, new=str), ParseError),
     "string-tsybakov-constant": (_replace("tsybakov", "C", new=str), ParseError),
     "integer-too-large-for-a-float": (_replace("tau", new=lambda old: 10**400), ParseError),
+    # both scenarios have 4 labels and troubled points whose top label is 0
+    "no-label-outside-excluded": (_replace("excluded", new=lambda old: [1, 2, 3]), ScenarioError),
 }
 
 
@@ -265,6 +352,40 @@ def test_empty_excluded_set_is_rejected(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify-theory", "--scenario", str(path), "--trials", "100"]) == 2
     assert "excluded set is empty" in capsys.readouterr().err
+
+
+def _set_tsybakov(key, value):
+    def mutate(doc):
+        doc["tsybakov"][key] = value
+
+    return mutate
+
+
+# well-formed scenarios whose verification refuses them, after the reader has returned
+FAILED_ASSUMPTIONS = {
+    "margin-condition": (_set_tsybakov("C", 0.5), "margin condition fails on the troubled subset"),
+    "bound-argument": (_set_tsybakov("t0", 1e-6), "bound argument 0.0523256 exceeds t0=1e-06"),
+    "no-troubled-point": (_replace("excluded", new=lambda old: [2]), "troubled set is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_ASSUMPTIONS))
+def test_verify_theory_names_the_scenario_whose_assumptions_fail(tmp_path, capsys, case):
+    mutate, message = FAILED_ASSUMPTIONS[case]
+    doc = _bundled_doc("theorem2-tsybakov")
+    mutate(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-theory", "--scenario", str(path), "--trials", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_scenario_arrays_must_agree_in_shape():
+    with pytest.raises(ScenarioError, match="one weight per row"):
+        make_scenario([[0.5, 0.3, 0.2]], [0.5, 0.5], {1}, tau=0.1, eps=0.1, eps_p=0.01).validate()
+    with pytest.raises(ScenarioError, match="one weight per row"):
+        make_scenario([0.5, 0.3, 0.2], [1.0], {1}, tau=0.1, eps=0.1, eps_p=0.01).validate()
 
 
 def test_scenario_validation_rejects_bad_budgets():
@@ -580,7 +701,7 @@ def test_verifiers_reject_troubled_points_without_weight():
         [[0.45, 0.40, 0.10, 0.05], [0.7, 0.15, 0.1, 0.05]], [0.0, 1.0], {1},
         tau=0.2, eps=0.1, eps_p=0.0025, tsy=(20.0, 1.0, 1.0),
     )
-    assert theory.members_of_J(scen) == [0]
+    assert _members(scen) == [0]
     for verifier in (theory.verify_theorem1, theory.verify_theorem2):
         with pytest.raises(ScenarioError, match="carries no weight"):
             verifier(scen, 100, seed=0)
@@ -604,14 +725,7 @@ def test_theorem2_holds_on_bundled_margin_scenario():
 
 def test_theorem2_tiny_epsilon_prime_pushes_bound_to_one():
     scen = theory.load_builtin_scenario("theorem2-tsybakov")
-    tight = theory.TheoryScenario(
-        points=scen.points,
-        excluded=scen.excluded,
-        tau=scen.tau,
-        epsilon=scen.epsilon,
-        epsilon_prime=1e-9,
-        tsybakov=scen.tsybakov,
-    )
+    tight = dataclasses.replace(scen, epsilon_prime=1e-9)
     report = theory.verify_theorem2(tight, 2000, seed=0)
     assert report.bound > 1.0 - 1e-7
     assert report.empirical_consistency == 1.0
@@ -634,14 +748,7 @@ def test_theorem2_large_lambda_with_margins_beyond_t0_still_holds():
 
 def test_theorem2_requires_tsybakov_constants():
     scen = theory.load_builtin_scenario("theorem1-4class")
-    bare = theory.TheoryScenario(
-        points=scen.points,
-        excluded=scen.excluded,
-        tau=scen.tau,
-        epsilon=scen.epsilon,
-        epsilon_prime=scen.epsilon_prime,
-        tsybakov=None,
-    )
+    bare = dataclasses.replace(scen, tsybakov=None)
     with pytest.raises(ConfigError):
         theory.verify_theorem2(bare, 100, seed=0)
     # asked for before the troubled set, which is empty here
@@ -654,14 +761,7 @@ def test_theorem2_requires_tsybakov_constants():
 
 def test_theorem2_rejects_constants_failing_margin_condition():
     scen = theory.load_builtin_scenario("theorem1-4class")
-    weak = theory.TheoryScenario(
-        points=scen.points,
-        excluded=scen.excluded,
-        tau=scen.tau,
-        epsilon=scen.epsilon,
-        epsilon_prime=scen.epsilon_prime,
-        tsybakov=theory.TsybakovConstants(C=0.1, lam=1.0, t0=1.0),
-    )
+    weak = dataclasses.replace(scen, tsybakov=theory.TsybakovConstants(C=0.1, lam=1.0, t0=1.0))
     with pytest.raises(AssumptionError):
         theory.verify_theorem2(weak, 100, seed=0)
 

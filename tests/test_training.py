@@ -108,7 +108,7 @@ def test_determinism_identical_seed_identical_trajectory(small_dataset):
     r2 = training.fit(small_dataset, cfg)
     assert _histories_equal(r1.history, r2.history)
     assert np.array_equal(
-        nets.to_flat(r1.final_bundle.theta), nets.to_flat(r2.final_bundle.theta)
+        r1.final_bundle.theta.flat, r2.final_bundle.theta.flat
     )
 
 
@@ -127,7 +127,7 @@ def test_alpha_one_matches_proden_trajectory_bitwise(small_dataset):
     r_pr = training.fit(small_dataset, cfg_pr)
     assert _histories_equal(r_rx.history, r_pr.history)
     assert np.array_equal(
-        nets.to_flat(r_rx.final_bundle.theta), nets.to_flat(r_pr.final_bundle.theta)
+        r_rx.final_bundle.theta.flat, r_pr.final_bundle.theta.flat
     )
 
 
@@ -250,8 +250,8 @@ def test_checkpoint_resume_reproduces_straight_run(small_dataset, tmp_path):
     resumed = training.fit(small_dataset, cfg, resume_from=ckpt)
     assert _histories_equal(straight.history, resumed.history)
     assert np.array_equal(
-        nets.to_flat(straight.final_bundle.theta),
-        nets.to_flat(resumed.final_bundle.theta),
+        straight.final_bundle.theta.flat,
+        resumed.final_bundle.theta.flat,
     )
 
 
@@ -303,7 +303,7 @@ def test_resuming_the_checkpoint_of_an_early_stop_trains_no_further(small_datase
     assert (resumed.best_epoch, resumed.test_accuracy) == (
         straight.best_epoch, straight.test_accuracy
     )
-    assert np.array_equal(nets.to_flat(resumed.best_theta), nets.to_flat(straight.best_theta))
+    assert np.array_equal(resumed.best_theta.flat, straight.best_theta.flat)
     assert metrics.read_bytes() == logged
     assert ckpt.read_bytes() == saved
 
