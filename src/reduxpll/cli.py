@@ -107,22 +107,22 @@ def _load_dataset(path_arg: str, split_seed: int) -> tuple[tuple, str]:
 
 
 def _build_config(args) -> training.TrainConfig:
-    """defaults < config file < explicit CLI flags."""
+    """defaults < config file < explicit CLI flags; a refused file value names the file."""
     from . import training
 
+    fields = {key.removesuffix("?") for key in training._CONFIG}
+    flags = {key: v for key, v in vars(args).items() if key in fields and v is not None}
     doc = {}
     if getattr(args, "config", None):
-        doc = parse_object(read_text(Path(args.config)), args.config)
-    for key, flags in (("seed", "--seed-base and --seeds"), ("alpha", "--alphas")):
-        if key in doc and (key == "seed" or args.command == "sweep-alpha"):
-            raise ConfigError(f"{args.config}: {key} is set by {flags}, not by the config file")
-    for key in ("method", "alpha", "beta1", "beta2", "beta3", "batch_size", "epochs", "patience"):
-        value = getattr(args, key, None)
-        if value is not None:
-            doc[key] = value
-    config = training.TrainConfig.from_dict(doc)
-    config.validate()
-    return config
+        doc = parse_object(read_text(Path(args.config)), args.config, training._CONFIG)
+        for key, flag in (("seed", "--seed-base and --seeds"), ("alpha", "--alphas")):
+            if key in doc and (key == "seed" or args.command == "sweep-alpha"):
+                raise ConfigError(f"{args.config}: {key} is set by {flag}, not by the config file")
+    try:  # a value that no flag overrides is the file's
+        config = training.TrainConfig.from_dict({k: v for k, v in doc.items() if k not in flags})
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
+    return replace(config, **flags)
 
 
 def _make_out_dir(path, made: list[Path]) -> Path:

@@ -105,14 +105,14 @@ def _wrap(flat: np.ndarray, sizes: tuple[int, ...]) -> MlpParams:
     return params
 
 
-def empty(sizes: Sequence[int], lead: tuple[int, ...] = ()) -> MlpParams:
-    """Nets of layer widths `sizes` on an uninitialized (*lead, P) buffer.
+def empty(sizes: Sequence[int]) -> MlpParams:
+    """A net of layer widths `sizes` on an uninitialized (P,) buffer.
 
-    Only for the function that fills it, before it hands the nets on, or as a
+    Only for the function that fills it, before it hands the net on, or as a
     layout template whose values are never read.
     """
     sizes = tuple(sizes)
-    return _wrap(np.empty((*lead, _n_params(sizes))), sizes)
+    return _wrap(np.empty(_n_params(sizes)), sizes)
 
 
 class GradTape:

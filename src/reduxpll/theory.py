@@ -533,7 +533,7 @@ def check_tsybakov(scenario: TheoryScenario, C: float, lam: float, t0: float) ->
     """
     if not 0.0 < t0 <= 1.0:
         raise ContractViolation(f"t0 must be in (0, 1], got {t0}")
-    if C <= 0 or lam <= 0:
+    if not (C > 0 and lam > 0):  # a NaN constant too
         raise ContractViolation(f"C and lambda must be positive, got {C}, {lam}")
     t = troubled(scenario)
     if not t.members.size:

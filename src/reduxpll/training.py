@@ -53,7 +53,7 @@ from numpy.lib import format as npformat
 
 from . import METHODS, METRICS_LINE, nets, pseudo
 from .data import PllDataset, validate_dataset
-from .errors import ConfigError, ContractViolation, NumericError, parse_object
+from .errors import ConfigError, ContractViolation, NumericError, check, parse_object
 
 # purpose-keyed RNG streams spawned from the run seed; `<net>_init` initializes
 # that net, so a baseline skips the streams of the nets it lacks (and val)
@@ -82,19 +82,19 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (32, 32)
     meta_hidden_sizes: tuple[int, ...] = (32, 32)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
+        """Refuse a config that does not fit `_CONFIG`, or breaks what a schema cannot state."""
+        check(self.to_dict(), _CONFIG, "TrainConfig", ConfigError)
         for f in fields(self):
             value = getattr(self, f.name)
-            # a float field takes ints unchanged, so their config hash stays
-            kinds = {"int": int, "float": (int, float)}.get(f.type)
-            if kinds and (not isinstance(value, kinds) or isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be a {f.type}, got {value!r}")
             if f.type == "float" and not -np.inf < value < np.inf:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        for name in ("hidden_sizes", "meta_hidden_sizes"):
-            sizes = getattr(self, name)
-            if not isinstance(sizes, tuple) or any(type(v) is not int or v < 1 for v in sizes):
-                raise ConfigError(f"{name} must list positive layer widths, got {sizes!r}")
+            is_widths = f.type == "tuple[int, ...]"  # a tuple, not a list: a frozen config hashes
+            if is_widths and (type(value) is not tuple or min(value, default=1) < 1):
+                raise ConfigError(f"{f.name} must list positive layer widths, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -116,38 +116,31 @@ class TrainConfig:
             raise ConfigError("predictor needs at least one hidden layer")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["hidden_sizes"] = list(self.hidden_sizes)
-        doc["meta_hidden_sizes"] = list(self.meta_hidden_sizes)
-        return doc
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("hidden_sizes", "meta_hidden_sizes"):
-            if isinstance(doc.get(key), list):
-                doc[key] = tuple(doc[key])
-        return cls(**doc)
+        """The config of a document that fits `_CONFIG`; an absent key keeps its default."""
+        check(doc, _CONFIG, "TrainConfig", ConfigError)
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in doc.items()})
 
     def config_hash(self) -> str:
         return _doc_hash(self.to_dict())
 
     def resume_hash(self) -> str:
         """Hash of everything that must match to resume a run (epoch budget may grow)."""
-        return _resume_hash(self.to_dict())
+        return _doc_hash({k: v for k, v in self.to_dict().items() if k != "epochs"})
+
+
+# a config document, each key by its field's declared type; any key may be absent
+_CONFIG = {
+    f"{f.name}?": {"int": int, "float": float, "str": str, "tuple[int, ...]": [int]}[f.type]
+    for f in fields(TrainConfig)
+}
 
 
 def _doc_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
-def _resume_hash(doc: dict) -> str:
-    """`config_hash` of a config document without its epoch budget."""
-    return _doc_hash({k: v for k, v in doc.items() if k != "epochs"})
 
 
 @dataclass
@@ -561,7 +554,6 @@ def fit_lanes(
         raise ConfigError(f"a checkpoint resumes one lane, not {count}")
     config = configs[0]  # what the lanes share
     for lane_config in configs:
-        lane_config.validate()
         if replace(lane_config, seed=config.seed, alpha=config.alpha) != config:
             raise ConfigError("lanes may differ only in seed and alpha")
 
@@ -681,10 +673,12 @@ TMP_SUFFIX = ".tmp"
 # the `Lane` fields that `meta.json` stores under their own names
 _LANE_RECORD = ("stagnant", "best_epoch", "best_val_accuracy", "best_test_accuracy")
 
-# the checkpoint's meta.json, as `save_checkpoint` writes it; `resume_hash`, not
-# `config`, is what a resume must match, and each stream's state is numpy's PCG64 one
+# the checkpoint's meta.json, as `save_checkpoint` writes it: `config` holds every
+# key of `_CONFIG`; `resume_hash`, not `config`, is what a resume must match, and
+# each stream's state is numpy's PCG64 one
 _META = {
-    "config": dict, "config_hash": str, "resume_hash": str, "epoch": int, "rollback_checks": int,
+    "config": {key.removesuffix("?"): kind for key, kind in _CONFIG.items()},
+    "config_hash": str, "resume_hash": str, "epoch": int, "rollback_checks": int,
     "stagnant": int, "best_epoch": int, "best_val_accuracy": float, "best_test_accuracy": float,
     "rng_states": {stream: {"bit_generator": str, "state": {"state": int, "inc": int},
                             "has_uint32": int, "uinteger": int} for stream in ("shuffle", "val")},
@@ -725,11 +719,10 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
     run = state.lanes[lane]
     arrays = {name: arr[lane] for name, arr in _lane_arrays(state).items()}
     arrays["best_theta"] = run.best_theta_flat if run.best_theta_flat is not None else np.zeros(0)
-    config_doc = run.config.to_dict()
     meta = {
-        "config": config_doc,
-        "config_hash": _doc_hash(config_doc),
-        "resume_hash": _resume_hash(config_doc),
+        "config": run.config.to_dict(),
+        "config_hash": run.config.config_hash(),
+        "resume_hash": run.config.resume_hash(),
         "epoch": state.epoch,
         **{name: getattr(run, name) for name in _LANE_RECORD},
         "rollback_checks": state.rollback_checks,

@@ -1,11 +1,11 @@
 """The JSON documents the package writes and reads back, each against its schema.
 
-The five documents are a dataset's `manifest.json`, a theory scenario, a
-run's `summary.json`, a line of `metrics_seed<s>.jsonl` and a checkpoint's
-`meta.json`. Every one the program writes passes its own schema, and a
-malformed one is refused by name: its reader exits 2 with one `error:` line
-naming the file (`load_checkpoint` raises a ConfigError naming it), and never
-ends in a traceback.
+The six documents are a dataset's `manifest.json`, a `--config` file, a
+theory scenario, a run's `summary.json`, a line of `metrics_seed<s>.jsonl`
+and a checkpoint's `meta.json`. Every one the program writes passes its own
+schema, and a malformed one is refused by name: its reader exits 2 with one
+`error:` line naming the file (`load_checkpoint` raises a ConfigError naming
+it), and never ends in a traceback.
 """
 
 import contextlib
@@ -79,6 +79,8 @@ def test_every_document_the_program_writes_passes_its_own_schema(written):
             check(json.loads(line), METRICS_LINE, "metrics line")
         meta = check(_meta(run / "checkpoint_seed0.npz"), training._META, "meta", ConfigError)
         assert len(meta["history"]) == 2
+        check(meta["config"], training._CONFIG, "meta config")
+    check(training.TrainConfig().to_dict(), training._CONFIG, "config")
     for name in theory.builtin_scenario_names():
         check(_bundled(name), theory._SCENARIO, name)
     assert len(theory.builtin_scenario_names()) == 2
@@ -86,6 +88,29 @@ def test_every_document_the_program_writes_passes_its_own_schema(written):
 
 def test_the_metrics_line_schema_lists_the_epoch_metrics_fields():
     assert list(METRICS_LINE) == list(training.EpochMetrics.__dataclass_fields__)
+
+
+def test_the_config_schema_lists_the_train_config_fields():
+    names = list(training.TrainConfig.__dataclass_fields__)
+    assert list(training._CONFIG) == [f"{name}?" for name in names]
+    assert list(training._META["config"]) == names  # a checkpoint's config holds every key
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: training.TrainConfig.from_dict({"bogus": 1}), "TrainConfig: unknown key bogus"),
+        (lambda: training.TrainConfig(epochs="ten"),
+         "TrainConfig: epochs must be an integer, got 'ten'"),
+        (lambda: training.TrainConfig(hidden_sizes=[32]),
+         "hidden_sizes must list positive layer widths, got [32]"),
+    ],
+    ids=["unknown-key", "type", "list-widths"],
+)
+def test_a_config_built_in_code_is_checked_against_the_schema(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -135,10 +160,10 @@ OTHER_VALUES = ("x", 7, 0.5, True, None, [], {})
 
 
 @st.composite
-def mutated(draw, doc: dict) -> str:
+def mutated(draw, doc: dict, ops=("drop", "retype", "truncate")) -> str:
     """The text of `doc` with one key dropped or one value of another kind, or cut short."""
     text = json.dumps(doc)
-    op = draw(st.sampled_from(["drop", "retype", "truncate"]))
+    op = draw(st.sampled_from(ops))
     if op == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
     paths = [p for p in _paths(doc) if op == "retype" or isinstance(p[-1], str)]
@@ -151,6 +176,18 @@ def mutated(draw, doc: dict) -> str:
         kinds = [v for v in OTHER_VALUES if _json_kind(v) != _json_kind(parent[path[-1]])]
         parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(kinds)))
     return json.dumps(doc)
+
+
+@st.composite
+def mutated_config(draw, doc: dict) -> str:
+    """A config file with one value of another kind, an unknown key or a NaN, or cut short."""
+    op = draw(st.sampled_from(["retype", "truncate", "unknown", "nan"]))
+    if op in ("retype", "truncate"):
+        return draw(mutated(doc, ops=(op,)))
+    key = draw(st.sampled_from(sorted(doc)))
+    if op == "unknown":
+        return json.dumps({**doc, f"{key}_": 1})
+    return json.dumps({**doc, key: float("nan")})  # the token NaN
 
 
 @st.composite
@@ -195,6 +232,52 @@ def test_a_mutated_manifest_trains_as_before_or_is_refused_by_name(
         assert out == proden_stdout
     else:
         assert _refused_by_name(code, err, ds / "manifest.json"), err
+
+
+# a config file of the defaults; `seed` is --seed-base's, and --beta2 steps proden
+CONFIG = {key: v for key, v in training.TrainConfig().to_dict().items() if key != "seed"}
+TRAIN_PRODEN_CONFIG = [*TRAIN_PRODEN, "--beta2", str(CONFIG["beta2"])]
+
+
+def _train_with_config(written, tmp_path, text) -> tuple[int, str, str, str]:
+    """`train`'s exit code, stdout and stderr with `text` as its --config file, and the path."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    argv = [*TRAIN_PRODEN_CONFIG, "--dataset", str(written / "ds"), "--config", str(path)]
+    return (*_run([*argv, "--out", str(tmp_path / "run")]), str(path))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (CONFIG, None),
+        ({"beta1": "x"}, "beta1 must be a number, got 'x'"),
+        ({"bogus": 1}, "unknown key bogus"),
+        ({"hidden_sizes": [32, "a"]}, "hidden_sizes[1] must be an integer, got 'a'"),
+        ({"momentum": 1.5}, "momentum must be in [0, 1), got 1.5"),
+    ],
+)
+def test_a_config_file_trains_as_the_defaults_or_is_refused_by_name(
+    written, proden_stdout, tmp_path, doc, message
+):
+    code, out, err, path = _train_with_config(written, tmp_path, json.dumps(doc))
+    if message is None:
+        assert (code, out, err) == (0, proden_stdout, "")
+    else:
+        assert (code, err) == (2, f"error: {path}: {message}\n")
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_a_mutated_config_trains_as_before_or_is_refused_by_name(
+    written, proden_stdout, tmp_path, data
+):
+    text = data.draw(mutated_config(CONFIG))
+    code, out, err, path = _train_with_config(written, tmp_path, text)
+    if code == 0:
+        assert out == proden_stdout
+    else:
+        assert _refused_by_name(code, err, path) and err.startswith(f"error: {path}: "), err
 
 
 @EXAMPLES

@@ -802,8 +802,9 @@ def test_tsybakov_validates_inputs():
     scen = theory.load_builtin_scenario("theorem2-tsybakov")
     with pytest.raises(ContractViolation):
         theory.check_tsybakov(scen, 1.0, 1.0, 0.0)
-    with pytest.raises(ContractViolation):
-        theory.check_tsybakov(scen, -1.0, 1.0, 0.5)
+    for C, lam in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ContractViolation, match="C and lambda must be positive"):
+            theory.check_tsybakov(scen, C, lam, 0.5)
     # the troubled point carries no weight, the other point all of it
     weightless = make_scenario(
         [[0.5, 0.4, 0.1], [0.9, 0.05, 0.05]], [0.0, 1.0], {1}, tau=1.0, eps=0.5, eps_p=0.01
