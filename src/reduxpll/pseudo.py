@@ -6,8 +6,9 @@ to each instance's candidate set S:
 * basic targets: the predictor's output renormalized over S,
 * reduction rows: a branch output renormalized over S minus one excluded
   label (one row per excludable label, stacked into a per-instance matrix),
-* reduction targets: a weight vector (from the meta net, or uniform) times
-  the reduction matrix,
+* reduction targets: a weight vector times the reduction matrix; the
+  trainer takes the weights from the meta net's `nets.forward` rows, or
+  uniform,
 * combined targets: alpha * basic + (1 - alpha) * reduction.
 
 All operations accept a single vector or a batch of row vectors, and a batch
@@ -105,11 +106,7 @@ def reduction_matrix(branch_probs: np.ndarray, candidates: np.ndarray) -> np.nda
 
 def reduction_pseudo(w, U) -> np.ndarray:
     """Weighted aggregation of the reduction rows: v = w @ U per instance."""
-    w_arr = np.asarray(w, dtype=np.float64)
-    U_arr = np.asarray(U, dtype=np.float64)
-    if w_arr.ndim == 1:
-        return w_arr @ U_arr
-    return np.einsum("...ij,...ijr->...ir", w_arr, U_arr)
+    return np.einsum("...j,...jr->...r", np.asarray(w, np.float64), np.asarray(U, np.float64))
 
 
 def combine(mu, v, alpha) -> np.ndarray:
@@ -123,13 +120,6 @@ def combine(mu, v, alpha) -> np.ndarray:
     return alpha * np.asarray(mu, dtype=np.float64) + (1.0 - alpha) * np.asarray(
         v, dtype=np.float64
     )
-
-
-def meta_weights(gamma: nets.MlpParams, x) -> np.ndarray:
-    """Per-instance branch weights from the meta net (softmax output rows)."""
-    x_arr, squeeze = _as_batch(x)
-    probs, _ = nets.forward(gamma, x_arr)
-    return probs[0] if squeeze else probs
 
 
 def uniform_over(mask) -> np.ndarray:

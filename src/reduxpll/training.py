@@ -7,13 +7,14 @@ Each mini-batch makes one pass, one private function per phase:
    hypergradient and the committed step below,
 2. `_update_branches`: a momentum step of the stacked branch head (the `c`
    one-layer branches as one `(c, d, c)` weight stack) toward the stored
-   reduction rows; `_reduction_rows`: all rows at once from the updated head,
+   reduction rows, by `nets.ce_gradient` on the tape of the head's own
+   `nets.forward`; `_reduction_rows`: all rows at once from the updated head,
 3. `_update_meta`: a meta step by the exact hypergradient of a validation
    mini-batch loss through one plain trial step of the predictor toward the
    meta-weighted reduction targets; the trial step exists only inside
    `nets.hypergradient`, and the predictor is verified bit-identical after,
-4. `_mix_targets`: weights/targets from the updated meta net, combined with
-   the stored basic targets,
+4. `_mix_targets`: weights/targets from the updated meta net (its
+   `nets.forward` output rows), combined with the stored basic targets,
 5. `_commit`: a momentum step toward the combined targets; `_refresh`: the
    stored basic targets from the updated predictor.
 
@@ -38,7 +39,6 @@ Each lane has its own streams.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -92,9 +92,11 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not -np.inf < value < np.inf:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-            is_widths = f.type == "tuple[int, ...]"  # a tuple, not a list: a frozen config hashes
-            if is_widths and (type(value) is not tuple or min(value, default=1) < 1):
-                raise ConfigError(f"{f.name} must list positive layer widths, got {value!r}")
+            is_widths = f.type == "tuple[int, ...]"
+            if is_widths and type(value) is not tuple:  # not a list: a frozen config hashes
+                raise ConfigError(f"{f.name} must be a tuple of layer widths, got {value!r}")
+            if is_widths and min(value, default=1) < 1:  # shown as a document writes it
+                raise ConfigError(f"{f.name} must list positive layer widths, got {list(value)}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -315,25 +317,6 @@ def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
     )
 
 
-def _branch_probs(head: nets.MlpParams, z: np.ndarray) -> np.ndarray:
-    """All branch outputs on features z (m, d) as one (c, m, c) stack."""
-    return nets.forward(head, z[..., None, :, :])[0]
-
-
-@functools.cache
-def _head_layout(d: int, c: int) -> nets.MlpParams:
-    """One branch's layout, a read-only template whose values are never read."""
-    layout = nets.empty((d, c))
-    layout.flat.flags.writeable = False
-    return layout
-
-
-def _branch_grad(z: np.ndarray, probs: np.ndarray, targets: np.ndarray) -> nets.Gradient:
-    """Per-branch `nets.ce_gradient`, in one buffer laid out like the head's."""
-    tape = nets.GradTape(_head_layout(z.shape[-1], probs.shape[-1]), [z[..., None, :, :]], probs)
-    return nets.ce_gradient(tape, targets)
-
-
 def _reduction_targets(U: np.ndarray, gamma: nets.MlpParams, feats: np.ndarray):
     """Meta-weighted reduction targets on `feats` and their VJP back to gamma."""
     w, tape = nets.forward(gamma, feats)
@@ -347,7 +330,8 @@ def _reduction_targets(U: np.ndarray, gamma: nets.MlpParams, feats: np.ndarray):
 def _update_branches(state: TrainerState, z: np.ndarray, rows, config: TrainConfig) -> None:
     """Momentum step of the head; branch j's targets are row j of the stored rows."""
     head = state.bundle.omegas
-    grad = _branch_grad(z, _branch_probs(head, z), state.pls.U[rows].swapaxes(-3, -2))
+    _, tape = nets.forward(head, z[..., None, :, :])
+    grad = nets.ce_gradient(tape, state.pls.U[rows].swapaxes(-3, -2))
     state.bundle.omegas = _momentum_step(
         head, grad, state.omega_buf, config.beta1, config.momentum
     )
@@ -355,7 +339,8 @@ def _update_branches(state: TrainerState, z: np.ndarray, rows, config: TrainConf
 
 def _reduction_rows(head: nets.MlpParams, z: np.ndarray, S: np.ndarray) -> np.ndarray:
     """The batch's (m, c, c) reduction rows from the head's outputs on z."""
-    return pseudo.reduction_matrix(_branch_probs(head, z), S)
+    probs, _ = nets.forward(head, z[..., None, :, :])
+    return pseudo.reduction_matrix(probs, S)
 
 
 def _update_meta(state, val_ds, val_targets, x, tape, U, config, epoch, batch_idx) -> None:
@@ -385,7 +370,7 @@ def _mix_targets(state: TrainerState, rows, x, q, U) -> np.ndarray:
     if state.bundle.gamma is None:
         w = np.full(q.shape, 1.0 / q.shape[-1])
     else:
-        w = pseudo.meta_weights(state.bundle.gamma, x)
+        w, _ = nets.forward(state.bundle.gamma, x)
     v = pseudo.reduction_pseudo(w, U)
     state.pls.U[rows] = U
     state.pls.w[rows] = w

@@ -95,8 +95,8 @@ def test_stacked_branch_head_equals_per_branch_nets(seed):
     S = random_candidates(rng, m, c)
     U = random_simplex_rows(rng, m * c, c).reshape(m, c, c)
 
-    probs = training._branch_probs(head, z)
-    grad = training._branch_grad(z, probs, U.transpose(1, 0, 2))
+    probs, tape = nets.forward(head, z[..., None, :, :])  # as the batch step runs the head
+    grad = nets.ce_gradient(tape, U.transpose(1, 0, 2))
     rows = head.flat  # one row per branch
     for j, br in enumerate(branches):
         probs_j, tape_j = nets.forward(br, z)
@@ -116,12 +116,12 @@ def test_stacked_branch_head_equals_per_branch_nets(seed):
 def test_branch_grad_keeps_the_target_checks():
     head = nets.MlpParams((np.zeros((3, 2, 3)),), (np.zeros((3, 3)),))
     z = np.ones((4, 2))
-    probs = training._branch_probs(head, z)
+    _, tape = nets.forward(head, z[..., None, :, :])
     off_simplex = np.full((3, 4, 3), 0.5)
     with pytest.raises(ContractViolation):
-        training._branch_grad(z, probs, off_simplex)
+        nets.ce_gradient(tape, off_simplex)
     nan_targets = np.full((3, 4, 3), np.nan)
     with pytest.raises(NumericError):
-        training._branch_grad(z, probs, nan_targets)
+        nets.ce_gradient(tape, nan_targets)
     with pytest.raises(NumericError):
-        training._branch_probs(nets.MlpParams((np.full((3, 2, 3), np.nan),), head.biases), z)
+        nets.forward(nets.MlpParams((np.full((3, 2, 3), np.nan),), head.biases), z[..., None, :, :])

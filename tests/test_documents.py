@@ -103,7 +103,7 @@ def test_the_config_schema_lists_the_train_config_fields():
         (lambda: training.TrainConfig(epochs="ten"),
          "TrainConfig: epochs must be an integer, got 'ten'"),
         (lambda: training.TrainConfig(hidden_sizes=[32]),
-         "hidden_sizes must list positive layer widths, got [32]"),
+         "hidden_sizes must be a tuple of layer widths, got [32]"),
     ],
     ids=["unknown-key", "type", "list-widths"],
 )
@@ -255,6 +255,7 @@ def _train_with_config(written, tmp_path, text) -> tuple[int, str, str, str]:
         ({"bogus": 1}, "unknown key bogus"),
         ({"hidden_sizes": [32, "a"]}, "hidden_sizes[1] must be an integer, got 'a'"),
         ({"momentum": 1.5}, "momentum must be in [0, 1), got 1.5"),
+        ({"hidden_sizes": [0]}, "hidden_sizes must list positive layer widths, got [0]"),
     ],
 )
 def test_a_config_file_trains_as_the_defaults_or_is_refused_by_name(

@@ -191,6 +191,19 @@ def test_no_code_compares_a_value_with_a_method_name():
     assert hits == []
 
 
+def test_no_module_but_nets_builds_a_tape():
+    # every net's backward runs on the tape of its own `nets.forward`
+    package = Path(reduxpll.__file__).parent
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "GradTape" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert [hit for hit in hits if not hit.startswith("nets.py:")] == []
+    assert len(hits) == 1  # the one in `nets.forward`
+
 
 def _one_element_list(call: ast.Call | None) -> bool:
     return (

@@ -91,6 +91,22 @@ def test_reduction_pseudo_worked_matrix_vector_product():
 
 
 @pytest.mark.parametrize(
+    "shape", [(3,), (5,), (7,), (64, 5), (1, 64, 5), (5, 64, 5), (9, 64, 5), (1600, 5), (2, 4, 8)]
+)
+def test_reduction_pseudo_is_one_contraction_for_a_vector_and_a_batch(shape):
+    rng = np.random.default_rng(sum(shape))
+    c, rows = shape[-1], int(np.prod(shape[:-1]))
+    for _ in range(20):
+        w = random_simplex_rows(rng, rows, c).reshape(shape)
+        U = random_simplex_rows(rng, rows * c, c).reshape(*shape, c)
+        v = pseudo.reduction_pseudo(w, U)
+        if w.ndim == 1:
+            assert np.array_equal(v, pseudo.reduction_pseudo(w[None], U[None])[0])
+        else:  # the same contraction over an explicit instance axis, as the reference
+            assert np.array_equal(v, np.einsum("...ij,...ijr->...ir", w, U))
+
+
+@pytest.mark.parametrize(
     "alpha,expected",
     [(1.0, [1.0, 0.0, 0.0]), (0.0, [0.0, 1.0, 0.0]), (0.5, [0.5, 0.5, 0.0])],
 )
@@ -105,16 +121,17 @@ def test_combine_rejects_alpha_outside_unit_interval(alpha):
         pseudo.combine([1.0, 0.0], [0.0, 1.0], alpha)
 
 
+# the meta weights are the meta net's output rows, w = nets.forward(gamma, x)[0]
 def test_meta_weights_zero_net_is_uniform():
     gamma = nets.MlpParams((np.zeros((4, 5)),), (np.zeros(5),))
-    w = pseudo.meta_weights(gamma, np.array([1.0, -2.0, 0.5, 3.0]))
+    w, _ = nets.forward(gamma, np.array([[1.0, -2.0, 0.5, 3.0]]))
     assert np.allclose(w, 0.2, atol=1e-15)
 
 
 def test_meta_weights_always_on_simplex():
     rng = np.random.default_rng(2)
     gamma = nets.init_mlp([3, 6, 4], rng)
-    w = pseudo.meta_weights(gamma, rng.standard_normal((50, 3)))
+    w, _ = nets.forward(gamma, rng.standard_normal((50, 3)))
     assert np.all(w > 0.0)
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -131,7 +148,7 @@ def test_meta_weights_jacobian_matches_finite_differences():
         analytic = nets.backward_probs_vjp(tape, upstream).flat
 
         def w_component(flat, k=out_idx):
-            w = pseudo.meta_weights(nets.from_flat(gamma, flat), x)
+            w, _ = nets.forward(nets.from_flat(gamma, flat), x)
             return float(w[0, k])
 
         numeric = fd_gradient(w_component, gamma.flat, step=1e-6)

@@ -665,12 +665,12 @@ def test_branch_grad_names_the_lane_of_nan_targets():
     heads = [nets.stack([nets.init_mlp([4, 3], rng) for _ in range(3)]) for _ in range(2)]
     head = nets.stack(heads)
     z = np.tanh(rng.standard_normal((2, 5, 4)))
-    probs = training._branch_probs(head, z)
+    probs, tape = nets.forward(head, z[..., None, :, :])  # as the batch step runs the head
     targets = probs.copy()
     targets[1, 2, 0] = np.nan
     nets.check_simplex_rows(targets, "test")
     with pytest.raises(NumericError, match="non-finite cross-entropy gradient") as err:
-        training._branch_grad(z, probs, targets)
+        nets.ce_gradient(tape, targets)
     assert err.value.lanes == [1]
 
 
