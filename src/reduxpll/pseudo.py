@@ -142,9 +142,9 @@ def init_reduction_matrix(candidates: np.ndarray) -> np.ndarray:
 class PseudoLabelState:
     """Per-instance pseudo-label storage refreshed batch by batch during training.
 
-    A lane stack adds a leading lane axis to every array, and `alpha` holds
-    one value per lane. A method that trains on `mu` alone has no reduction
-    side: its `U`, `w` and `v` are None.
+    A lane stack adds a leading lane axis to every array. A method that
+    trains on `mu` alone has no reduction side: its `U`, `w` and `v` are None.
+    It keeps no alpha: the trainer mixes `q` at each lane's config alpha.
     """
 
     mu: np.ndarray  # (n, c) candidate-renormalized predictor targets
@@ -152,7 +152,6 @@ class PseudoLabelState:
     w: np.ndarray | None  # (n, c) branch weights last used
     v: np.ndarray | None  # (n, c) aggregated reduction targets
     q: np.ndarray  # (n, c) combined training targets
-    alpha: float | np.ndarray
 
     @classmethod
     def initial(
@@ -176,12 +175,12 @@ class PseudoLabelState:
         lead = alphas.shape
         mu = np.broadcast_to(uniform_over(s), (*lead, n, c)).copy()
         if not with_reduction:
-            return cls(mu=mu, U=None, w=None, v=None, q=mu.copy(), alpha=alpha)
+            return cls(mu=mu, U=None, w=None, v=None, q=mu.copy())
         U = np.broadcast_to(init_reduction_matrix(s), (*lead, n, c, c)).copy()
         w = np.full((*lead, n, c), 1.0 / c)
         v = reduction_pseudo(w, U)
         q = combine(mu, v, alphas[..., None, None])
-        return cls(mu=mu, U=U, w=w, v=v, q=q, alpha=alpha)
+        return cls(mu=mu, U=U, w=w, v=v, q=q)
 
     def validate(self, candidates: np.ndarray) -> None:
         """Cheap invariant sweep over mu, q and any reduction side; raises on violation."""

@@ -28,7 +28,8 @@ Lanes: several runs that differ only in seed and alpha train in lockstep on
 one `TrainerState` whose arrays carry a leading lane axis, so each numpy call
 of the step serves every run (vmap-style ensembling). `fit` is the one-lane
 case of `fit_lanes`. Each lane's slice of every array is bit-identical to a
-run of that lane alone.
+run of that lane alone. A lane's history is its run's one record: `_record`
+reads its epoch, best epoch and patience count from it.
 
 Determinism: every random choice draws from a purpose-keyed stream derived
 from the run seed, so method variants that skip a stream (e.g. the baselines
@@ -173,17 +174,13 @@ class Lane:
     """What one run of a lane stack keeps apart from the others.
 
     The run's parameters and pseudo-labels are its slice of the stack's
-    arrays; its config, streams, early-stopping record and history live here.
+    arrays; its config, streams, best predictor and history live here.
     """
 
     config: TrainConfig
     rngs: dict[str, np.random.Generator]
-    stagnant: int = 0
-    best_epoch: int = -1
-    best_val_accuracy: float = -np.inf
-    best_test_accuracy: float = 0.0
     best_theta_flat: np.ndarray | None = None
-    # the run's only history record: checkpoints persist it, metrics files copy it
+    # the run's one record, which `_record` reads: checkpoints persist it, metrics files copy it
     history: list[EpochMetrics] = field(default_factory=list)
 
 
@@ -198,8 +195,11 @@ class TrainerState:
     pls: pseudo.PseudoLabelState
     prev_q: np.ndarray
     lanes: list[Lane]
-    epoch: int = 0
     rollback_checks: int = 0
+
+    @property
+    def epoch(self) -> int:
+        return len(self.lanes[0].history)  # the lanes run in lockstep
 
 
 @dataclass
@@ -293,18 +293,15 @@ def _lane_arrays(state: TrainerState) -> dict[str, np.ndarray]:
     return {name: arr for name, arr in arrays.items() if arr is not None}
 
 
-def _from_lane_arrays(arrays, sizes, lanes, epoch, rollback_checks) -> TrainerState:
+def _from_lane_arrays(arrays, sizes, lanes, rollback_checks) -> TrainerState:
     """The stack whose `_lane_arrays` are `arrays`; `sizes` has the widths of each net."""
     return TrainerState(
         bundle=ModelBundle(**{name: nets._wrap(arrays[name], s) for name, s in sizes.items()}),
         theta_buf=arrays["theta_buf"],
         omega_buf=arrays.get("omega_bufs"),
-        pls=pseudo.PseudoLabelState(
-            **{name: arrays.get(name) for name in _PLS_ARRAYS},
-            alpha=np.array([lane.config.alpha for lane in lanes]),
-        ),
+        pls=pseudo.PseudoLabelState(**{name: arrays.get(name) for name in _PLS_ARRAYS}),
         prev_q=arrays["prev_q"],
-        lanes=lanes, epoch=epoch, rollback_checks=rollback_checks,
+        lanes=lanes, rollback_checks=rollback_checks,
     )
 
 
@@ -313,7 +310,7 @@ def _keep_lanes(state: TrainerState, keep: list[int]) -> TrainerState:
     return _from_lane_arrays(
         {name: arr[keep] for name, arr in _lane_arrays(state).items()},
         {name: net.sizes for name, net in vars(state.bundle).items() if net is not None},
-        [state.lanes[k] for k in keep], state.epoch, state.rollback_checks,
+        [state.lanes[k] for k in keep], state.rollback_checks,
     )
 
 
@@ -366,7 +363,7 @@ def _update_meta(state, val_ds, val_targets, x, tape, U, config, epoch, batch_id
 
 
 def _mix_targets(state: TrainerState, rows, x, q, U) -> np.ndarray:
-    """q mixed with the reduction rows U, weighted by the meta net, if any, or uniformly."""
+    """q mixed at each lane's alpha with the rows U, weighted by the meta net or uniformly."""
     if state.bundle.gamma is None:
         w = np.full(q.shape, 1.0 / q.shape[-1])
     else:
@@ -375,7 +372,8 @@ def _mix_targets(state: TrainerState, rows, x, q, U) -> np.ndarray:
     state.pls.U[rows] = U
     state.pls.w[rows] = w
     state.pls.v[rows] = v
-    return pseudo.combine(q, v, state.pls.alpha[:, None, None])
+    alphas = np.array([lane.config.alpha for lane in state.lanes])
+    return pseudo.combine(q, v, alphas[:, None, None])
 
 
 def _commit(state: TrainerState, tape, probs, q, config: TrainConfig) -> np.ndarray:
@@ -491,22 +489,31 @@ def train_epoch(
                 pseudo_label_drift=float(drift[k]),
             )
         )
-    state.epoch = epoch
     for lane, lane_metrics in zip(state.lanes, metrics):
         lane.history.append(lane_metrics)
     return state, metrics
 
 
+def _record(history: Sequence[EpochMetrics]) -> dict:
+    """The numbers a lane's history gives, by the `meta.json` keys that copy them."""
+    start = EpochMetrics(0, 0.0, -np.inf, 0.0, None, 0.0)  # the best before any epoch
+    # the first epoch of greatest validation accuracy: a later tie is no improvement
+    best = max(history, key=lambda m: m.val_accuracy, default=start)
+    return {"epoch": len(history), "stagnant": len(history) - best.epoch, "best_epoch": best.epoch,
+            "best_val_accuracy": best.val_accuracy, "best_test_accuracy": best.test_accuracy}
+
+
 def _lane_result(state: TrainerState, k: int) -> RunResult:
     lane = state.lanes[k]
+    record = _record(lane.history)
     bundle = ModelBundle(**{
         name: None if net is None else nets.take(net, k) for name, net in vars(state.bundle).items()
     })
     return RunResult(
         best_theta=nets.from_flat(bundle.theta, lane.best_theta_flat),
-        best_epoch=lane.best_epoch,
-        best_val_accuracy=lane.best_val_accuracy,
-        test_accuracy=lane.best_test_accuracy,
+        best_epoch=record["best_epoch"],
+        best_val_accuracy=record["best_val_accuracy"],
+        test_accuracy=record["best_test_accuracy"],
         history=lane.history,
         final_bundle=bundle,
         config=lane.config,
@@ -578,22 +585,19 @@ def fit_lanes(
             if fh is not None:
                 fh.writelines(_metrics_line(m) for m in lane.history)
         # only a run resumed from the checkpoint of its early stop starts stopped
-        while ids and state.epoch < config.epochs and state.lanes[0].stagnant < config.patience:
+        while ids and state.epoch < config.epochs and (
+            _record(state.lanes[0].history)["stagnant"] < config.patience
+        ):
             state, metrics = train_epoch(state, datasets, config)
             finished = []
             for k, (i, lane, lane_metrics) in enumerate(zip(ids, state.lanes, metrics)):
                 if metrics_fhs[i] is not None:
                     metrics_fhs[i].write(_metrics_line(lane_metrics))
                     metrics_fhs[i].flush()
-                if lane_metrics.val_accuracy > lane.best_val_accuracy:
-                    lane.best_val_accuracy = lane_metrics.val_accuracy
-                    lane.best_epoch = lane_metrics.epoch
-                    lane.best_test_accuracy = lane_metrics.test_accuracy
+                stagnant = _record(lane.history)["stagnant"]
+                if stagnant == 0:  # this epoch is the lane's best so far
                     lane.best_theta_flat = nets.take(state.bundle.theta, k).flat
-                    lane.stagnant = 0
-                else:
-                    lane.stagnant += 1
-                stops = lane.stagnant >= config.patience
+                stops = stagnant >= config.patience
                 if checkpoint_paths[i] is not None and (
                     stops or state.epoch == config.epochs or state.epoch % CHECKPOINT_EVERY == 0
                 ):
@@ -655,12 +659,9 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 # a checkpoint is written to its name plus this suffix, then renamed onto it
 TMP_SUFFIX = ".tmp"
 
-# the `Lane` fields that `meta.json` stores under their own names
-_LANE_RECORD = ("stagnant", "best_epoch", "best_val_accuracy", "best_test_accuracy")
-
 # the checkpoint's meta.json, as `save_checkpoint` writes it: `config` holds every
-# key of `_CONFIG`; `resume_hash`, not `config`, is what a resume must match, and
-# each stream's state is numpy's PCG64 one
+# key of `_CONFIG`; `resume_hash`, not `config`, is what a resume must match; the
+# keys of `_record` hold what `history` gives; and each stream's state is numpy's PCG64 one
 _META = {
     "config": {key.removesuffix("?"): kind for key, kind in _CONFIG.items()},
     "config_hash": str, "resume_hash": str, "epoch": int, "rollback_checks": int,
@@ -694,7 +695,7 @@ def _write_deterministic_npz(path, arrays: dict, meta: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
+def save_checkpoint(path, state: TrainerState, lane: int) -> None:
     """Persist lane `lane` of the stack as a one-run checkpoint.
 
     Its members are row `lane` of each of the stack's `_lane_arrays` and
@@ -708,8 +709,7 @@ def save_checkpoint(path, state: TrainerState, lane: int = 0) -> None:
         "config": run.config.to_dict(),
         "config_hash": run.config.config_hash(),
         "resume_hash": run.config.resume_hash(),
-        "epoch": state.epoch,
-        **{name: getattr(run, name) for name in _LANE_RECORD},
+        **_record(run.history),
         "rollback_checks": state.rollback_checks,
         "rng_states": {k: g.bit_generator.state for k, g in run.rngs.items()},
         "history": [vars(h) for h in run.history],
@@ -721,8 +721,9 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
     """The one-lane state a checkpoint holds, reading the members `config`'s method has.
 
     Each array member must have the float64 shape of a fresh stack of `config`,
-    and `meta.json` must fit `_META`; a file that is no zip archive or a missing
-    or misfit member is a ConfigError that names the file and the member.
+    and `meta.json` must fit `_META`, list epochs 1, 2, ... and copy their `_record`;
+    a file that is no zip archive or a missing or misfit member is a ConfigError
+    that names the file and the member.
     Extra members (the untrained nets and reduction side that older
     checkpoints of the baselines hold) are not read.
     """
@@ -751,9 +752,14 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
                 f"checkpoint {path} holds {member} as {arr.dtype} {arr.shape}, "
                 f"but the training set needs float64 {shape}"
             )
-    lane = replace(fresh.lanes[0], **{name: meta[name] for name in _LANE_RECORD})
-    lane.best_theta_flat = data["best_theta"]
-    lane.history = [EpochMetrics(**h) for h in meta["history"]]
+    history = [EpochMetrics(**h) for h in meta["history"]]
+    for k, metrics in enumerate(history):
+        if metrics.epoch != k + 1:
+            raise ConfigError(f"{where}: history[{k}].epoch must be {k + 1}, got {metrics.epoch}")
+    for key, value in _record(history).items():
+        if meta[key] != value:
+            raise ConfigError(f"{where}: {key} must be {value!r} by the history, got {meta[key]!r}")
+    lane = replace(fresh.lanes[0], best_theta_flat=data["best_theta"], history=history)
     for key, rng_state in meta["rng_states"].items():
         try:
             lane.rngs[key].bit_generator.state = rng_state
@@ -762,5 +768,5 @@ def load_checkpoint(path, train_ds: PllDataset, config: TrainConfig) -> TrainerS
     return _from_lane_arrays(
         {member: arr[None] for member, arr in data.items()},  # best_theta is not read
         {name: net.sizes for name, net in vars(fresh.bundle).items() if net is not None},
-        [lane], meta["epoch"], meta["rollback_checks"],
+        [lane], meta["rollback_checks"],
     )

@@ -9,10 +9,15 @@ from reduxpll.errors import ContractViolation, DimensionError, NumericError
 from conftest import ce_value, fd_gradient, random_simplex_rows, rel_error, zero_net
 
 
-def test_zero_net_outputs_uniform_rows():
-    params = nets.MlpParams((np.zeros((3, 4)),), (np.zeros(4),))
-    probs, _ = nets.forward(params, np.random.default_rng(0).random((6, 3)))
-    assert np.allclose(probs, 0.25, atol=1e-15)
+@pytest.mark.parametrize(
+    "x, c",
+    [(np.random.default_rng(0).random((6, 3)), 4), (np.array([[1.0, -2.0, 0.5, 3.0]]), 5)],
+    ids=["3-to-4", "4-to-5-one-row"],
+)
+def test_zero_net_outputs_uniform_rows(x, c):
+    params = nets.MlpParams((np.zeros((x.shape[1], c)),), (np.zeros(c),))
+    probs, _ = nets.forward(params, x)
+    assert np.allclose(probs, 1.0 / c, atol=1e-15)
 
 
 def test_identity_like_net_puts_argmax_at_hot_index():
@@ -22,10 +27,16 @@ def test_identity_like_net_puts_argmax_at_hot_index():
     assert probs.argmax() == 2
 
 
-def test_random_net_rows_sum_to_one():
-    rng = np.random.default_rng(42)
-    params = nets.init_mlp([5, 8, 6], rng)
-    probs, _ = nets.forward(params, rng.random((4, 5)))
+@pytest.mark.parametrize(
+    "seed, sizes, x",
+    [(42, [5, 8, 6], lambda rng: rng.random((4, 5))),
+     (2, [3, 6, 4], lambda rng: rng.standard_normal((50, 3)))],
+    ids=["5-8-6", "3-6-4"],
+)
+def test_random_net_rows_sum_to_one(seed, sizes, x):
+    rng = np.random.default_rng(seed)
+    params = nets.init_mlp(sizes, rng)
+    probs, _ = nets.forward(params, x(rng))
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
     assert np.all(probs > 0.0)
 
@@ -251,22 +262,27 @@ def test_backward_ce_matches_finite_differences(seed):
     assert rel_error(grad.flat, numeric) < 1e-6
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_backward_probs_vjp_matches_finite_differences(seed):
-    rng = np.random.default_rng(100 + seed)
-    params = nets.init_mlp([3, 5, 4], rng)
-    x = rng.standard_normal((6, 3))
-    upstream = rng.standard_normal((6, 4))
+@pytest.mark.parametrize(
+    "seed, sizes, m",
+    [*((100 + seed, [3, 5, 4], 6) for seed in range(5)), (3, [3, 4, 3], 1)],
+    ids=[*map(str, range(5)), "3-4-3-one-row"],
+)
+def test_backward_probs_vjp_matches_finite_differences(seed, sizes, m):
+    rng = np.random.default_rng(seed)
+    params = nets.init_mlp(sizes, rng)
+    x = rng.standard_normal((m, sizes[0]))
+    c = sizes[-1]
+    # a random upstream, then each output of row 0 alone: the rows of its Jacobian
+    for upstream in (rng.standard_normal((m, c)), *np.eye(m * c)[:c].reshape(c, m, c)):
+        probs, tape = nets.forward(params, x)
+        grad = nets.backward_probs_vjp(tape, upstream)
 
-    probs, tape = nets.forward(params, x)
-    grad = nets.backward_probs_vjp(tape, upstream)
+        def scalar_fn(flat, upstream=upstream):
+            p, _ = nets.forward(nets.from_flat(params, flat), x)
+            return float((p * upstream).sum())
 
-    def scalar_fn(flat):
-        p, _ = nets.forward(nets.from_flat(params, flat), x)
-        return float((p * upstream).sum())
-
-    numeric = fd_gradient(scalar_fn, params.flat)
-    assert rel_error(grad.flat, numeric) < 1e-6
+        numeric = fd_gradient(scalar_fn, params.flat)
+        assert rel_error(grad.flat, numeric) < 1e-6
 
 
 # -- sgd ----------------------------------------------------------------------

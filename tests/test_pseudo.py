@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from reduxpll import nets, pseudo
 from reduxpll.errors import ConfigError, ContractViolation
 
-from conftest import fd_gradient, random_candidates, random_simplex_rows, rel_error
+from conftest import random_candidates, random_simplex_rows
 
 
 def test_basic_pseudo_worked_example():
@@ -119,40 +119,6 @@ def test_combine_endpoints_and_midpoint(alpha, expected):
 def test_combine_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(ConfigError):
         pseudo.combine([1.0, 0.0], [0.0, 1.0], alpha)
-
-
-# the meta weights are the meta net's output rows, w = nets.forward(gamma, x)[0]
-def test_meta_weights_zero_net_is_uniform():
-    gamma = nets.MlpParams((np.zeros((4, 5)),), (np.zeros(5),))
-    w, _ = nets.forward(gamma, np.array([[1.0, -2.0, 0.5, 3.0]]))
-    assert np.allclose(w, 0.2, atol=1e-15)
-
-
-def test_meta_weights_always_on_simplex():
-    rng = np.random.default_rng(2)
-    gamma = nets.init_mlp([3, 6, 4], rng)
-    w, _ = nets.forward(gamma, rng.standard_normal((50, 3)))
-    assert np.all(w > 0.0)
-    assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
-
-
-def test_meta_weights_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    gamma = nets.init_mlp([3, 4, 3], rng)
-    x = rng.standard_normal((1, 3))
-
-    for out_idx in range(3):
-        probs, tape = nets.forward(gamma, x)
-        upstream = np.zeros((1, 3))
-        upstream[0, out_idx] = 1.0
-        analytic = nets.backward_probs_vjp(tape, upstream).flat
-
-        def w_component(flat, k=out_idx):
-            w, _ = nets.forward(nets.from_flat(gamma, flat), x)
-            return float(w[0, k])
-
-        numeric = fd_gradient(w_component, gamma.flat, step=1e-6)
-        assert rel_error(analytic, numeric) < 1e-6
 
 
 def test_initial_state_is_uniform_over_legal_support():

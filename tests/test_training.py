@@ -8,6 +8,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reduxpll import data, nets, training
 from reduxpll.errors import ConfigError, ContractViolation, NumericError
@@ -153,6 +155,70 @@ def test_patience_one_with_frozen_steps_stops_after_two_epochs(small_dataset):
     )
     result = training.fit(small_dataset, cfg)
     assert len(result.history) == 2
+
+
+# validation accuracies drawn from three values, so ties are common
+_VAL_ACCURACIES = st.sampled_from([0.25, 0.5, 0.75])
+
+
+def _incremental_rule(val_accuracies):
+    """(best epoch, best val accuracy, patience count) after each epoch, kept
+    one epoch at a time: only a strictly greater accuracy improves, and an
+    improvement resets the count."""
+    best_epoch, best, stagnant, steps = -1, -np.inf, 0, []
+    for epoch, val in enumerate(val_accuracies, 1):
+        if val > best:
+            best_epoch, best, stagnant = epoch, val, 0
+        else:
+            stagnant += 1
+        steps.append((best_epoch, best, stagnant))
+    return steps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vals=st.lists(_VAL_ACCURACIES, min_size=1, max_size=20))
+def test_a_history_gives_the_record_of_the_incremental_rule(vals):
+    history = [
+        training.EpochMetrics(epoch, 0.0, val, epoch / 100, None, 0.0)  # a test accuracy per epoch
+        for epoch, val in enumerate(vals, 1)
+    ]
+    best_epoch, best, stagnant = _incremental_rule(vals)[-1]
+    assert training._record(history) == {
+        "epoch": len(vals), "stagnant": stagnant, "best_epoch": best_epoch,
+        "best_val_accuracy": best, "best_test_accuracy": best_epoch / 100,
+    }
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    scripts=st.lists(st.lists(_VAL_ACCURACIES, min_size=8, max_size=8), min_size=3, max_size=3),
+    patience=st.integers(1, 4),
+)
+def test_fit_lanes_stops_each_lane_where_the_incremental_rule_does(
+    small_dataset, scripts, patience
+):
+    """Each lane's validation accuracies are scripted by its seed."""
+    configs = [
+        training.TrainConfig(method="proden", seed=seed, epochs=8, patience=patience)
+        for seed in range(3)
+    ]
+    train_epoch = training.train_epoch
+
+    def scripted_epoch(state, datasets, config):
+        state, metrics = train_epoch(state, datasets, config)
+        for lane, lane_metrics in zip(state.lanes, metrics):  # the history holds these objects
+            lane_metrics.val_accuracy = scripts[lane.config.seed][lane_metrics.epoch - 1]
+        return state, metrics
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "train_epoch", scripted_epoch)
+        results = training.fit_lanes(small_dataset, configs)
+    for script, result in zip(scripts, results):
+        steps = _incremental_rule(script)
+        stop = next((e for e, step in enumerate(steps, 1) if step[2] >= patience), len(script))
+        assert len(result.history) == stop
+        assert (result.best_epoch, result.best_val_accuracy) == steps[stop - 1][:2]
+        assert result.test_accuracy == result.history[result.best_epoch - 1].test_accuracy
 
 
 def test_single_batch_epoch_runs_exactly_one_update_cycle(small_dataset):
@@ -578,10 +644,23 @@ def _set(*path, value):
          "member meta.json: numpy refuses rng_states.shuffle (state must be for a PCG64 RNG)"),
         (_set("rng_states", "val", "state", "state", value=-1),
          "member meta.json: numpy refuses rng_states.val ("),
+        # numbers that well-formed JSON holds but the one-epoch history does not give
+        (_set("epoch", value=7), "member meta.json: epoch must be 1 by the history, got 7"),
+        (_set("best_epoch", value=0), "member meta.json: best_epoch must be 1 by the history"),
+        (_set("best_val_accuracy", value=0.99),
+         "member meta.json: best_val_accuracy must be 0."),
+        (_set("best_test_accuracy", value=0.1),
+         "member meta.json: best_test_accuracy must be 0."),
+        (_set("stagnant", value=3), "member meta.json: stagnant must be 0 by the history, got 3"),
+        (_edited_meta(lambda meta: meta["history"].insert(0, {**meta["history"][0], "epoch": 2})),
+         "member meta.json: history[0].epoch must be 1, got 2"),
+        (_set("history", 0, "epoch", value=2), "member meta.json: history[0].epoch must be 1, got 2"),
     ],
     ids=["no-meta", "not-json", "unknown-stream", "stagnant-text", "epoch-text",
          "history-extra-key", "minus-infinity", "no-history", "numpy-refuses-generator",
-         "numpy-refuses-state"],
+         "numpy-refuses-state", "epoch-not-the-history-length", "best-epoch-not-the-historys",
+         "best-val-accuracy-not-the-historys", "best-test-accuracy-not-the-historys",
+         "stagnant-not-the-historys", "history-out-of-order", "history-skips-an-epoch"],
 )
 def test_a_malformed_meta_json_is_a_config_error_naming_the_file_and_member(
     small_dataset, tmp_path, rewrite, message
